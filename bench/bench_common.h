@@ -12,7 +12,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdlib>  // mkdtemp
+#include <filesystem>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -253,6 +254,32 @@ inline std::string ThroughputCell(const sim::AggregateResult& result,
   std::snprintf(buf, sizeof buf, "%.*f", digits, result.throughput.mean());
   return buf;
 }
+
+// A fresh private directory (mkdtemp, under the working directory) for a
+// harness's scratch files, removed with its contents when the object goes
+// out of scope, so concurrent invocations never clobber each other.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix) {
+    std::string name = prefix + ".XXXXXX";
+    if (::mkdtemp(name.data()) != nullptr) path_ = name;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  // Empty when the directory could not be created.
+  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] std::string File(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
 
 inline core::FcatOptions FcatFor(unsigned lambda,
                                  phy::TimingModel timing = {}) {

@@ -164,11 +164,15 @@ bool RunKillAtCell(const bench::HarnessOptions& opts,
   so.runs = 1;
   so.base_seed = opts.seed;
 
-  const std::string base = "bench_soak_killat";
-  const std::string ref_path = base + ".ref.ancs";
-  const std::string torn_path = base + ".torn.ancs";
-  const std::string ref_ckpt = base + ".ref.ckpt";
-  const std::string ckpt = base + ".ckpt";
+  const bench::ScratchDir scratch("bench_soak_killat");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "kill-at cell: cannot create a scratch directory\n");
+    return false;
+  }
+  const std::string ref_path = scratch.File("ref.ancs");
+  const std::string torn_path = scratch.File("torn.ancs");
+  const std::string ref_ckpt = scratch.File("ref.ckpt");
+  const std::string ckpt = scratch.File("resume.ckpt");
   store::StoreWriterOptions wo;
   wo.sync = store::SyncPolicy::kFlush;
 
@@ -240,9 +244,6 @@ bool RunKillAtCell(const bench::HarnessOptions& opts,
               static_cast<unsigned long long>(kill_at),
               identical ? "byte-identical" : "DIVERGED");
 
-  for (const std::string& p : {ref_path, torn_path, ref_ckpt, ckpt}) {
-    std::remove(p.c_str());
-  }
   return identical;
 }
 

@@ -19,8 +19,8 @@
 // the >= 3x CI gate on the soak golden.
 //
 //   --n=N         initial population per soak run (default 50)
-//   --trace=PATH  keep the 4096-event store at PATH (default: temp file,
-//                 removed on exit)
+//   --trace=PATH  keep the 4096-event store at PATH (default: a file in a
+//                 fresh mkdtemp directory, removed on exit)
 #include "bench_common.h"
 
 #include <cstdio>
@@ -181,9 +181,14 @@ int main(int argc, char** argv) {
               file.runs.size(), static_cast<unsigned long long>(n_events),
               raw.size());
 
-  const std::string keep_path = opts.trace_path;
-  const std::string tmp_path =
-      keep_path.empty() ? "bench_store.tmp.ancstore" : keep_path;
+  const bench::ScratchDir scratch("bench_store");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "cannot create a scratch directory\n");
+    return 1;
+  }
+  const std::string store_path = opts.trace_path.empty()
+                                     ? scratch.File("points.ancstore")
+                                     : opts.trace_path;
 
   TextTable table({"block events", "blocks", "store bytes", "ratio",
                    "write MB/s", "idx seek ns", "block seek us"});
@@ -194,7 +199,7 @@ int main(int argc, char** argv) {
   for (const std::size_t block_events : {std::size_t{512},
                                          std::size_t{4096}}) {
     StorePoint p;
-    if (!MeasurePoint(file, raw.size(), tmp_path, block_events, &p)) {
+    if (!MeasurePoint(file, raw.size(), store_path, block_events, &p)) {
       ok = false;
       continue;
     }
@@ -223,8 +228,6 @@ int main(int argc, char** argv) {
           ",\"seeks\":" + std::to_string(p.seeks) + "}");
     }
   }
-  if (keep_path.empty()) std::remove(tmp_path.c_str());
-
   std::printf("%s\n", table.Render().c_str());
   std::printf("index seek is a binary search over per-run running-max "
               "frames: nanoseconds per seek should stay near-flat as "

@@ -15,17 +15,40 @@
 //
 // The Reader latches `ok` on the first truncated read and returns 0
 // from then on; callers check once at the end (fail-closed decode).
+//
+// Arenas (the phy and tracker record stores) go through PutVarints /
+// AppendVarints: raw WriteVarint stores into a stack buffer, appended a
+// few kilobytes at a time — the same bytes as a PutVarint loop without
+// a capacity check and terminator store per byte. A bool field encodes
+// as the varint 0/1, which is PutBool's byte, so a struct of integers
+// and bools can be written as one row of varints.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 namespace anc::ser {
 
 inline void PutByte(std::string& out, std::uint8_t b) {
   out.push_back(static_cast<char>(b));
+}
+
+// Writes v's varint encoding at `p` (up to 10 bytes); returns one past
+// its last byte. (The do-while form measured faster in the bulk writers
+// below than PutVarint's while form.)
+inline char* WriteVarint(char* p, std::uint64_t v) {
+  do {
+    const auto low = static_cast<char>(v & 0x7F);
+    v >>= 7;
+    *p++ = v != 0 ? static_cast<char>(low | 0x80) : low;
+  } while (v != 0);
+  return p;
 }
 
 inline void PutVarint(std::string& out, std::uint64_t v) {
@@ -34,6 +57,57 @@ inline void PutVarint(std::string& out, std::uint64_t v) {
     v >>= 7;
   }
   out.push_back(static_cast<char>(v));
+}
+
+// Row projection for ranges of plain integers: the value itself.
+struct Value {
+  std::array<std::uint64_t, 1> operator()(std::uint64_t v) const {
+    return {v};
+  }
+};
+
+namespace detail {
+
+// out.append(data, n), but growing the capacity only by doubling, as
+// byte-at-a-time push_back does. A plain append of a chunk larger than a
+// small string's capacity would size the buffer to fit and shift every
+// later doubling, which moves the peak resident set; this way the bulk
+// writers allocate what the PutVarint loops they replace allocated.
+inline void AppendDoubling(std::string& out, const char* data,
+                           std::size_t n) {
+  std::size_t capacity = std::max<std::size_t>(out.capacity(), 1);
+  while (capacity < out.size() + n) capacity *= 2;
+  out.reserve(capacity);
+  out.append(data, n);
+}
+
+}  // namespace detail
+
+// Appends, for every item of `items` in order, the varints of the row
+// `fields(item)` returns (a std::array of integers). No count prefix.
+// Rows are encoded into a stack buffer that is appended whenever it could
+// not take another row.
+template <class Range, class Fields = Value>
+void AppendVarints(std::string& out, const Range& items, Fields fields = {}) {
+  using Row = decltype(fields(*std::begin(items)));
+  constexpr std::size_t kRowBytes = 10 * std::tuple_size_v<Row>;
+  char buf[4096];
+  char* p = buf;
+  for (const auto& item : items) {
+    if (p > buf + sizeof buf - kRowBytes) {
+      detail::AppendDoubling(out, buf, static_cast<std::size_t>(p - buf));
+      p = buf;
+    }
+    for (std::uint64_t v : fields(item)) p = WriteVarint(p, v);
+  }
+  detail::AppendDoubling(out, buf, static_cast<std::size_t>(p - buf));
+}
+
+// Count-prefixed AppendVarints: PutVarint(size) followed by the rows.
+template <class Range, class Fields = Value>
+void PutVarints(std::string& out, const Range& items, Fields fields = {}) {
+  PutVarint(out, std::size(items));
+  AppendVarints(out, items, fields);
 }
 
 inline void PutBool(std::string& out, bool b) { PutByte(out, b ? 1 : 0); }

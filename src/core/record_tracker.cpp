@@ -1,11 +1,14 @@
 #include "core/record_tracker.h"
 
+#include <array>
 #include <utility>
 
 namespace anc::core {
 
 RecordTracker::RecordTracker(std::size_t n_tags)
-    : chain_head_(n_tags, kNil), chain_tail_(n_tags, kNil) {}
+    : chain_head_(n_tags, kNil),
+      chain_tail_(n_tags, kNil),
+      chain_live_(n_tags, kNil) {}
 
 void RecordTracker::EnsureSlot(std::uint32_t index) {
   if (index >= records_.size()) {
@@ -44,6 +47,7 @@ phy::RecordHandle RecordTracker::Register(
       chain_nodes_[chain_tail_[tag]].next = node;
     }
     chain_tail_[tag] = node;
+    if (chain_live_[tag] == kNil) chain_live_[tag] = node;
   }
   if (ledger_ == nullptr) return phy::kInvalidRecord;
   return ledger_->Open(handle, participants.size());
@@ -109,8 +113,15 @@ void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
   // still count the miss against their retry budget but never reach the
   // phy. The known slices live in knowns_arena_, which cannot reallocate
   // here (every record's capacity was reserved at Register), so the
-  // request spans stay valid across the batch call.
-  for (std::uint32_t node = chain_head_[tag]; node != kNil;
+  // request spans stay valid across the batch call. The walk starts at
+  // the tag's live cursor, first moved past the closed prefix of its
+  // chain; closed records further on are skipped as before, so the visit
+  // order is the full chain's.
+  std::uint32_t& live = chain_live_[tag];
+  while (live != kNil && !records_[chain_nodes_[live].record.index()].open) {
+    live = chain_nodes_[live].next;
+  }
+  for (std::uint32_t node = live; node != kNil;
        node = chain_nodes_[node].next) {
     const phy::RecordHandle handle = chain_nodes_[node].record;
     RecordState& state = records_[handle.index()];
@@ -160,11 +171,12 @@ void RecordTracker::Abandon(phy::RecordHandle handle, phy::PhyInterface& phy,
 std::size_t RecordTracker::ReleaseAll(
     phy::PhyInterface& phy, fault::RecordLedger::CloseReason reason) {
   std::size_t released = 0;
-  for (std::uint32_t i = 0; i < records_.size(); ++i) {
+  for (std::uint32_t i = first_maybe_open_; i < records_.size(); ++i) {
     if (!records_[i].open) continue;
     Abandon(phy::RecordHandle{i}, phy, reason);
     ++released;
   }
+  first_maybe_open_ = static_cast<std::uint32_t>(records_.size());
   return released;
 }
 
@@ -173,28 +185,20 @@ std::vector<phy::RecordHandle> RecordTracker::TakeRetryAbandoned() {
 }
 
 void RecordTracker::SaveState(std::string* out) const {
-  ser::PutVarint(*out, records_.size());
-  for (const RecordState& state : records_) {
-    ser::PutVarint(*out, state.knowns_offset);
-    ser::PutVarint(*out, state.knowns_len);
-    ser::PutVarint(*out, state.knowns_cap);
-    ser::PutBool(*out, state.open);
-  }
-  ser::PutVarint(*out, knowns_arena_.size());
-  for (std::uint32_t tag : knowns_arena_) ser::PutVarint(*out, tag);
-  ser::PutVarint(*out, chain_nodes_.size());
-  for (const ChainNode& node : chain_nodes_) {
-    ser::PutVarint(*out, node.record.index());
-    ser::PutVarint(*out, node.next);
-  }
-  ser::PutVarint(*out, chain_head_.size());
-  for (std::uint32_t head : chain_head_) ser::PutVarint(*out, head);
-  for (std::uint32_t tail : chain_tail_) ser::PutVarint(*out, tail);
+  ser::PutVarints(*out, records_, [](const RecordState& state) {
+    return std::array<std::uint64_t, 4>{state.knowns_offset, state.knowns_len,
+                                        state.knowns_cap, state.open};
+  });
+  ser::PutVarints(*out, knowns_arena_);
+  ser::PutVarints(*out, chain_nodes_, [](const ChainNode& node) {
+    return std::array<std::uint64_t, 2>{node.record.index(), node.next};
+  });
+  ser::PutVarints(*out, chain_head_);
+  ser::AppendVarints(*out, chain_tail_);
   ser::PutVarint(*out, open_records_);
-  ser::PutVarint(*out, retry_abandoned_.size());
-  for (phy::RecordHandle h : retry_abandoned_) {
-    ser::PutVarint(*out, h.index());
-  }
+  ser::PutVarints(*out, retry_abandoned_, [](phy::RecordHandle h) {
+    return std::array<std::uint64_t, 1>{h.index()};
+  });
 }
 
 bool RecordTracker::RestoreState(anc::ser::Reader& r) {
@@ -222,6 +226,8 @@ bool RecordTracker::RestoreState(anc::ser::Reader& r) {
   for (std::uint32_t& tail : chain_tail_) {
     tail = static_cast<std::uint32_t>(r.Varint());
   }
+  chain_live_ = chain_head_;
+  first_maybe_open_ = 0;
   open_records_ = static_cast<std::size_t>(r.Varint());
   retry_abandoned_.assign(static_cast<std::size_t>(r.Varint()),
                           phy::RecordHandle{});

@@ -22,6 +22,16 @@
 // never allocates once the arenas reach steady-state capacity — the
 // tracker's share of the engine's zero-allocation slot loop.
 //
+// A tag's chain holds every record it was ever in, and an open-world
+// soak re-reads each tag again and again, so two derived indexes keep
+// the cost of a learn and of a sweep independent of run history: a
+// per-tag live cursor (the first chain node whose record may still be
+// open — everything before it is closed) and a store-wide watermark
+// (every record below it is closed). Both only move forward, because
+// phy record handles are never reused, and neither is checkpointed:
+// RestoreState rebuilds them conservatively (cursor = chain head,
+// watermark = 0) and the first walk advances them again.
+//
 // Fault coupling (src/fault): when a RecordLedger is attached, the
 // tracker reports every open/progress/close to it, refuses to resolve
 // bit-rotted records (their CRC fails), and abandons a record on the spot
@@ -143,6 +153,11 @@ class RecordTracker {
   std::vector<ChainNode> chain_nodes_;
   std::vector<std::uint32_t> chain_head_;  // per tag
   std::vector<std::uint32_t> chain_tail_;
+  // Derived, not checkpointed: per tag, the first node whose record may
+  // be open (kNil when none may be); and the index below which every
+  // record is closed.
+  std::vector<std::uint32_t> chain_live_;
+  std::uint32_t first_maybe_open_ = 0;
   std::size_t open_records_ = 0;
   fault::RecordLedger* ledger_ = nullptr;
   std::vector<phy::RecordHandle> retry_abandoned_;

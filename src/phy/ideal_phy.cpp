@@ -1,6 +1,7 @@
 #include "phy/ideal_phy.h"
 
 #include <algorithm>
+#include <array>
 
 namespace anc::phy {
 
@@ -93,15 +94,11 @@ void IdealPhy::ReleaseRecord(RecordHandle handle) {
 
 void IdealPhy::SaveState(std::string* out) const {
   PutPcg32(*out, rng_);
-  ser::PutVarint(*out, records_.size());
-  for (const Record& record : records_) {
-    ser::PutVarint(*out, record.offset);
-    ser::PutVarint(*out, record.count);
-    ser::PutBool(*out, record.open);
-    ser::PutBool(*out, record.doomed);
-  }
-  ser::PutVarint(*out, participants_arena_.size());
-  for (std::uint32_t tag : participants_arena_) ser::PutVarint(*out, tag);
+  ser::PutVarints(*out, records_, [](const Record& record) {
+    return std::array<std::uint64_t, 4>{record.offset, record.count,
+                                        record.open, record.doomed};
+  });
+  ser::PutVarints(*out, participants_arena_);
   ser::PutVarint(*out, open_records_);
 }
 

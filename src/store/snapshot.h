@@ -101,14 +101,17 @@ class EpochSnapshotLog {
     }
   }
 
-  // Latest published snapshot; false only when nothing is published yet.
+  // Latest published snapshot. False when nothing is published yet, or
+  // when the writer lapped the reader on every one of kLatestAttempts
+  // tries — a reader never spins unboundedly behind a fast writer.
   bool Latest(EpochSnapshot* out) const {
-    for (;;) {
+    for (int attempt = 0; attempt < kLatestAttempts; ++attempt) {
       const std::uint64_t count = published();
       if (count == 0) return false;
       // A failed read means the writer lapped us; newer data exists.
       if (Read(count - 1, out)) return true;
     }
+    return false;
   }
 
   // Up to `n` most recent snapshots, oldest first, each internally
@@ -128,6 +131,8 @@ class EpochSnapshotLog {
   }
 
  private:
+  static constexpr int kLatestAttempts = 64;
+
   struct Entry {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> index{0};

@@ -3,6 +3,7 @@
 // crash-safety contract — a killed-and-resumed soak run produces
 // byte-identical trace bytes and an identical SloReport to the
 // uninterrupted run, for every checkpointable protocol family.
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "core/factories.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
@@ -77,6 +79,66 @@ TEST(CheckpointCodec, RoundTrip) {
   EXPECT_EQ(got.service_blob, ckpt.service_blob);
   EXPECT_EQ(got.protocol_blob, ckpt.protocol_blob);
   EXPECT_EQ(got.writer_blob, ckpt.writer_blob);
+}
+
+// The bulk arena writers produce exactly the bytes of a PutVarint loop,
+// count prefix included, at every varint length boundary.
+TEST(CheckpointCodec, BulkVarintsMatchPutVarintLoop) {
+  const std::vector<std::uint64_t> values = {
+      0, 127, 128, std::uint64_t{1} << 14, (std::uint64_t{1} << 14) - 1,
+      0xFFFFFFFFull, ~std::uint64_t{0}};
+  for (const std::uint64_t v : values) {
+    std::string one;
+    ser::PutVarint(one, v);
+    char buf[10];
+    char* end = ser::WriteVarint(buf, v);
+    EXPECT_EQ(std::string(buf, end), one) << v;
+  }
+
+  std::string loop = "prefix";
+  ser::PutVarint(loop, values.size());
+  for (const std::uint64_t v : values) ser::PutVarint(loop, v);
+  std::string bulk = "prefix";
+  ser::PutVarints(bulk, values);
+  EXPECT_EQ(bulk, loop);
+
+  // Rows with a bool field: the bool's varint is PutBool's byte.
+  struct Row {
+    std::uint32_t a;
+    bool b;
+  };
+  const std::vector<Row> rows = {{0, true}, {300, false}, {0xFFFFFFFF, true}};
+  loop.clear();
+  ser::PutVarint(loop, rows.size());
+  for (const Row& row : rows) {
+    ser::PutVarint(loop, row.a);
+    ser::PutBool(loop, row.b);
+  }
+  bulk.clear();
+  ser::PutVarints(bulk, rows, [](const Row& row) {
+    return std::array<std::uint64_t, 2>{row.a, row.b};
+  });
+  EXPECT_EQ(bulk, loop);
+
+  const std::vector<std::uint64_t> empty;
+  bulk.clear();
+  ser::PutVarints(bulk, empty);
+  EXPECT_EQ(bulk, std::string(1, '\0'));
+
+  // Enough rows of every encoded length to cross the writer's internal
+  // buffer many times.
+  std::vector<std::uint64_t> many;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 20000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    many.push_back(x >> (x % 64));
+  }
+  loop.clear();
+  ser::PutVarint(loop, many.size());
+  for (const std::uint64_t v : many) ser::PutVarint(loop, v);
+  bulk.clear();
+  ser::PutVarints(bulk, many);
+  EXPECT_EQ(bulk, loop);
 }
 
 TEST(CheckpointCodec, RejectsEveryByteFlip) {
@@ -298,6 +360,56 @@ TEST(GoldenCheckpoint, Decodes) {
   EXPECT_FALSE(ckpt.service_blob.empty());
   EXPECT_FALSE(ckpt.protocol_blob.empty());
   EXPECT_FALSE(ckpt.writer_blob.empty());
+}
+
+// Re-cutting the fixture run with tools/make_crash_fixtures' parameters
+// (smoke profile, seed 7, 24 initial tags, checkpoint every 2 epochs,
+// killed before slot 1700, so the last cut is at slot 1000) reproduces
+// the committed checkpoint and torn store byte for byte: any drift in
+// checkpoint bytes fails here, not only in the crash-recovery CI job.
+TEST(GoldenCheckpoint, RecutIsByteIdentical) {
+  core::FcatOptions fcat;
+  fcat.lambda = 2;
+  const sim::ProtocolFactory factory = core::MakeFcatFactory(fcat);
+  ServiceConfig config;
+  ASSERT_TRUE(LookupServiceProfile("smoke", &config));
+  SoakOptions options;
+  options.n_initial = 24;
+  options.runs = 1;
+  options.base_seed = 7;
+  store::StoreWriterOptions sopts;
+  sopts.block_events = 512;
+  sopts.compress = true;
+  sopts.sync = store::SyncPolicy::kFlush;
+
+  const std::string trace_path = TempPath("golden_recut.ancs");
+  const std::string ckpt_path = TempPath("golden_recut.ckpt");
+  {
+    auto sink = std::make_unique<store::StoreFileSink>(trace_path, sopts);
+    ResumableOptions resumable;
+    resumable.checkpoint_every_epochs = 2;
+    resumable.checkpoint_path = ckpt_path;
+    resumable.abort_before_slot = 1700;
+    bool aborted = false;
+    (void)RunSoakResumable(factory, config, options, 0, sink.get(),
+                           resumable, &aborted);
+    ASSERT_TRUE(aborted);
+  }
+
+  const std::string ckpt = Slurp(ckpt_path);
+  const std::string golden_ckpt =
+      Slurp(std::string(ANC_GOLDEN_DIR) + "/soak_resume.ckpt");
+  EXPECT_TRUE(ckpt == golden_ckpt) << "checkpoint bytes drifted: "
+                                   << ckpt.size() << " bytes vs golden "
+                                   << golden_ckpt.size();
+  const std::string trace = Slurp(trace_path);
+  const std::string golden_trace =
+      Slurp(std::string(ANC_GOLDEN_DIR) + "/soak_kill_boundary.ancs");
+  EXPECT_TRUE(trace == golden_trace) << "store bytes drifted: "
+                                     << trace.size() << " bytes vs golden "
+                                     << golden_trace.size();
+  std::remove(trace_path.c_str());
+  std::remove(ckpt_path.c_str());
 }
 
 // Resuming from the committed checkpoint + torn store reproduces the

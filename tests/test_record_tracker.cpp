@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "phy_test_util.h"
 #include "phy/ideal_phy.h"
 #include "sim/population.h"
@@ -113,6 +117,97 @@ TEST(RecordTracker, DuplicatePairRecordsOnlyOneUseful) {
   EXPECT_EQ(resolved.size(), 2u);
   EXPECT_EQ(resolved[0].id, f.pop[2]);
   EXPECT_EQ(resolved[1].id, f.pop[2]);
+}
+
+// A checkpoint cut while tag 1's chain has closed records at its head
+// and in its middle. The live cursor and the sweep watermark are derived
+// state: they never reach the checkpoint bytes, and a restored tracker
+// (cursor back at the chain head) resolves exactly what a tracker that
+// was never checkpointed resolves, in the same order.
+struct TrackedTwin {
+  Fixture f{3};
+
+  std::string Save() const {
+    std::string bytes;
+    f.phy.SaveState(&bytes);
+    f.tracker.SaveState(&bytes);
+    return bytes;
+  }
+
+  bool Restore(const std::string& bytes) {
+    anc::ser::Reader r{bytes};
+    return f.phy.RestoreState(r) && f.tracker.RestoreState(r) && r.AtEnd();
+  }
+};
+
+std::vector<std::pair<TagId, std::uint32_t>> Flatten(
+    const std::vector<RecordTracker::Resolution>& rs) {
+  std::vector<std::pair<TagId, std::uint32_t>> out;
+  for (const auto& r : rs) out.emplace_back(r.id, r.record.index());
+  return out;
+}
+
+TEST(RecordTracker, CheckpointKeepsResolutionsAndBytes) {
+  TrackedTwin live;
+  live.f.Collide(0, {1, 2});
+  live.f.Collide(1, {1, 3});
+  live.f.Collide(2, {1, 4, 5});
+  live.f.Collide(3, {1, 6});
+  live.f.Collide(4, {1, 4, 7});
+  // Close tag 1's second record, then its first: the chain's head and an
+  // interior node are closed, the rest open.
+  ASSERT_EQ(live.f.OnIdKnown(3).size(), 1u);
+  ASSERT_EQ(live.f.OnIdKnown(2).size(), 1u);
+  ASSERT_EQ(live.f.tracker.open_records(), 3u);
+
+  const std::string bytes = live.Save();
+  TrackedTwin restored;
+  ASSERT_TRUE(restored.Restore(bytes));
+  EXPECT_EQ(restored.Save(), bytes);
+
+  // The same learns and registrations on both sides, compared call by
+  // call; the late record on tag 1 is reached through the closed nodes.
+  const auto learn = [&](std::uint32_t tag) {
+    const auto a = Flatten(live.f.OnIdKnown(tag));
+    const auto b = Flatten(restored.f.OnIdKnown(tag));
+    EXPECT_EQ(a, b) << "learning tag " << tag;
+    return a;
+  };
+  const auto r1 = learn(1);
+  ASSERT_EQ(r1.size(), 1u);  // {1,6}; the two 3-collisions need a second
+  EXPECT_EQ(r1[0].first, live.f.pop[6]);
+  const auto r4 = learn(4);
+  ASSERT_EQ(r4.size(), 2u);
+  EXPECT_EQ(r4[0].first, live.f.pop[5]);
+  EXPECT_EQ(r4[1].first, live.f.pop[7]);
+  live.f.Collide(5, {1, 8});
+  restored.f.Collide(5, {1, 8});
+  const auto late = learn(1);
+  ASSERT_EQ(late.size(), 1u);
+  EXPECT_EQ(late[0].first, live.f.pop[8]);
+
+  EXPECT_EQ(restored.Save(), live.Save());
+  EXPECT_EQ(live.f.tracker.open_records(), 0u);
+  EXPECT_EQ(restored.f.phy.OpenRecords(), 0u);
+}
+
+// The sweep watermark never hides an open record: records registered
+// after one sweep are released by the next.
+TEST(RecordTracker, ReleaseAllAfterReleaseAllStillReleases) {
+  Fixture f;
+  f.Collide(0, {1, 2});
+  f.Collide(1, {3, 4});
+  ASSERT_EQ(f.OnIdKnown(1).size(), 1u);
+  EXPECT_EQ(f.tracker.ReleaseAll(
+                f.phy, fault::RecordLedger::CloseReason::kReleasedAtEnd),
+            1u);
+  f.Collide(2, {5, 6});
+  f.Collide(3, {7, 8});
+  EXPECT_EQ(f.tracker.ReleaseAll(
+                f.phy, fault::RecordLedger::CloseReason::kReleasedAtEnd),
+            2u);
+  EXPECT_EQ(f.tracker.open_records(), 0u);
+  EXPECT_EQ(f.phy.OpenRecords(), 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/factories.h"
 #include "service/service.h"
 #include "store/crc32.h"
@@ -67,6 +68,52 @@ void Spit(const std::string& path, const std::string& bytes) {
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+// ------------------------------------------------------------ CRC-32 --
+
+// The textbook bytewise loop, kept here as the reference the slice-by-8
+// implementation must match value for value.
+std::uint32_t BytewiseCrc32(std::string_view bytes, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndOffset) {
+  Pcg32 rng(11);
+  std::string buf(1024 + 8, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::string_view view(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(view), BytewiseCrc32(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SeedChains) {
+  Pcg32 rng(12);
+  std::string bytes(300, '\0');
+  for (char& ch : bytes) ch = static_cast<char>(rng());
+  const std::string_view all(bytes);
+  for (std::size_t cut : {0u, 1u, 7u, 8u, 9u, 150u, 299u, 300u}) {
+    const std::string_view a = all.substr(0, cut);
+    const std::string_view b = all.substr(cut);
+    EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(all)) << "cut " << cut;
+    EXPECT_EQ(Crc32(b, Crc32(a)), BytewiseCrc32(b, BytewiseCrc32(a)));
+  }
 }
 
 // ---------------------------------------------------------------- LZ --
@@ -486,13 +533,25 @@ TEST(EpochSnapshotLog, ConcurrentReadersNeverSeeTornData) {
   // relation. Small capacity maximizes wraparound pressure.
   EpochSnapshotLog log(2);
   constexpr std::uint64_t kPublishes = 200000;
+  constexpr int kReaders = 3;
   std::atomic<bool> done{false};
+  std::atomic<int> in_loop{0};
   std::atomic<std::uint64_t> reads{0}, failures{0};
 
+  const auto publish = [&log](std::uint64_t i) {
+    EpochSnapshot s;
+    s.epoch = i;
+    s.population = i * 3 + 1;
+    s.detected = i * 7 + 2;
+    s.ghosts = i + 5;
+    log.Publish(s);
+  };
+
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       EpochSnapshot s;
+      bool counted = false;
       while (!done.load(std::memory_order_acquire)) {
         if (log.Latest(&s)) {
           reads.fetch_add(1, std::memory_order_relaxed);
@@ -500,6 +559,10 @@ TEST(EpochSnapshotLog, ConcurrentReadersNeverSeeTornData) {
               s.detected != s.epoch * 7 + 2 ||
               s.ghosts != s.epoch + 5) {
             failures.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (!counted) {
+            counted = true;
+            in_loop.fetch_add(1, std::memory_order_release);
           }
         }
         // Window entries must each be internally consistent too.
@@ -512,19 +575,19 @@ TEST(EpochSnapshotLog, ConcurrentReadersNeverSeeTornData) {
     });
   }
 
-  for (std::uint64_t i = 0; i < kPublishes; ++i) {
-    EpochSnapshot s;
-    s.epoch = i;
-    s.population = i * 3 + 1;
-    s.detected = i * 7 + 2;
-    s.ghosts = i + 5;
-    log.Publish(s);
+  // Start barrier: publish one snapshot, then hold the writer until every
+  // reader has read inside its loop. Without it the writer can finish
+  // all publishes before any reader starts and the test checks nothing.
+  publish(0);
+  while (in_loop.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
+  for (std::uint64_t i = 1; i < kPublishes; ++i) publish(i);
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GE(reads.load(), std::uint64_t{kReaders});
   EpochSnapshot last;
   ASSERT_TRUE(log.Latest(&last));
   EXPECT_EQ(last.epoch, kPublishes - 1);
