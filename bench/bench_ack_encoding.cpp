@@ -5,7 +5,6 @@
 #include "bench_common.h"
 
 #include "common/table.h"
-#include "core/fcat.h"
 
 int main(int argc, char** argv) {
   using namespace anc;
@@ -45,22 +44,9 @@ int main(int argc, char** argv) {
       config.knows_true_n = v.knows_n;
       config.initial_estimate = static_cast<double>(population.size());
       config.timing = timing;
-      // Bundle a phy with the engine so both share the population.
-      struct Bundled : sim::Protocol {
-        phy::IdealPhy phy;
-        core::CollisionAwareEngine engine;
-        Bundled(std::span<const TagId> pop, anc::Pcg32 r,
-                const core::CollisionAwareConfig& c)
-            : phy(pop, {c.lambda, 1.0, 0.0}, r.Split()),
-              engine("variant", pop, phy, c, r) {}
-        void Step() override { engine.Step(); }
-        bool Finished() const override { return engine.Finished(); }
-        std::string_view name() const override { return engine.name(); }
-        const sim::RunMetrics& metrics() const override {
-          return engine.metrics();
-        }
-      };
-      return std::make_unique<Bundled>(population, rng, config);
+      return std::make_unique<core::EngineProtocol<phy::IdealPhy>>(
+          "variant", population, rng,
+          phy::IdealPhyConfig{config.lambda, 1.0, 0.0}, config);
     };
     const auto result = bench::Run(factory, n, opts);
     const double overhead =

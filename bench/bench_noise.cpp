@@ -12,7 +12,6 @@
 #include "bench_common.h"
 
 #include "common/table.h"
-#include "core/fcat.h"
 #include "signal/anc_resolver.h"
 #include "signal/channel.h"
 #include "signal/mixer.h"

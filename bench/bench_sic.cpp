@@ -29,13 +29,13 @@ int main(int argc, char** argv) {
     };
     auto fcat = bench::FcatFor(2, timing);
     fcat.initial_estimate = static_cast<double>(n);
-    protocols::CrdsaConfig crdsa3;
-    crdsa3.copies = 3;
+    protocols::IrsaConfig crdsa3;
+    crdsa3.degrees = protocols::DegreeDistribution::Crdsa3();
     crdsa3.target_load = 0.8;
     const Row rows[] = {
         {"FCAT-2", core::MakeFcatFactory(fcat)},
         {"CRDSA-2", core::MakeCrdsaFactory(timing)},
-        {"CRDSA-3", core::MakeCrdsaFactory(timing, crdsa3)},
+        {"CRDSA-3", core::MakeIrsaFactory(timing, crdsa3)},
         {"DFSA", core::MakeDfsaFactory(timing)},
     };
     for (const Row& row : rows) {

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common/cli.h"
-#include "core/fcat.h"
+#include "core/factories.h"
 #include "sim/population.h"
 
 using namespace anc;
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   core::FcatOptions options;
   options.lambda = lambda;
-  core::Fcat fcat(population, proto_rng, options);
+  const auto fcat = core::MakeFcat(population, proto_rng, options);
 
   std::printf(
       "FCAT-%u reading %zu tags; the reader starts with no idea of N.\n\n",
@@ -40,23 +40,23 @@ int main(int argc, char** argv) {
 
   std::uint64_t slot = 0;
   std::uint64_t next_report = 30;
-  while (!fcat.Finished() && slot < 100 * n_tags) {
-    fcat.Step();
+  while (!fcat->Finished() && slot < 100 * n_tags) {
+    fcat->Step();
     ++slot;
     if (slot >= next_report) {
       next_report = next_report < 960 ? next_report * 2 : next_report + 2000;
-      const double est = fcat.engine().EstimatedTotal();
+      const double est = fcat->engine().EstimatedTotal();
       std::printf("%10llu %10llu %12.0f %11.1f%% %10zu\n",
                   static_cast<unsigned long long>(slot),
-                  static_cast<unsigned long long>(fcat.metrics().tags_read),
+                  static_cast<unsigned long long>(fcat->metrics().tags_read),
                   est,
                   100.0 * (est - static_cast<double>(n_tags)) /
                       static_cast<double>(n_tags),
-                  fcat.engine().estimator().InformativeFrames());
+                  fcat->engine().estimator().InformativeFrames());
     }
   }
 
-  const auto& m = fcat.metrics();
+  const auto& m = fcat->metrics();
   std::printf(
       "\nDone: %llu tags in %llu slots (%.1f tags/s); %llu IDs came from "
       "collision records.\n",

@@ -4,17 +4,19 @@
 //
 // The reader's range does not cover the whole warehouse, so the inventory
 // reads at several positions and de-duplicates IDs covered by more than
-// one reading (Section II-A) — the anc::multi library module. This
-// example compares the end-to-end inventory time of an ANC-based reader
-// (FCAT-2) against a DFSA reader over the same coverage plan: first one
-// reported run in detail, then a multi-run aggregate through the shared
-// harness (so --runs/--threads/--json work like the bench binaries).
+// one reading (Section II-A). That is a one-row reader deployment
+// (src/deploy) under the sequential schedule: one position transmits at a
+// time, and the global merge removes the overlap duplicates. This example
+// compares the end-to-end inventory time of an ANC-based reader (FCAT-2)
+// against a DFSA reader over the same positions: first one reported run
+// in detail, then a multi-run aggregate through the shared harness (so
+// --runs/--threads/--json work like the bench binaries).
 //
 //   ./inventory_warehouse [--tags=12000] [--positions=4] [--overlap=0.15]
 //                         [--runs=3] [--threads=N] [--json=path]
 #include "bench_common.h"
 
-#include "multi/inventory.h"
+#include "deploy/deployment.h"
 #include "sim/population.h"
 
 using namespace anc;
@@ -25,36 +27,39 @@ int main(int argc, char** argv) {
       args, argv[0],
       {{"tags", "warehouse population (default 12000)"},
        {"positions", "reader positions (default 4)"},
-       {"overlap", "coverage overlap fraction (default 0.15)"}});
+       {"overlap", "extra coverage radius fraction (default 0.15)"}});
   const auto opts = bench::ParseHarness(args, 3);
   const auto n_tags = static_cast<std::size_t>(args.GetInt("tags", 12000));
-  const multi::CoverageModel model{
-      static_cast<std::size_t>(args.GetInt("positions", 4)),
-      args.GetDouble("overlap", 0.15)};
+
+  // A shelf line: one row of 20m x 20m cells, one reader position each.
+  deploy::DeploymentConfig config;
+  config.reader_rows = 1;
+  config.reader_cols = static_cast<std::size_t>(args.GetInt("positions", 4));
+  config.overlap = args.GetDouble("overlap", 0.15);
+  config.floor = {20.0 * static_cast<double>(config.reader_cols), 20.0};
+  config.policy = deploy::SchedulerPolicy::kSequential;
 
   bench::PrintHeader("Warehouse inventory (multi-position)",
                      "ICDCS'10 Sections I-II", opts);
-  std::printf("%zu tags, %zu reader positions, %.0f%% coverage overlap\n\n",
-              n_tags, model.positions, model.overlap_fraction * 100.0);
+  std::printf("%zu tags, %zu reader positions, coverage overlap %.2f\n\n",
+              n_tags, config.reader_cols, config.overlap);
 
   anc::Pcg32 pop_rng(opts.seed);
   const auto warehouse = sim::MakePopulation(n_tags, pop_rng);
   const phy::TimingModel timing = phy::TimingModel::ICode();
-
-  core::FcatOptions fcat;
-  fcat.lambda = 2;
-  fcat.timing = timing;
-  const auto fcat_factory = core::MakeFcatFactory(fcat);
+  const auto fcat_factory = core::MakeFcatFactory(bench::FcatFor(2, timing));
   const auto dfsa_factory = core::MakeDfsaFactory(timing);
 
   // One run in detail (seed = --seed): the per-position breakdown.
-  auto report = [&](const char* name, const multi::InventoryResult& r) {
+  auto report = [&](const char* name, const deploy::DeploymentResult& r) {
     std::printf(
-        "%-6s  %zu/%zu unique IDs, %zu duplicate reads removed, total air "
+        "%-6s  %zu/%zu unique IDs, %llu duplicate reads removed, total air "
         "time %.1f s\n",
-        name, r.unique_ids, n_tags, r.duplicate_reads, r.total_seconds);
-    for (std::size_t pos = 0; pos < r.per_position.size(); ++pos) {
-      const auto& m = r.per_position[pos];
+        name, r.unique_ids, n_tags,
+        static_cast<unsigned long long>(r.duplicate_reads),
+        r.makespan_seconds);
+    for (std::size_t pos = 0; pos < r.per_reader.size(); ++pos) {
+      const auto& m = r.per_reader[pos].metrics;
       std::printf(
           "        position %zu: %llu tags in %llu slots (%llu recovered "
           "from collisions)\n",
@@ -64,9 +69,9 @@ int main(int argc, char** argv) {
     }
   };
   const auto fcat_result =
-      multi::RunInventory(warehouse, model, fcat_factory, opts.seed);
+      deploy::RunDeployment(warehouse, config, fcat_factory, opts.seed);
   const auto dfsa_result =
-      multi::RunInventory(warehouse, model, dfsa_factory, opts.seed);
+      deploy::RunDeployment(warehouse, config, dfsa_factory, opts.seed);
   report("FCAT-2", fcat_result);
   report("DFSA", dfsa_result);
   if (!fcat_result.complete || !dfsa_result.complete) {
@@ -77,10 +82,10 @@ int main(int argc, char** argv) {
   // Multi-run aggregate: whole inventories as one protocol each, so
   // RunExperiment averages end-to-end inventory time across runs.
   const auto fcat_agg = bench::Run(
-      multi::MakeMultiPositionFactory(model, fcat_factory), n_tags, opts,
+      deploy::MakeDeploymentFactory(config, fcat_factory), n_tags, opts,
       "FCAT-2");
   const auto dfsa_agg = bench::Run(
-      multi::MakeMultiPositionFactory(model, dfsa_factory), n_tags, opts,
+      deploy::MakeDeploymentFactory(config, dfsa_factory), n_tags, opts,
       "DFSA");
   std::printf(
       "\nOver %zu runs: FCAT-2 %.1f +/- %.1f s, DFSA %.1f +/- %.1f s\n",

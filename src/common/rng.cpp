@@ -92,11 +92,13 @@ std::uint64_t Pcg32::Binomial(std::uint64_t n, double p) {
 }
 
 Pcg32 Pcg32::Split() {
-  const std::uint64_t seed =
-      (static_cast<std::uint64_t>(operator()()) << 32) | operator()();
-  const std::uint64_t stream =
-      (static_cast<std::uint64_t>(operator()()) << 32) | operator()();
-  return Pcg32(seed, stream);
+  // One statement per draw, high half first: the operands of `a << 32 | b`
+  // are unsequenced, and the draw order must not depend on the compiler.
+  const std::uint64_t seed_hi = operator()();
+  const std::uint64_t seed_lo = operator()();
+  const std::uint64_t stream_hi = operator()();
+  const std::uint64_t stream_lo = operator()();
+  return Pcg32(seed_hi << 32 | seed_lo, stream_hi << 32 | stream_lo);
 }
 
 }  // namespace anc

@@ -97,9 +97,10 @@ class CollisionAwareEngine : public sim::Protocol {
 
   // Checkpoint hooks. Deliberately NOT the sim::Protocol blob interface:
   // the engine serializes only its own mutable state — the phy it runs
-  // over is an external reference, and the owning protocol (Fcat/Scat)
-  // pairs the two blobs and implements the Protocol-level hooks. Must be
-  // called between Step()s (per-step scratch is empty then).
+  // over is an external reference, and the owning EngineProtocol<Phy>
+  // (core/engine_protocol.h) pairs the two blobs and implements the
+  // Protocol-level hooks. Must be called between Step()s (per-step
+  // scratch is empty then).
   void SaveEngineState(std::string* out) const;
   bool RestoreEngineState(anc::ser::Reader& r);
 

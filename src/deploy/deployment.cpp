@@ -265,9 +265,9 @@ void DeploymentProtocol::Step() {
   if (!active.empty()) stall_slots_ = 0;
   makespan_seconds_ += slot_seconds;
 
-  // Baseline protocols don't expose LearnedThisStep; when one finishes
-  // complete, its whole covered set joins the merged inventory (the same
-  // completeness rule as multi::RunInventory).
+  // Some baseline protocols don't expose LearnedThisStep; when a reader
+  // finishes having read as many tags as it covers, its whole covered set
+  // joins the merged inventory.
   for (std::uint32_t r : active) {
     ReaderState& reader = *readers_[r];
     if (!ReaderDone(reader) || reader.final_merged) continue;

@@ -38,6 +38,8 @@ struct IdealPhyConfig {
 
 class IdealPhy final : public PhyInterface {
  public:
+  using Config = IdealPhyConfig;
+
   IdealPhy(std::span<const TagId> population, IdealPhyConfig config,
            anc::Pcg32 rng);
 

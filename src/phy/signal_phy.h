@@ -80,6 +80,8 @@ struct SignalPhyConfig {
 
 class SignalPhy final : public PhyInterface {
  public:
+  using Config = SignalPhyConfig;
+
   SignalPhy(std::span<const TagId> population, SignalPhyConfig config,
             anc::Pcg32 rng);
   ~SignalPhy() override;

@@ -43,6 +43,7 @@ DegreeDistribution DegreeDistribution::IrsaOptimal() {
 }
 
 int DegreeDistribution::Sample(anc::Pcg32& rng) const {
+  if (const int d = FixedDegree()) return d;
   // Two explicit statements: the evaluation order of `a << 32 | b` is
   // unspecified, and the draw order must be identical on every compiler.
   const std::uint64_t hi = rng();

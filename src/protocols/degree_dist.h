@@ -58,13 +58,19 @@ class DegreeDistribution {
   // distribution (Liva 2011, Table I), threshold G* ≈ 0.938.
   static DegreeDistribution IrsaOptimal();
 
-  // Samples a degree using the generator's next draw.
+  // Samples a degree using the generator's next two draws. A point mass
+  // (FixedDegree() != 0) returns its degree without drawing: a tag whose
+  // degree is fixed spends randomness only on choosing its slots.
   int Sample(anc::Pcg32& rng) const;
   // Samples a degree from a raw 64-bit uniform value — the seeded
   // pseudo-random path, where the "draw" is a hash the reader can
   // regenerate (see protocols/seeded.h).
   int SampleFromUniform(std::uint64_t u) const;
 
+  // d when Λ(x) = x^d (every tag sends exactly d replicas), else 0.
+  int FixedDegree() const {
+    return !pmf_.empty() && pmf_.front() == 1.0 ? min_degree_ : 0;
+  }
   int max_degree() const { return min_degree_ + static_cast<int>(cdf_.size()) - 1; }
   // Mean replica count Λ'(1) = Σ_d d Λ_d (the per-tag energy cost).
   double MeanDegree() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace anc::protocols {
 
@@ -15,6 +16,10 @@ Irsa::Irsa(std::span<const TagId> population, anc::Pcg32 rng,
       config_(config),
       read_(population.size(), false),
       present_(population.size(), true) {
+  if (const int d = config_.degrees.FixedDegree()) {
+    name_storage_ = "CRDSA-" + std::to_string(d);
+    name_ = name_storage_;
+  }
   digest_to_index_.reserve(population.size() * 2);
   for (std::uint32_t i = 0; i < population.size(); ++i) {
     digest_to_index_.emplace(population[i].Digest(), i);
@@ -101,8 +106,8 @@ void Irsa::StartFrame() {
 void Irsa::DecodeFrame() {
   // Whole-frame SIC: decode singletons, cancel every copy of a decoded
   // tag from the buffered slots, repeat until a stopping set survives.
-  // Records the pre-cancellation singleton slots so ID provenance
-  // (singleton vs collision-recovered) is attributed like CRDSA's.
+  // Slots that were singletons before any cancellation attribute their
+  // ID to ids_from_singletons; the rest were recovered from collisions.
   decoded_.assign(read_.size(), 0);
   std::vector<std::vector<std::uint32_t>> working = slot_tags_;
   ready_.clear();

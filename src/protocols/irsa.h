@@ -14,15 +14,22 @@
 // beyond both CRDSA-2 (finite-frame peak ~0.55) and the 1/e ≈ 0.368
 // ALOHA wall the source paper's Section III frames FCAT against.
 //
+// CRDSA (Casini, De Gaudenzi & Herrero, IEEE Trans. Wireless Comm. 2007)
+// — the satellite-access scheme the paper's Section III-C points to as
+// the other published use of signal cancellation for random access — is
+// the point-mass case Λ(x) = x^d: every tag sends exactly d copies
+// (d = 2 is classic CRDSA, peak ~0.55 IDs/slot at load G = 0.65). Such a
+// configuration names itself "CRDSA-<d>".
+//
 // Relation to the engine machinery: IRSA's SIC sweep is the same
 // last-constituent recovery the CollisionAwareEngine's ANC cascade
 // performs (a slot with one un-cancelled constituent yields that
 // constituent), but applied frame-at-a-time over an idealized
 // cancellation channel with no mixture-order cap — the λ ≤ 4 bound that
-// applies to FCAT's analog subtraction is assumed away, exactly as in
-// the CRDSA baseline (protocols/crdsa.h).
+// applies to FCAT's analog subtraction is assumed away.
 #pragma once
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -81,6 +88,7 @@ class Irsa final : public BaselineBase {
   std::uint32_t IndexOf(const TagId& id) const;
 
   IrsaConfig config_;
+  std::string name_storage_;  // "CRDSA-<d>" for a point-mass Λ
   std::vector<std::uint32_t> unread_;
   std::vector<bool> read_;
   std::vector<bool> present_;

@@ -29,7 +29,7 @@
 // order or thread scheduling (test: SeededPattern.RegenerationMatches).
 //
 // Like CRDSA/IRSA, cancellation is idealized (no mixture-order cap λ,
-// no subtraction noise); see protocols/crdsa.h for the rationale.
+// no subtraction noise); see protocols/irsa.h for the rationale.
 #pragma once
 
 #include <cstdint>

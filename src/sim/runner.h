@@ -24,11 +24,10 @@
 namespace anc::sim {
 
 // Livelock safety cap shared by every driver loop (RunExperiment, RunOnce,
-// multi::RunInventory, deploy::RunDeployment): a run aborts after
-// max_slots_per_tag * n_tags + 1000 slots. Healthy protocols need ~1.7-3
-// slots per tag, so the default never binds; keeping a single constant
-// means the cap is consistent across the single-reader, multi-position
-// and deployment paths.
+// deploy::RunDeployment): a run aborts after max_slots_per_tag * n_tags +
+// 1000 slots. Healthy protocols need ~1.7-3 slots per tag, so the default
+// never binds; keeping a single constant means the cap is consistent
+// across the single-reader and deployment paths.
 inline constexpr std::uint64_t kDefaultMaxSlotsPerTag = 100;
 
 // Builds a protocol for one run over `population`; `rng` is an independent

@@ -219,9 +219,25 @@ struct ResumeCase {
 std::vector<ResumeCase> CheckpointableFactories() {
   core::FcatOptions fcat;
   fcat.lambda = 2;
+  core::ScatOptions scat;
+  scat.lambda = 2;
+  scat.estimation_prestep = true;
   return {{"fcat2", core::MakeFcatFactory(fcat)},
+          {"scat2", core::MakeScatFactory(scat)},
           {"irsa", core::MakeIrsaFactory()},
+          {"crdsa2", core::MakeCrdsaFactory()},
           {"seeded", core::MakeSeededFactory()}};
+}
+
+// The waveform phy keeps no savable record store, so FCAT over it opts
+// out of checkpointing instead of writing a blob it could not restore.
+TEST(ResumableSoak, SignalPhyFcatDoesNotCheckpoint) {
+  const std::vector<TagId> none;
+  const auto fcat =
+      core::MakeFcatSignalFactory(core::FcatSignalOptions{})(none, Pcg32(1));
+  EXPECT_EQ(fcat->name(), "FCAT-2-signal");
+  EXPECT_FALSE(fcat->SupportsCheckpoint());
+  EXPECT_FALSE(fcat->RestoreState(""));
 }
 
 // The headline contract. For each protocol family and thread setting:

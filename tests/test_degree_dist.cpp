@@ -69,6 +69,25 @@ TEST(DegreeDistribution, SampleSequenceReproducesFromSeed) {
   }
 }
 
+// A point mass consumes no randomness: IRSA over Λ(x) = x^d then draws
+// exactly the replica slots CRDSA-d draws, so the two share one stream.
+TEST(DegreeDistribution, PointMassSamplesWithoutDrawing) {
+  EXPECT_EQ(DegreeDistribution::Crdsa2().FixedDegree(), 2);
+  EXPECT_EQ(DegreeDistribution::Crdsa3().FixedDegree(), 3);
+  EXPECT_EQ(DegreeDistribution::IrsaOptimal().FixedDegree(), 0);
+
+  anc::Pcg32 rng(9, 3);
+  anc::Pcg32 untouched = rng;
+  EXPECT_EQ(DegreeDistribution::Crdsa2().Sample(rng), 2);
+  EXPECT_EQ(rng(), untouched());
+
+  anc::Pcg32 advanced = rng;
+  (void)DegreeDistribution::IrsaOptimal().Sample(rng);
+  advanced();
+  advanced();
+  EXPECT_EQ(rng(), advanced());
+}
+
 TEST(DensityEvolution, ThresholdsMatchPublishedValues) {
   // Liva 2011: G*(x^2) ≈ 0.50, G*(x^3) ≈ 0.82, G*(Λ3) ≈ 0.938.
   EXPECT_NEAR(DensityEvolutionThreshold(DegreeDistribution::Crdsa2()), 0.50,

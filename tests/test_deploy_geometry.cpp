@@ -4,8 +4,6 @@
 
 #include <unordered_set>
 
-#include "multi/inventory.h"
-
 namespace anc::deploy {
 namespace {
 
@@ -43,28 +41,6 @@ TEST(DeployGeometry, GridCoversEveryTagWheneverRadiiTile) {
       EXPECT_TRUE(covered[i])
           << "tag " << i << " uncovered in " << c.rows << "x" << c.cols
           << " overlap " << c.overlap;
-    }
-  }
-}
-
-// The 1-D shelf-line coverage (anc::multi) obeys the same property: the
-// union over positions is the whole warehouse at every overlap fraction.
-TEST(DeployGeometry, ShelfLineCoversEveryTagAtEveryOverlap) {
-  for (const double overlap : {0.0, 0.15, 0.3, 0.49}) {
-    for (const std::size_t positions : {1u, 3u, 4u, 7u}) {
-      const multi::CoverageModel model{positions, overlap};
-      const std::size_t warehouse = 997;  // prime: exercises the remainder
-      std::vector<bool> covered(warehouse, false);
-      for (std::size_t pos = 0; pos < positions; ++pos) {
-        for (std::uint32_t i : multi::CoveredTags(model, warehouse, pos)) {
-          covered[i] = true;
-        }
-      }
-      for (std::size_t i = 0; i < warehouse; ++i) {
-        EXPECT_TRUE(covered[i]) << "tag " << i << " uncovered at "
-                                << positions << " positions, overlap "
-                                << overlap;
-      }
     }
   }
 }

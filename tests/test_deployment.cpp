@@ -141,6 +141,54 @@ TEST(Deployment, DuplicateReadsGrowWithOverlap) {
   EXPECT_GT(large.duplicate_reads, small.duplicate_reads);
 }
 
+// Section II-A's multi-position inventory: one reader visits a shelf line
+// of positions one at a time and the merge removes the IDs read twice in
+// the overlaps — a one-row deployment under the sequential schedule.
+DeploymentConfig ShelfLine(std::size_t positions, double overlap) {
+  DeploymentConfig config;
+  config.floor = {20.0 * static_cast<double>(positions), 20.0};
+  config.reader_rows = 1;
+  config.reader_cols = positions;
+  config.overlap = overlap;
+  config.policy = SchedulerPolicy::kSequential;
+  return config;
+}
+
+TEST(Inventory, CompleteWithFcat) {
+  const auto warehouse = Tags(3000);
+  const auto result = RunDeployment(warehouse, ShelfLine(4, 0.15),
+                                    core::MakeFcatFactory({}), 7);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.unique_ids, 3000u);
+  EXPECT_GT(result.duplicate_reads, 0u);  // overlap read twice
+  EXPECT_EQ(result.per_reader.size(), 4u);
+  EXPECT_GT(result.makespan_seconds, 0.0);
+}
+
+TEST(Inventory, FcatFasterThanDfsa) {
+  const auto warehouse = Tags(4000);
+  const DeploymentConfig config = ShelfLine(4, 0.2);
+  const auto fcat =
+      RunDeployment(warehouse, config, core::MakeFcatFactory({}), 11);
+  const auto dfsa =
+      RunDeployment(warehouse, config, core::MakeDfsaFactory(), 11);
+  ASSERT_TRUE(fcat.complete);
+  ASSERT_TRUE(dfsa.complete);
+  EXPECT_LT(fcat.makespan_seconds, dfsa.makespan_seconds * 0.80);
+}
+
+TEST(Inventory, MoreOverlapCostsMoreAirTime) {
+  const auto warehouse = Tags(3000);
+  const auto narrow = RunDeployment(warehouse, ShelfLine(4, 0.05),
+                                    core::MakeFcatFactory({}), 13);
+  const auto wide = RunDeployment(warehouse, ShelfLine(4, 0.45),
+                                  core::MakeFcatFactory({}), 13);
+  ASSERT_TRUE(narrow.complete);
+  ASSERT_TRUE(wide.complete);
+  EXPECT_GT(wide.duplicate_reads, narrow.duplicate_reads);
+  EXPECT_GT(wide.makespan_seconds, narrow.makespan_seconds);
+}
+
 TEST(Deployment, FinishedDeploymentHoldsNoStoredSignals) {
   // Leak check across every reader's phy store: a completed deployment
   // (sharing on, so records close via broadcasts too) ends with zero

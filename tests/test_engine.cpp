@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/omega.h"
-#include "core/fcat.h"
+#include "core/factories.h"
 #include "phy/ideal_phy.h"
 #include "sim/population.h"
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/factories.h"
-#include "core/fcat.h"
 #include "deploy/deployment.h"
 #include "fault/gilbert_elliott.h"
 #include "fault/injector.h"
@@ -22,11 +21,11 @@
 namespace anc {
 namespace {
 
-// Builds an Fcat instance the way RunSingle would for run index `seed`,
+// Builds an FCAT instance the way RunSingle would for run index `seed`,
 // so tests can poke at engine internals after driving it by hand.
 struct DrivenFcat {
   std::vector<TagId> population;
-  std::unique_ptr<core::Fcat> protocol;
+  std::unique_ptr<core::EngineProtocol<phy::IdealPhy>> protocol;
 
   DrivenFcat(std::size_t n_tags, std::uint64_t seed,
              const core::FcatOptions& options) {
@@ -34,7 +33,7 @@ struct DrivenFcat {
     anc::Pcg32 pop_rng = master.Split();
     anc::Pcg32 proto_rng = master.Split();
     population = sim::MakePopulation(n_tags, pop_rng);
-    protocol = std::make_unique<core::Fcat>(population, proto_rng, options);
+    protocol = core::MakeFcat(population, proto_rng, options);
   }
 
   // Returns false if the safety cap tripped.

@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/fcat.h"
+#include "core/factories.h"
 #include "fault/fault_config.h"
 #include "sim/population.h"
 
@@ -41,17 +41,17 @@ PropertyRun RunAdversarial(fault::EvictionPolicy policy, std::uint64_t seed) {
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 proto_rng = master.Split();
   const std::vector<TagId> population = sim::MakePopulation(2000, pop_rng);
-  core::Fcat protocol(population, proto_rng, o);
+  const auto protocol = core::MakeFcat(population, proto_rng, o);
 
   PropertyRun result;
   const std::uint64_t cap = 100 * population.size() + 1000;
-  while (!protocol.Finished() && protocol.metrics().TotalSlots() < cap) {
-    protocol.Step();
+  while (!protocol->Finished() && protocol->metrics().TotalSlots() < cap) {
+    protocol->Step();
   }
-  result.finished = protocol.Finished();
-  result.metrics = protocol.metrics();
-  result.open_at_end = protocol.OpenPhyRecords();
-  const fault::FaultCounters* c = protocol.engine().fault_counters();
+  result.finished = protocol->Finished();
+  result.metrics = protocol->metrics();
+  result.open_at_end = protocol->OpenPhyRecords();
+  const fault::FaultCounters* c = protocol->engine().fault_counters();
   if (c != nullptr) result.counters = *c;
   return result;
 }

@@ -1,8 +1,7 @@
-#include "core/fcat.h"
+#include "core/factories.h"
 
 #include <gtest/gtest.h>
 
-#include "core/factories.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 
@@ -149,10 +148,10 @@ TEST(Fcat, TerminationReleasesEveryStoredSignal) {
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 proto_rng = master.Split();
   const auto population = sim::MakePopulation(3000, pop_rng);
-  Fcat protocol(population, proto_rng, FcatOptions{});
-  while (!protocol.Finished()) protocol.Step();
-  EXPECT_GT(protocol.metrics().unresolved_records, 0u);
-  EXPECT_EQ(protocol.OpenPhyRecords(), 0u);
+  const auto protocol = MakeFcat(population, proto_rng, FcatOptions{});
+  while (!protocol->Finished()) protocol->Step();
+  EXPECT_GT(protocol->metrics().unresolved_records, 0u);
+  EXPECT_EQ(protocol->OpenPhyRecords(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/factories.h"
-#include "core/fcat.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 
@@ -139,12 +138,12 @@ TEST(FcatSignal, TerminationReleasesEveryStoredWaveform) {
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 proto_rng = master.Split();
   const auto population = sim::MakePopulation(100, pop_rng);
-  FcatOnSignal protocol(population, proto_rng, CleanChannel());
+  const auto protocol = MakeFcatSignal(population, proto_rng, CleanChannel());
   std::uint64_t guard = 0;
-  while (!protocol.Finished() && ++guard < 100000) protocol.Step();
-  ASSERT_TRUE(protocol.Finished());
-  EXPECT_EQ(protocol.metrics().tags_read, 100u);
-  EXPECT_EQ(protocol.OpenPhyRecords(), 0u);
+  while (!protocol->Finished() && ++guard < 100000) protocol->Step();
+  ASSERT_TRUE(protocol->Finished());
+  EXPECT_EQ(protocol->metrics().tags_read, 100u);
+  EXPECT_EQ(protocol->OpenPhyRecords(), 0u);
 }
 
 TEST(FcatSignal, LambdaThreeResolvesTripleCollisions) {

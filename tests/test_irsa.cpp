@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/factories.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
@@ -58,21 +62,6 @@ TEST(Irsa, EfficiencyApproachesTheThreshold) {
   EXPECT_LT(efficiency, 0.95);
 }
 
-TEST(Irsa, Crdsa2DegreesReproduceCrdsaBehavior) {
-  // Λ(x) = x^2 at CRDSA's load rule is CRDSA — same efficiency band.
-  IrsaConfig config;
-  config.degrees = DegreeDistribution::Crdsa2();
-  config.target_load = 0.65;
-  sim::ExperimentOptions opts;
-  opts.n_tags = 5000;
-  opts.runs = 5;
-  const auto agg =
-      sim::RunExperiment(core::MakeIrsaFactory({}, config), opts);
-  const double efficiency = 5000.0 / agg.total_slots.mean();
-  EXPECT_GT(efficiency, 0.42);
-  EXPECT_LT(efficiency, 0.60);
-}
-
 TEST(Irsa, MeanTransmissionsTrackTheDistribution) {
   // Λ'(1) = 3.6 replicas per tag per frame; most tags decode in the
   // first frame, so per-tag energy lands near 3.6–6 copies.
@@ -126,6 +115,153 @@ TEST(Irsa, SlotMixAndAttributionConsistent) {
   EXPECT_EQ(m.ids_from_singletons + m.ids_from_collisions, 2000u);
   // Cancellation must be doing real work.
   EXPECT_GT(m.ids_from_collisions, 500u);
+}
+
+// ---- CRDSA: IRSA with a point-mass Λ(x) = x^d --------------------------
+
+IrsaConfig Crdsa3() {
+  IrsaConfig config;
+  config.degrees = DegreeDistribution::Crdsa3();
+  config.target_load = 0.8;  // CRDSA-3 sustains higher load
+  return config;
+}
+
+TEST(Crdsa, NamesItselfByDegree) {
+  const std::vector<TagId> none;
+  EXPECT_EQ(core::MakeCrdsaFactory()(none, Pcg32(1))->name(), "CRDSA-2");
+  EXPECT_EQ(core::MakeIrsaFactory({}, Crdsa3())(none, Pcg32(1))->name(),
+            "CRDSA-3");
+  EXPECT_EQ(core::MakeIrsaFactory()(none, Pcg32(1))->name(), "IRSA");
+}
+
+// Every RunMetrics field of the dedicated twin-copy CRDSA implementation
+// that IRSA over a point-mass Λ replaced, captured from it at n = 1000.
+struct CrdsaPin {
+  std::uint64_t seed, empty, singleton, collision, frames, from_singletons,
+      from_collisions, transmissions;
+  double elapsed;
+};
+
+void ExpectPinned(const sim::ProtocolFactory& factory,
+                  std::span<const CrdsaPin> pins) {
+  for (const CrdsaPin& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    const sim::RunMetrics m = sim::RunOnce(factory, 1000, pin.seed);
+    EXPECT_EQ(m.empty_slots, pin.empty);
+    EXPECT_EQ(m.singleton_slots, pin.singleton);
+    EXPECT_EQ(m.collision_slots, pin.collision);
+    EXPECT_EQ(m.frames, pin.frames);
+    EXPECT_EQ(m.tags_read, 1000u);
+    EXPECT_EQ(m.ids_from_singletons, pin.from_singletons);
+    EXPECT_EQ(m.ids_from_collisions, pin.from_collisions);
+    EXPECT_EQ(m.tag_transmissions, pin.transmissions);
+    EXPECT_EQ(m.duplicate_receptions, 0u);
+    EXPECT_EQ(m.redundant_resolutions, 0u);
+    EXPECT_EQ(m.unresolved_records, 0u);
+    EXPECT_EQ(m.ids_injected, 0u);
+    EXPECT_EQ(m.records_evicted, 0u);
+    EXPECT_EQ(m.records_abandoned, 0u);
+    EXPECT_EQ(m.reader_crashes, 0u);
+    EXPECT_DOUBLE_EQ(m.elapsed_seconds, pin.elapsed);
+  }
+}
+
+TEST(Irsa, Crdsa2DegreesReproduceCrdsaBehavior) {
+  // Λ(x) = x^2 at CRDSA's load rule is CRDSA, run for run.
+  IrsaConfig config;
+  config.degrees = DegreeDistribution::Crdsa2();
+  config.target_load = 0.65;
+  const CrdsaPin pins[] = {
+      {1, 543, 714, 758, 4, 610, 390, 2610, 5.630071200000161},
+      {2, 536, 649, 734, 5, 553, 447, 2484, 5.361839520000148},
+      {3, 516, 671, 704, 5, 573, 427, 2442, 5.283605280000144},
+  };
+  ExpectPinned(core::MakeIrsaFactory({}, config), pins);
+  ExpectPinned(core::MakeCrdsaFactory(), pins);
+}
+
+TEST(Irsa, Crdsa3DegreesReproduceCrdsa3Behavior) {
+  const CrdsaPin pins[] = {
+      {1, 115, 271, 872, 2, 249, 751, 3000, 3.5149526400000535},
+      {2, 128, 277, 853, 2, 256, 744, 3000, 3.5149526400000535},
+      {3, 228, 483, 1611, 4, 432, 568, 5553, 6.487853760000205},
+  };
+  ExpectPinned(core::MakeIrsaFactory({}, Crdsa3()), pins);
+}
+
+TEST(Crdsa, ReadsEveryTag) {
+  for (std::size_t n : {0ul, 1ul, 2ul, 100ul, 2000ul}) {
+    const auto m = sim::RunOnce(core::MakeCrdsaFactory(), n, 3);
+    EXPECT_EQ(m.tags_read, n) << "n=" << n;
+  }
+}
+
+TEST(Crdsa, BeatsPlainDfsaViaCancellation) {
+  // Interference cancellation pushes CRDSA's per-slot efficiency past
+  // 1/e, so it needs fewer slots than DFSA for the same population.
+  sim::ExperimentOptions opts;
+  opts.n_tags = 5000;
+  opts.runs = 5;
+  const auto crdsa = sim::RunExperiment(core::MakeCrdsaFactory(), opts);
+  const auto dfsa = sim::RunExperiment(core::MakeDfsaFactory(), opts);
+  EXPECT_EQ(crdsa.runs_capped, 0u);
+  EXPECT_LT(crdsa.total_slots.mean(), dfsa.total_slots.mean() * 0.85);
+}
+
+TEST(Crdsa, EfficiencyNearPublishedPeak) {
+  // CRDSA-2's published peak throughput is ~0.55 IDs/slot at load ~0.65.
+  sim::ExperimentOptions opts;
+  opts.n_tags = 5000;
+  opts.runs = 5;
+  const auto agg = sim::RunExperiment(core::MakeCrdsaFactory(), opts);
+  const double efficiency = 5000.0 / agg.total_slots.mean();
+  EXPECT_GT(efficiency, 0.42);
+  EXPECT_LT(efficiency, 0.60);
+}
+
+TEST(Crdsa, TwinCopiesPerParticipationRound) {
+  // Each CRDSA participation round costs two copies — but cancellation
+  // reads most tags in ~1.2 rounds, so the *total* energy (~2.4 tx/tag)
+  // ends up comparable to DFSA's ~2.7 single-copy rounds. Assert both
+  // halves: at least two transmissions per tag, and a total within the
+  // same ballpark as DFSA rather than double it.
+  const auto crdsa = sim::RunOnce(core::MakeCrdsaFactory(), 2000, 5);
+  const auto dfsa = sim::RunOnce(core::MakeDfsaFactory(), 2000, 5);
+  const double crdsa_tx_per_tag =
+      static_cast<double>(crdsa.tag_transmissions) / 2000.0;
+  const double dfsa_tx_per_tag =
+      static_cast<double>(dfsa.tag_transmissions) / 2000.0;
+  EXPECT_GE(crdsa_tx_per_tag, 2.0);
+  EXPECT_NEAR(dfsa_tx_per_tag, 2.72, 0.15);  // e/(e-1) rounds, one copy
+  EXPECT_LT(crdsa_tx_per_tag, 1.5 * dfsa_tx_per_tag);
+}
+
+TEST(Crdsa, CancelledIdsAttributedToCollisions) {
+  const auto m = sim::RunOnce(core::MakeCrdsaFactory(), 3000, 7);
+  // A solid fraction of IDs should be recovered from collided copies.
+  EXPECT_GT(m.ids_from_collisions, 500u);
+  EXPECT_EQ(m.ids_from_singletons + m.ids_from_collisions, 3000u);
+}
+
+TEST(Crdsa, ThreeCopiesImproveOnTwoAtSameLoadRule) {
+  // CRDSA-3 resolves deeper stopping sets at modest extra energy.
+  sim::ExperimentOptions opts;
+  opts.n_tags = 5000;
+  opts.runs = 5;
+  const auto two = sim::RunExperiment(core::MakeCrdsaFactory(), opts);
+  const auto three =
+      sim::RunExperiment(core::MakeIrsaFactory({}, Crdsa3()), opts);
+  EXPECT_EQ(three.runs_capped, 0u);
+  EXPECT_LT(three.total_slots.mean(), two.total_slots.mean() * 1.05);
+}
+
+TEST(Crdsa, SlotMixRecorded) {
+  const auto m = sim::RunOnce(core::MakeCrdsaFactory(), 2000, 9);
+  EXPECT_GT(m.collision_slots, 0u);
+  EXPECT_GT(m.empty_slots, 0u);
+  EXPECT_GT(m.singleton_slots, 0u);
+  EXPECT_EQ(m.TotalSlots(),
+            m.empty_slots + m.singleton_slots + m.collision_slots);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-#include "core/fcat.h"
+#include "core/factories.h"
 
 #include <gtest/gtest.h>
 
-#include "core/factories.h"
 #include "sim/runner.h"
 
 namespace anc::core {

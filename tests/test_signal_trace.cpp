@@ -10,7 +10,6 @@
 #include <string>
 
 #include "core/factories.h"
-#include "core/fcat.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
@@ -76,14 +75,14 @@ TEST(SignalTrace, NoOpenRecordsAfterCompletedRun) {
   for (unsigned demod_pool : {0u, 2u}) {
     Pcg32 pop_rng(11);
     const auto population = sim::MakePopulation(60, pop_rng);
-    core::FcatOnSignal protocol(population, Pcg32(7),
-                                SignalOptions(demod_pool));
+    const auto protocol =
+        core::MakeFcatSignal(population, Pcg32(7), SignalOptions(demod_pool));
     std::size_t guard = 0;
-    while (!protocol.Finished() && ++guard < 600 * 60) protocol.Step();
-    ASSERT_TRUE(protocol.Finished()) << "demod_pool=" << demod_pool;
-    EXPECT_EQ(protocol.signal_phy().OpenRecords(), 0u)
+    while (!protocol->Finished() && ++guard < 600 * 60) protocol->Step();
+    ASSERT_TRUE(protocol->Finished()) << "demod_pool=" << demod_pool;
+    EXPECT_EQ(protocol->phy().OpenRecords(), 0u)
         << "demod_pool=" << demod_pool;
-    EXPECT_EQ(protocol.OpenPhyRecords(), 0u);
+    EXPECT_EQ(protocol->OpenPhyRecords(), 0u);
   }
 }
 

@@ -28,7 +28,7 @@
 // re-drives each run from its recorded (base_seed, run_index) header and
 // asserts event-for-event identity. Factories are reconstructed from the
 // recorded protocol name (FCAT-<lambda> / SCAT-<lambda>, plus DFSA and
-// the coded-ALOHA family CRDSA / IRSA / SEEDED / MPR-<capacity> /
+// the coded-ALOHA family CRDSA-<d> / IRSA / SEEDED / MPR-<capacity> /
 // PERFECT at default options); traces of other protocols summarize and
 // diff fine but cannot be replayed here.
 #include <cstdio>
@@ -67,6 +67,10 @@ int Usage() {
       "                                       per-frame series (CSV)\n"
       "  replay <file>                        re-drive runs, verify "
       "identity\n"
+      "                                       (FCAT-<lambda>[-signal],\n"
+      "                                       SCAT-<lambda>, DFSA, CRDSA-<d>,\n"
+      "                                       IRSA, SEEDED, MPR-<capacity>,\n"
+      "                                       PERFECT)\n"
       "  query <file> [--op=summarize|blocks|frames|epochs] [--run=I]\n"
       "        [--lo=N] [--hi=N] [--limit=N]  index-backed queries\n"
       "  serve <file>                         answer query lines from "
@@ -150,11 +154,22 @@ sim::ProtocolFactory FactoryFor(const std::string& protocol,
                                 std::string* error) {
   if (protocol == "DFSA") return core::MakeDfsaFactory();
   // The coded-ALOHA family records at default options; like DFSA these
-  // names carry no parameters beyond the MPR capacity.
-  if (protocol == "CRDSA") return core::MakeCrdsaFactory();
+  // names carry no parameters beyond the CRDSA degree and MPR capacity.
   if (protocol == "IRSA") return core::MakeIrsaFactory();
   if (protocol == "SEEDED") return core::MakeSeededFactory();
   if (protocol == "PERFECT") return core::MakePerfectFactory();
+  if (protocol.rfind("CRDSA-", 0) == 0) {
+    // CRDSA-<d>: IRSA with Λ(x) = x^d at CRDSA's design load G = 0.65.
+    const int degree = std::atoi(protocol.c_str() + 6);
+    if (degree >= 1 && degree <= 16) {
+      std::vector<double> weights(static_cast<std::size_t>(degree), 0.0);
+      weights.back() = 1.0;
+      protocols::IrsaConfig c;
+      c.degrees = protocols::DegreeDistribution(weights);
+      c.target_load = 0.65;
+      return core::MakeIrsaFactory({}, c);
+    }
+  }
   if (protocol.rfind("MPR-", 0) == 0) {
     const int capacity = std::atoi(protocol.c_str() + 4);
     if (capacity >= 1 && capacity <= 64) {
@@ -207,8 +222,9 @@ sim::ProtocolFactory FactoryFor(const std::string& protocol,
   }
   *error = "cannot reconstruct a factory for protocol '" + protocol +
            "' (supported: FCAT-<lambda>, FCAT-<lambda>-signal, "
-           "SCAT-<lambda> each optionally @<fault-profile>; DFSA, CRDSA, "
-           "IRSA, SEEDED, MPR-<capacity>, PERFECT at default options)";
+           "SCAT-<lambda> each optionally @<fault-profile>; DFSA, "
+           "CRDSA-<d>, IRSA, SEEDED, MPR-<capacity>, PERFECT at default "
+           "options)";
   return {};
 }
 
@@ -708,8 +724,8 @@ int Record(const CliArgs& args) {
                     std::vector<FlagSpec>{
                         {"out", "output trace file (truncated)"},
                         {"protocol",
-                         "fcat (default), fcat-signal, scat, dfsa, crdsa, "
-                         "irsa, seeded, mpr or perfect"},
+                         "fcat (default), fcat-signal, scat, dfsa, crdsa "
+                         "(CRDSA-2), irsa, seeded, mpr or perfect"},
                         {"lambda", "FCAT/SCAT lambda (default 2)"},
                         {"capacity", "mpr: reader MPR capacity (default 4)"},
                         {"n", "population size (default 200)"},
@@ -762,7 +778,7 @@ int Record(const CliArgs& args) {
   } else if (protocol == "dfsa") {
     factory = core::MakeDfsaFactory();
   } else if (protocol == "crdsa") {
-    factory = core::MakeCrdsaFactory();
+    factory = core::MakeCrdsaFactory();  // CRDSA-2
   } else if (protocol == "irsa") {
     factory = core::MakeIrsaFactory();
   } else if (protocol == "seeded") {
