@@ -3,8 +3,13 @@
 //
 // Records a deterministic FCAT-2 soak (service smoke profile) in memory,
 // then writes it through store::StoreWriter at two block sizes and times
-// the two read paths a consumer cares about:
+// the write, a full read and the two seek paths a consumer cares about:
 //
+//   - write and read: each repeated kWriteReps times, reported as the
+//     median and interquartile range of MB/s (v1 bytes per wall second).
+//     A write is everything after StoreWriter::Open — the blocks, the
+//     footer and Finish's final flush and close; a read is
+//     StoreReader::Open plus ReadAll.
 //   - index seek: FindBlockForFrame alone — a binary search over the
 //     footer's running-max frame vector, so latency grows with
 //     log(n_blocks). The two block sizes give two n_blocks points; the
@@ -23,8 +28,10 @@
 //                 fresh mkdtemp directory, removed on exit)
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "common/table.h"
 #include "service/service.h"
@@ -40,33 +47,96 @@ double Secs(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
+// Median and quartiles of a sample (linear interpolation between order
+// statistics).
+struct Spread {
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+// Writes and full reads per block size; their MB/s are reported as a
+// median and IQR, not one sample.
+constexpr std::size_t kWriteReps = 9;
+
 struct StorePoint {
   std::size_t block_events = 0;
   std::size_t n_blocks = 0;
   std::uint64_t raw_bytes = 0;    // v1 ANCTRACE encoding
   std::uint64_t store_bytes = 0;  // ANCSTORE container
   double ratio = 0.0;
-  double write_mbps = 0.0;        // raw bytes in / wall second
+  Spread write_mbps;              // raw bytes in / wall second
+  Spread read_mbps;               // raw bytes out / wall second
   double seek_index_ns = 0.0;     // FindBlockForFrame only
   double seek_block_us = 0.0;     // FindBlockForFrame + ReadBlock
   std::size_t seeks = 0;
 };
 
+double Mbps(std::uint64_t bytes, double seconds) {
+  return seconds > 0.0 ? bytes / seconds / (1024.0 * 1024.0) : 0.0;
+}
+
+// One timed write of `file` to `path`. Returns "" on success.
+std::string TimedWrite(const trace::TraceFile& file, const std::string& path,
+                       const store::StoreWriterOptions& options,
+                       double* seconds) {
+  store::StoreWriter writer;
+  std::string err = writer.Open(path, options);
+  if (!err.empty()) return err;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const trace::RunTrace& run : file.runs) {
+    writer.BeginRun(run.header);
+    for (const trace::TraceEvent& e : run.events) writer.Add(e);
+    writer.EndRun();
+  }
+  err = writer.Finish();
+  *seconds = Secs(t0, std::chrono::steady_clock::now());
+  return err;
+}
+
+// One timed open + full decode of `path`, checked against `file`.
+std::string TimedRead(const trace::TraceFile& file, const std::string& path,
+                      double* seconds) {
+  const auto t0 = std::chrono::steady_clock::now();
+  trace::TraceFile back;
+  const std::string err = store::ReadStoreFile(path, &back);
+  *seconds = Secs(t0, std::chrono::steady_clock::now());
+  if (!err.empty()) return err;
+  return back == file ? "" : "read-back differs from the corpus";
+}
+
 // Writes `file` through the store at the given block size and times the
-// seek paths. Returns false (with a message on stderr) on any store
-// error — the bench must never report numbers from a failed write.
+// write, read and seek paths. Returns false (with a message on stderr)
+// on any store error — the bench must never report numbers from a
+// failed write.
 bool MeasurePoint(const trace::TraceFile& file, std::uint64_t raw_bytes,
                   const std::string& path, std::size_t block_events,
                   StorePoint* out) {
   store::StoreWriterOptions wo;
   wo.block_events = block_events;
-  const auto w0 = std::chrono::steady_clock::now();
-  const std::string werr = store::WriteStoreFile(path, file, wo);
-  const auto w1 = std::chrono::steady_clock::now();
-  if (!werr.empty()) {
-    std::fprintf(stderr, "store write (%zu-event blocks): %s\n",
-                 block_events, werr.c_str());
-    return false;
+  std::vector<double> write_mbps, read_mbps;
+  for (std::size_t rep = 0; rep < kWriteReps; ++rep) {
+    double seconds = 0.0;
+    std::string err = TimedWrite(file, path, wo, &seconds);
+    write_mbps.push_back(Mbps(raw_bytes, seconds));
+    if (err.empty()) {
+      err = TimedRead(file, path, &seconds);
+      read_mbps.push_back(Mbps(raw_bytes, seconds));
+    }
+    if (!err.empty()) {
+      std::fprintf(stderr, "store write/read (%zu-event blocks): %s\n",
+                   block_events, err.c_str());
+      return false;
+    }
   }
 
   store::StoreReader reader;
@@ -84,9 +154,8 @@ bool MeasurePoint(const trace::TraceFile& file, std::uint64_t raw_bytes,
   out->ratio = out->store_bytes
                    ? static_cast<double>(raw_bytes) / out->store_bytes
                    : 0.0;
-  const double write_wall = Secs(w0, w1);
-  out->write_mbps =
-      write_wall > 0.0 ? raw_bytes / write_wall / (1024.0 * 1024.0) : 0.0;
+  out->write_mbps = SpreadOf(write_mbps);
+  out->read_mbps = SpreadOf(read_mbps);
 
   // Seek targets: every run, frames spread evenly across the run's
   // span. The same targets hit both timers so the numbers compare.
@@ -191,7 +260,8 @@ int main(int argc, char** argv) {
                                      : opts.trace_path;
 
   TextTable table({"block events", "blocks", "store bytes", "ratio",
-                   "write MB/s", "idx seek ns", "block seek us"});
+                   "write MB/s [IQR]", "read MB/s [IQR]", "idx seek ns",
+                   "block seek us"});
   bench::detail::JsonState& j = bench::detail::Json();
   bool ok = true;
   // Small blocks first so the kept file (--trace) ends up written with
@@ -205,10 +275,14 @@ int main(int argc, char** argv) {
     }
     char ratio_buf[32];
     std::snprintf(ratio_buf, sizeof ratio_buf, "%.2fx", p.ratio);
+    const auto spread = [](const Spread& s) {
+      return TextTable::Num(s.median, 1) + " [" + TextTable::Num(s.q1, 1) +
+             ", " + TextTable::Num(s.q3, 1) + "]";
+    };
     table.AddRow({std::to_string(p.block_events),
                   std::to_string(p.n_blocks),
                   std::to_string(p.store_bytes), ratio_buf,
-                  TextTable::Num(p.write_mbps, 1),
+                  spread(p.write_mbps), spread(p.read_mbps),
                   TextTable::Num(p.seek_index_ns, 0),
                   TextTable::Num(p.seek_block_us, 1)});
     if (!j.path.empty()) {
@@ -222,16 +296,25 @@ int main(int argc, char** argv) {
           ",\"raw_bytes\":" + std::to_string(p.raw_bytes) +
           ",\"store_bytes\":" + std::to_string(p.store_bytes) +
           ",\"ratio\":" + JsonNum(p.ratio) +
-          ",\"write_mbps\":" + JsonNum(p.write_mbps) +
+          ",\"write_reps\":" + std::to_string(kWriteReps) +
+          ",\"write_mbps\":" + JsonNum(p.write_mbps.median) +
+          ",\"write_mbps_q1\":" + JsonNum(p.write_mbps.q1) +
+          ",\"write_mbps_q3\":" + JsonNum(p.write_mbps.q3) +
+          ",\"read_mbps\":" + JsonNum(p.read_mbps.median) +
+          ",\"read_mbps_q1\":" + JsonNum(p.read_mbps.q1) +
+          ",\"read_mbps_q3\":" + JsonNum(p.read_mbps.q3) +
           ",\"seek_index_ns\":" + JsonNum(p.seek_index_ns) +
           ",\"seek_block_us\":" + JsonNum(p.seek_block_us) +
           ",\"seeks\":" + std::to_string(p.seeks) + "}");
     }
   }
   std::printf("%s\n", table.Render().c_str());
-  std::printf("index seek is a binary search over per-run running-max "
-              "frames: nanoseconds per seek should stay near-flat as "
-              "blocks grow 8x (O(log n)); block seek adds one block's "
-              "CRC + decompress + decode.\n");
+  std::printf("write and read MB/s are the median [IQR] of %zu timed "
+              "writes and full reads (v1 bytes per second). index seek is "
+              "a binary search over per-run running-max frames: "
+              "nanoseconds per seek should stay near-flat as blocks grow "
+              "8x (O(log n)); block seek adds one block's CRC + decompress "
+              "+ decode.\n",
+              kWriteReps);
   return ok ? 0 : 1;
 }

@@ -5,6 +5,11 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
+#include <span>
+#include <type_traits>
+
+#include "common/serialize.h"
 
 #include "store/crc32.h"
 #include "store/lz.h"
@@ -181,118 +186,232 @@ bool GetBlockMeta(wire::Reader& r, BlockMeta* m) {
 
 // ---- Columnar block payload ------------------------------------------------
 
-std::string EncodeBlockPayload(const std::vector<TraceEvent>& events) {
-  std::string out;
-  wire::PutVarint(out, events.size());
-  // Kind column.
-  for (const TraceEvent& e : events) {
-    wire::PutByte(out, static_cast<std::uint8_t>(e.kind));
+namespace {
+
+// Event indices grouped by kind, stream order within each kind: built
+// once per block from the kind column, so each (kind, field) column
+// walks only its own kind's events.
+class KindIndex {
+ public:
+  explicit KindIndex(std::string_view kinds) : order_(kinds.size()) {
+    for (const char k : kinds) ++start_[static_cast<std::uint8_t>(k) + 1];
+    for (std::size_t k = 1; k < start_.size(); ++k) start_[k] += start_[k - 1];
+    std::array<std::uint32_t, 256> next;
+    std::copy(start_.begin(), start_.end() - 1, next.begin());
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      order_[next[static_cast<std::uint8_t>(kinds[i])]++] =
+          static_cast<std::uint32_t>(i);
+    }
   }
+
+  std::span<const std::uint32_t> Of(std::uint8_t kind) const {
+    return std::span<const std::uint32_t>(order_).subspan(
+        start_[kind], start_[kind + 1] - start_[kind]);
+  }
+
+ private:
+  std::array<std::uint32_t, 257> start_{};  // one slot per kind byte
+  std::vector<std::uint32_t> order_;
+};
+
+// Splits the next column of `count` values off `raw` at *pos and moves
+// *pos past it: a reader over exactly the column's bytes, or one with
+// ok == false when the payload ends first. Varint columns end at their
+// count-th final byte, so reading `count` values consumes the reader
+// exactly unless one of them is malformed.
+wire::Reader NextColumn(std::string_view raw, std::size_t* pos,
+                        FieldSpec::Type type, std::uint64_t count) {
+  std::size_t end = *pos;
+  if (type == FieldSpec::Type::kByte) {
+    if (count > raw.size() - end) return wire::Reader{{}, 0, false};
+    end += static_cast<std::size_t>(count);
+  } else {
+    for (; count > 0; ++end) {
+      if (end == raw.size()) return wire::Reader{{}, 0, false};
+      count -= static_cast<std::uint8_t>(raw[end]) < 0x80;
+    }
+  }
+  const wire::Reader column{raw.substr(*pos, end - *pos)};
+  *pos = end;
+  return column;
+}
+
+// Appends bytes and varints through a stack buffer: the bytes of
+// wire::PutVarint/PutByte without a capacity check per byte.
+class ColumnWriter {
+ public:
+  void Varint(std::uint64_t v) {
+    Room();
+    p_ = ser::WriteVarint(p_, v);
+  }
+  void Byte(std::uint8_t b) {
+    Room();
+    *p_++ = static_cast<char>(b);
+  }
+  void Bytes(std::string_view bytes) {
+    Spill();
+    out_.append(bytes);
+  }
+  std::string Finish() {
+    Spill();
+    return std::move(out_);
+  }
+
+ private:
+  void Room() {
+    if (p_ > buf_ + sizeof buf_ - 10) Spill();
+  }
+  void Spill() {
+    out_.append(buf_, static_cast<std::size_t>(p_ - buf_));
+    p_ = buf_;
+  }
+
+  std::string out_;
+  char buf_[4096];
+  char* p_ = buf_;
+};
+
+}  // namespace
+
+std::string EncodeBlockPayload(const std::vector<TraceEvent>& events) {
+  ColumnWriter out;
+  out.Varint(events.size());
+  // Kind column.
+  std::string kinds(events.size(), '\0');
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    kinds[i] = static_cast<char>(events[i].kind);
+  }
+  out.Bytes(kinds);
   // Reader column.
-  for (const TraceEvent& e : events) wire::PutVarint(out, e.reader);
+  for (const TraceEvent& e : events) out.Varint(e.reader);
   // Slot and frame columns: zigzag deltas in stream order, chains reset
   // at the block boundary so blocks decode independently.
   std::uint64_t prev = 0;
   for (const TraceEvent& e : events) {
-    wire::PutVarint(out, ZigZag(e.slot - prev));
+    out.Varint(ZigZag(e.slot - prev));
     prev = e.slot;
   }
   prev = 0;
   for (const TraceEvent& e : events) {
-    wire::PutVarint(out, ZigZag(e.frame - prev));
+    out.Varint(ZigZag(e.frame - prev));
     prev = e.frame;
   }
   // One column per (kind, field): values of that field across all events
   // of that kind, stream order. Cumulative clocks delta within the column.
+  const KindIndex index(kinds);
   for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
-    const auto kind = static_cast<EventKind>(k);
-    const auto fields = trace::EventFields(kind);
-    for (std::size_t f = 0; f < fields.size(); ++f) {
+    for (const FieldSpec& f : trace::EventFields(static_cast<EventKind>(k))) {
       prev = 0;
-      for (const TraceEvent& e : events) {
-        if (e.kind != kind) continue;
-        const std::uint64_t v = trace::GetEventField(e, f);
-        if (fields[f].type == FieldSpec::Type::kByte) {
-          wire::PutByte(out, static_cast<std::uint8_t>(v));
-        } else if (fields[f].cumulative_clock) {
-          wire::PutVarint(out, ZigZag(v - prev));
+      for (const std::uint32_t i : index.Of(k)) {
+        const std::uint64_t v = trace::GetEventField(events[i], f);
+        if (f.type == FieldSpec::Type::kByte) {
+          out.Byte(static_cast<std::uint8_t>(v));
+        } else if (f.cumulative_clock) {
+          out.Varint(ZigZag(v - prev));
           prev = v;
         } else {
-          wire::PutVarint(out, v);
+          out.Varint(v);
         }
       }
     }
   }
-  return out;
+  return out.Finish();
 }
 
-std::string DecodeBlockPayload(std::string_view raw,
-                               std::uint64_t expect_events,
-                               std::vector<TraceEvent>* out) {
-  out->clear();
-  wire::Reader r{raw};
-  const std::uint64_t n = r.Varint();
-  if (!r.ok) return "truncated block payload header";
+namespace {
+
+// DecodeBlockPayload's body: fills *out, or returns an error.
+std::string DecodeColumns(std::string_view raw, std::uint64_t expect_events,
+                          std::vector<TraceEvent>* out) {
+  wire::Reader head{raw};
+  const std::uint64_t n = head.Varint();
+  if (!head.ok) return "truncated block payload header";
   if (n != expect_events) {
     return "block declares " + std::to_string(n) + " events, index says " +
            std::to_string(expect_events);
   }
-  if (n > raw.size()) return "event count exceeds payload size";
-  out->resize(static_cast<std::size_t>(n));
-  std::array<std::uint64_t, kMaxKind + 1> per_kind{};
-  for (TraceEvent& e : *out) {
-    const std::uint8_t kb = r.Byte();
-    if (!r.ok) return "truncated kind column";
+  // Every event takes a kind byte plus reader, slot and frame varints.
+  if (n > raw.size() / 4) return "event count exceeds payload size";
+  std::size_t pos = head.pos;
+  const wire::Reader kinds = NextColumn(raw, &pos, FieldSpec::Type::kByte, n);
+  if (!kinds.ok) return "truncated kind column";
+  for (const char c : kinds.bytes) {
+    const auto kb = static_cast<std::uint8_t>(c);
     if (!trace::ValidEventKind(kb)) {
       return "invalid event kind " + std::to_string(kb) + " in kind column";
     }
-    e.kind = static_cast<EventKind>(kb);
-    ++per_kind[kb];
   }
-  for (TraceEvent& e : *out) {
-    e.reader = static_cast<std::uint32_t>(r.Varint());
+  // The kind, reader, slot and frame columns fill each event in one pass.
+  wire::Reader readers = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  wire::Reader slots = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  wire::Reader frames = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  if (!readers.ok || !slots.ok || !frames.ok) {
+    return "truncated reader/slot/frame columns";
   }
-  std::uint64_t prev = 0;
-  for (TraceEvent& e : *out) {
-    e.slot = prev + UnZigZag(r.Varint());
-    prev = e.slot;
+  // Reuse the events *out already holds: zeroing them is several times
+  // cheaper than constructing each from its member initializers, and
+  // all-zero bytes are a blank event once the kind column sets `kind`.
+  static_assert(std::is_trivially_copyable_v<TraceEvent>);
+  out->resize(static_cast<std::size_t>(n));
+  if (n > 0) {
+    std::memset(static_cast<void*>(out->data()), 0,
+                out->size() * sizeof(TraceEvent));
   }
-  prev = 0;
-  for (TraceEvent& e : *out) {
-    e.frame = prev + UnZigZag(r.Varint());
-    prev = e.frame;
+  std::uint64_t slot = 0, frame = 0;
+  for (std::size_t i = 0; i < out->size(); ++i) {
+    TraceEvent& e = (*out)[i];
+    e.kind = static_cast<EventKind>(kinds.bytes[i]);
+    const std::uint64_t reader = readers.Varint();
+    if (reader > std::numeric_limits<std::uint32_t>::max()) {
+      return "reader id " + std::to_string(reader) + " out of range";
+    }
+    e.reader = static_cast<std::uint32_t>(reader);
+    e.slot = slot += UnZigZag(slots.Varint());
+    e.frame = frame += UnZigZag(frames.Varint());
   }
-  if (!r.ok) return "truncated reader/slot/frame columns";
+  if (!readers.ok || !slots.ok || !frames.ok) {
+    return "malformed reader/slot/frame columns";
+  }
+  const KindIndex index(kinds.bytes);
   for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
     const auto kind = static_cast<EventKind>(k);
-    const auto fields = trace::EventFields(kind);
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      prev = 0;
-      for (TraceEvent& e : *out) {
-        if (e.kind != kind) continue;
-        std::uint64_t v;
-        if (fields[f].type == FieldSpec::Type::kByte) {
-          v = r.Byte();
-          if (r.ok && v > fields[f].max_value) {
-            return "field value " + std::to_string(v) + " out of range for " +
-                   trace::KindName(kind);
-          }
-        } else if (fields[f].cumulative_clock) {
-          v = prev + UnZigZag(r.Varint());
-          prev = v;
-        } else {
-          v = r.Varint();
+    const auto events = index.Of(k);
+    // A local data pointer and a copy of each spec: SetEventField stores
+    // through a char pointer, which would otherwise force the loop to
+    // reload both after every field.
+    TraceEvent* const decoded = out->data();
+    for (const FieldSpec f : trace::EventFields(kind)) {
+      wire::Reader column = NextColumn(raw, &pos, f.type, events.size());
+      const std::uint64_t limit = f.Limit();
+      std::uint64_t clock = 0;
+      for (const std::uint32_t i : events) {
+        std::uint64_t v =
+            f.type == FieldSpec::Type::kByte ? column.Byte() : column.Varint();
+        if (v > limit) {
+          return "field value " + std::to_string(v) + " out of range for " +
+                 trace::KindName(kind);
         }
-        trace::SetEventField(e, f, v);
+        if (f.cumulative_clock) v = clock += UnZigZag(v);
+        trace::SetEventField(decoded[i], f, v);
       }
+      if (!column.ok) return "truncated field columns";
     }
   }
-  if (!r.ok) return "truncated field columns";
-  if (!r.AtEnd()) {
-    return std::to_string(raw.size() - r.pos) +
+  if (pos != raw.size()) {
+    return std::to_string(raw.size() - pos) +
            " trailing bytes after block payload";
   }
   return "";
+}
+
+}  // namespace
+
+std::string DecodeBlockPayload(std::string_view raw,
+                               std::uint64_t expect_events,
+                               std::vector<TraceEvent>* out) {
+  std::string err = DecodeColumns(raw, expect_events, out);
+  if (!err.empty()) out->clear();
+  return err;
 }
 
 // ---- StoreWriter -----------------------------------------------------------
@@ -871,17 +990,19 @@ std::string StoreReader::ReadBlock(std::size_t index,
   const auto tag = [&](const std::string& what) {
     return "block " + std::to_string(index) + ": " + what;
   };
-  std::string payload;
+  std::string_view payload;
   if (legacy_) {
-    payload = legacy_bytes_.substr(static_cast<std::size_t>(meta.offset),
-                                   static_cast<std::size_t>(meta.comp_len));
+    payload = std::string_view(legacy_bytes_)
+                  .substr(static_cast<std::size_t>(meta.offset),
+                          static_cast<std::size_t>(meta.comp_len));
   } else {
-    payload.resize(static_cast<std::size_t>(meta.comp_len));
+    payload_.resize(static_cast<std::size_t>(meta.comp_len));
     std::fseek(file_, static_cast<long>(meta.offset), SEEK_SET);
-    if (std::fread(payload.data(), 1, payload.size(), file_) !=
-        payload.size()) {
+    if (std::fread(payload_.data(), 1, payload_.size(), file_) !=
+        payload_.size()) {
       return tag("short read");
     }
+    payload = payload_;
   }
   if (Crc32(payload) != meta.crc32) {
     return tag("payload CRC mismatch (corrupt data)");
@@ -901,16 +1022,21 @@ std::string StoreReader::ReadBlock(std::size_t index,
     if (!r.AtEnd()) return tag("trailing bytes in v1 block");
     return "";
   }
-  std::string raw;
-  if (meta.comp_len == meta.raw_len) {
-    raw = std::move(payload);
-  } else {
+  std::string_view raw = payload;
+  if (meta.comp_len != meta.raw_len) {
     const std::string err =
-        LzDecompress(payload, static_cast<std::size_t>(meta.raw_len), &raw);
+        LzDecompress(payload, static_cast<std::size_t>(meta.raw_len), &raw_);
     if (!err.empty()) return tag(err);
+    raw = raw_;
   }
   const std::string err = DecodeBlockPayload(raw, meta.n_events, out);
   return err.empty() ? "" : tag(err);
+}
+
+std::string StoreReader::ScanBlock(
+    std::size_t index, const std::vector<trace::TraceEvent>** events) {
+  *events = &scan_;
+  return ReadBlock(index, &scan_);
 }
 
 std::size_t StoreReader::FindBlockForFrame(std::size_t run_ordinal,
@@ -930,11 +1056,11 @@ std::string StoreReader::ReadAll(trace::TraceFile* out) {
     trace::RunTrace run;
     run.header = runs_[ri].header;
     run.events.reserve(static_cast<std::size_t>(runs_[ri].n_events));
-    std::vector<trace::TraceEvent> events;
     for (std::size_t b = 0; b < runs_[ri].n_blocks; ++b) {
-      const std::string err = ReadBlock(runs_[ri].first_block + b, &events);
+      const std::vector<trace::TraceEvent>* events = nullptr;
+      const std::string err = ScanBlock(runs_[ri].first_block + b, &events);
       if (!err.empty()) return err;
-      run.events.insert(run.events.end(), events.begin(), events.end());
+      run.events.insert(run.events.end(), events->begin(), events->end());
     }
     if (run.events.size() != runs_[ri].n_events) {
       return "run " + std::to_string(ri) + " decoded " +

@@ -259,6 +259,12 @@ class StoreReader {
   std::string ReadBlock(std::size_t index,
                         std::vector<trace::TraceEvent>* out);
 
+  // ReadBlock into an event buffer the reader owns and reuses, so a scan
+  // over blocks allocates nothing per block. *events stays valid until
+  // the next ScanBlock. Returns "" on success.
+  std::string ScanBlock(std::size_t index,
+                        const std::vector<trace::TraceEvent>** events);
+
   // First block of `run_ordinal` that can contain an event of `frame`
   // (binary search over running-max frame). kNoBlock when the frame is
   // beyond the run's last event.
@@ -274,6 +280,10 @@ class StoreReader {
 
   std::FILE* file_ = nullptr;   // store mode
   std::string legacy_bytes_;    // legacy mode: raw v1 file bytes
+  // ReadBlock's stored and decompressed bytes and ScanBlock's events,
+  // reused across blocks.
+  std::string payload_, raw_;
+  std::vector<trace::TraceEvent> scan_;
   bool legacy_ = false;
   std::vector<StoredRun> runs_;
   std::vector<BlockMeta> blocks_;
@@ -312,7 +322,9 @@ std::string RecoverStoreFile(const std::string& in_path,
 
 // Columnar block payload codec (exposed for tests). Decode validates
 // that exactly `expect_events` events are present and the payload is
-// fully consumed.
+// fully consumed, accepts only bytes Encode could have written (so a
+// decoded block re-encodes to its input), and leaves *out empty on error.
+// It reuses *out's storage, so pass the same vector block after block.
 std::string EncodeBlockPayload(const std::vector<trace::TraceEvent>& events);
 std::string DecodeBlockPayload(std::string_view raw,
                                std::uint64_t expect_events,

@@ -1,6 +1,9 @@
 #include "store/lz.h"
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 namespace anc::store {
@@ -19,6 +22,32 @@ inline std::uint32_t Hash4(const unsigned char* p) {
                           static_cast<std::uint32_t>(p[2]) << 16 |
                           static_cast<std::uint32_t>(p[3]) << 24;
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+inline std::uint32_t Load32(const unsigned char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+// Length of the common prefix of a and b, at most `cap` bytes; compares
+// eight bytes at a time, then finds the first differing byte.
+inline std::size_t CommonPrefix(const unsigned char* a, const unsigned char* b,
+                                std::size_t cap) {
+  std::size_t m = 0;
+  for (; m + 8 <= cap; m += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + m, 8);
+    std::memcpy(&y, b + m, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return m + static_cast<std::size_t>(bit) / 8;
+    }
+  }
+  while (m < cap && a[m] == b[m]) ++m;
+  return m;
 }
 
 inline void PutLen(std::string& out, std::size_t v) {
@@ -50,35 +79,42 @@ std::string LzCompress(std::string_view raw) {
   const std::size_t n = raw.size();
   std::string out;
   if (n == 0) return out;
-  out.reserve(n / 2 + 16);
+  out.reserve(n + n / 255 + 16);  // the worst case: no reallocation
   const auto* bytes = reinterpret_cast<const unsigned char*>(raw.data());
 
-  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
-  std::vector<std::int64_t> prev(n, -1);
+  // Hash-chain heads and links hold position + 1, so 0 ends a chain.
+  // Only the heads need clearing: a walk reads the link of a position
+  // only after that position was inserted.
+  std::vector<std::uint32_t> head(std::size_t{1} << kHashBits);
+  const std::unique_ptr<std::uint32_t[]> prev(new std::uint32_t[n]);
   const auto insert = [&](std::size_t p) {
     if (p + kMinMatch > n) return;
     const std::uint32_t h = Hash4(bytes + p);
     prev[p] = head[h];
-    head[h] = static_cast<std::int64_t>(p);
+    head[h] = static_cast<std::uint32_t>(p + 1);
   };
   // Longest match for position p among the (depth-capped) chain. Returns
   // length 0 when nothing of kMinMatch+ is in range.
   const auto find = [&](std::size_t p, std::size_t* dist) -> std::size_t {
     if (p + kMinMatch > n) return 0;
     std::size_t best = 0;
-    const std::uint32_t h = Hash4(bytes + p);
     int depth = 0;
-    for (std::int64_t j64 = head[h]; j64 >= 0 && depth < kMaxChain;
-         j64 = prev[static_cast<std::size_t>(j64)], ++depth) {
-      const auto j = static_cast<std::size_t>(j64);
+    for (std::uint32_t link = head[Hash4(bytes + p)];
+         link != 0 && depth < kMaxChain;
+         link = prev[link - 1], ++depth) {
+      const std::size_t j = link - 1;
       if (p - j > kWindow) break;  // chains are position-ordered
-      // Quick reject: a longer match must extend past the current best.
-      if (best > 0 && (p + best >= n || bytes[j + best] != bytes[p + best])) {
+      // Skip candidates that cannot become the winner, which is the first
+      // one with the longest match of kMinMatch+ bytes: it must agree on
+      // its first four bytes, and beating `best` means agreeing on the
+      // four ending at offset best too.
+      if (best < kMinMatch ? Load32(bytes + j) != Load32(bytes + p)
+                           : p + best >= n ||
+                                 Load32(bytes + j + best - 3) !=
+                                     Load32(bytes + p + best - 3)) {
         continue;
       }
-      std::size_t m = 0;
-      const std::size_t cap = n - p;
-      while (m < cap && bytes[j + m] == bytes[p + m]) ++m;
+      const std::size_t m = CommonPrefix(bytes + j, bytes + p, n - p);
       if (m > best) {
         best = m;
         *dist = p - j;
@@ -115,13 +151,24 @@ std::string LzCompress(std::string_view raw) {
   return out;
 }
 
-std::string LzDecompress(std::string_view comp, std::size_t raw_len,
-                         std::string* out) {
-  out->clear();
-  out->reserve(raw_len);
+namespace {
+
+// LzDecompress's body: fills the `raw_len` bytes of *out, or returns an
+// error naming the first malformed token.
+std::string Decode(std::string_view comp, std::size_t raw_len,
+                   std::string* out) {
   if (comp.empty()) {
     return raw_len == 0 ? "" : "empty compressed block for nonzero size";
   }
+  // No token sequence yields more than 255 bytes per stream byte, so a
+  // larger claim is corrupt: refuse it before sizing the output.
+  if (raw_len / 255 > comp.size()) {
+    return "declared size " + std::to_string(raw_len) + " exceeds what " +
+           std::to_string(comp.size()) + " compressed bytes can encode";
+  }
+  out->resize(raw_len);
+  char* const dst = out->data();
+  std::size_t o = 0;  // bytes produced
   const auto err_at = [](const char* what, std::size_t pos) {
     return std::string(what) + " at compressed offset " + std::to_string(pos);
   };
@@ -146,37 +193,51 @@ std::string LzDecompress(std::string_view comp, std::size_t raw_len,
     std::string err;
     std::size_t lit = 0;
     if (!read_len(token >> 4, &lit, &err)) return err;
-    if (i + lit > comp.size()) return err_at("truncated literals", i);
-    if (out->size() + lit > raw_len) {
+    if (lit > comp.size() - i) return err_at("truncated literals", i);
+    if (lit > raw_len - o) {
       return err_at("literal run overflows declared size", i);
     }
-    out->append(comp.substr(i, lit));
+    std::memcpy(dst + o, comp.data() + i, lit);
+    o += lit;
     i += lit;
     if (i == comp.size()) break;  // final sequence: literals end the stream
-    if (i + 2 > comp.size()) return err_at("truncated match offset", i);
+    if (comp.size() - i < 2) return err_at("truncated match offset", i);
     const std::size_t dist = static_cast<std::uint8_t>(comp[i]) |
                              static_cast<std::size_t>(
                                  static_cast<std::uint8_t>(comp[i + 1]))
                                  << 8;
     i += 2;
-    if (dist == 0 || dist > out->size()) {
+    if (dist == 0 || dist > o) {
       return err_at("match offset outside produced output", i - 2);
     }
     std::size_t match = 0;
     if (!read_len(token & 0x0F, &match, &err)) return err;
     match += kMinMatch;
-    if (out->size() + match > raw_len) {
+    if (match > raw_len - o) {
       return err_at("match overflows declared size", i);
     }
-    // Byte-at-a-time copy: overlapping matches (dist < len) replicate.
-    std::size_t src = out->size() - dist;
-    for (std::size_t k = 0; k < match; ++k) out->push_back((*out)[src + k]);
+    if (dist >= match) {
+      std::memcpy(dst + o, dst + o - dist, match);
+    } else {
+      // Overlapping match (dist < len): byte at a time, so it replicates.
+      for (std::size_t k = 0; k < match; ++k) dst[o + k] = dst[o + k - dist];
+    }
+    o += match;
   }
-  if (out->size() != raw_len) {
-    return "decompressed " + std::to_string(out->size()) + " bytes, block declares " +
+  if (o != raw_len) {
+    return "decompressed " + std::to_string(o) + " bytes, block declares " +
            std::to_string(raw_len);
   }
   return "";
+}
+
+}  // namespace
+
+std::string LzDecompress(std::string_view comp, std::size_t raw_len,
+                         std::string* out) {
+  std::string err = Decode(comp, raw_len, out);
+  if (!err.empty()) out->clear();
+  return err;
 }
 
 }  // namespace anc::store

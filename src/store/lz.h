@@ -12,11 +12,17 @@
 // matching over a 64 KiB window. Output depends only on the input bytes —
 // no timestamps, addresses or platform-dependent hashing — so compressed
 // blocks are byte-stable across compilers and machines, which the
-// golden-store CI jobs rely on.
+// golden-store CI jobs rely on. The hash, the newest-first chain order,
+// the depth cap of 32 candidates, the first-longest tie-break and the
+// lazy rule choose every match, so they are part of the format
+// (DESIGN.md §7e); how the chains are stored, how bytes are compared and
+// which hopeless candidates are skipped early are not. Chain positions
+// are 32-bit: past 4 GiB of input the finder sees fewer candidates,
+// never wrong ones.
 //
 // Decompression is fully bounds-checked and fails closed: any truncated
 // token, out-of-range offset or length mismatch against `raw_len` returns
-// an error instead of partial output.
+// an error and leaves *out empty.
 #pragma once
 
 #include <cstddef>

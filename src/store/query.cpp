@@ -113,12 +113,12 @@ std::string QueryFrameWindow(StoreReader& reader, std::size_t run_ordinal,
   if (start == kNoBlock) return "";  // window beyond the run's last frame
   const std::size_t start_in_run = start - run.first_block;
   SeedFromBlock(reader, run_ordinal, start_in_run, seed);
-  std::vector<TraceEvent> events;
   for (std::size_t b = start_in_run; b < run.n_blocks; ++b) {
-    const std::string err = reader.ReadBlock(run.first_block + b, &events);
+    const std::vector<TraceEvent>* events = nullptr;
+    const std::string err = reader.ScanBlock(run.first_block + b, &events);
     if (!err.empty()) return err;
     bool past_window = false;
-    for (const TraceEvent& e : events) {
+    for (const TraceEvent& e : *events) {
       if (!FrameBearing(e.kind)) continue;
       if (e.frame > frame_hi) {
         // Frames are monotone within a run: nothing later can qualify.
@@ -141,11 +141,11 @@ std::string QueryEpochWindow(StoreReader& reader, std::size_t run_ordinal,
            std::to_string(reader.runs().size()) + " runs)";
   }
   const StoredRun& run = reader.runs()[run_ordinal];
-  std::vector<TraceEvent> events;
   for (std::size_t b = 0; b < run.n_blocks; ++b) {
-    const std::string err = reader.ReadBlock(run.first_block + b, &events);
+    const std::vector<TraceEvent>* events = nullptr;
+    const std::string err = reader.ScanBlock(run.first_block + b, &events);
     if (!err.empty()) return err;
-    for (const TraceEvent& e : events) {
+    for (const TraceEvent& e : *events) {
       if (e.kind != EventKind::kEpoch) continue;
       if (e.frame > epoch_hi) return "";  // epochs are monotone
       if (e.frame >= epoch_lo) out->push_back(e);

@@ -1,6 +1,8 @@
 #include "trace/binary.h"
 
+#include <cstddef>
 #include <cstdio>
+#include <limits>
 
 namespace anc::trace {
 
@@ -27,69 +29,76 @@ constexpr char kEndOfRun = 0x00;
 
 using Type = FieldSpec::Type;
 
+// A field's TraceEvent member, as FieldSpec's offset and width.
+#define AT(member)                                         \
+  static_cast<std::uint16_t>(offsetof(TraceEvent, member)), \
+      static_cast<std::uint8_t>(sizeof(TraceEvent::member))
+
 // Per-kind payload schemas, wire order. This table *is* the v1 format:
 // EncodeEvent/DecodeEvent below and the store's columnar block codec all
 // walk it, so a new event kind (or field) is added here exactly once.
 constexpr FieldSpec kSlotFields[] = {
-    {Type::kByte, 2, false},     // outcome
-    {Type::kVarint, 0, false},   // responders
+    {Type::kByte, 2, false, AT(outcome)},
+    {Type::kVarint, 0, false, AT(responders)},
 };
 constexpr FieldSpec kFrameFields[] = {
-    {Type::kVarint, 0, false},   // n_c
-    {Type::kVarint, 0, false},   // record (open records)
-    {Type::kVarint, 0, false},   // estimate_q8
-    {Type::kVarint, 0, true},    // elapsed_us (cumulative clock)
+    {Type::kVarint, 0, false, AT(n_c)},
+    {Type::kVarint, 0, false, AT(record)},  // open records
+    {Type::kVarint, 0, false, AT(estimate_q8)},
+    {Type::kVarint, 0, true, AT(elapsed_us)},  // cumulative clock
 };
 constexpr FieldSpec kRecordOpenFields[] = {
-    {Type::kVarint, 0, false},   // record
+    {Type::kVarint, 0, false, AT(record)},
 };
 constexpr FieldSpec kRecordResolveFields[] = {
-    {Type::kVarint, 0, false},   // record
-    {Type::kVarint, 0, false},   // id_digest
-    {Type::kByte, 1, false},     // cascade
+    {Type::kVarint, 0, false, AT(record)},
+    {Type::kVarint, 0, false, AT(id_digest)},
+    {Type::kByte, 1, false, AT(cascade)},
 };
 constexpr FieldSpec kAckFields[] = {
-    {Type::kByte, 5, false},     // ack
-    {Type::kVarint, 0, false},   // id_digest
+    {Type::kByte, 5, false, AT(ack)},
+    {Type::kVarint, 0, false, AT(id_digest)},
 };
 constexpr FieldSpec kInjectFields[] = {
-    {Type::kVarint, 0, false},   // id_digest
+    {Type::kVarint, 0, false, AT(id_digest)},
 };
 constexpr FieldSpec kTdmaSlotFields[] = {
-    {Type::kVarint, 0, false},   // responders (active readers)
+    {Type::kVarint, 0, false, AT(responders)},  // active readers
 };
 constexpr FieldSpec kRunEndFields[] = {
-    {Type::kVarint, 0, false},   // record (tags_read)
-    {Type::kVarint, 0, false},   // n_c (unresolved)
-    {Type::kVarint, 0, false},   // estimate_q8 (capped flag)
-    {Type::kVarint, 0, true},    // elapsed_us (cumulative clock)
+    {Type::kVarint, 0, false, AT(record)},  // tags_read
+    {Type::kVarint, 0, false, AT(n_c)},  // unresolved
+    {Type::kVarint, 0, false, AT(estimate_q8)},  // capped flag
+    {Type::kVarint, 0, true, AT(elapsed_us)},  // cumulative clock
 };
 constexpr FieldSpec kFaultFields[] = {
-    {Type::kByte, 8, false},     // fault sub-kind
-    {Type::kVarint, 0, false},   // record
-    {Type::kVarint, 0, false},   // n_c (aux)
+    {Type::kByte, 8, false, AT(fault)},  // sub-kind
+    {Type::kVarint, 0, false, AT(record)},
+    {Type::kVarint, 0, false, AT(n_c)},  // aux
 };
 constexpr FieldSpec kArriveFields[] = {
-    {Type::kVarint, 0, false},   // id_digest
-    {Type::kVarint, 0, false},   // n_c (population)
+    {Type::kVarint, 0, false, AT(id_digest)},
+    {Type::kVarint, 0, false, AT(n_c)},  // population
 };
 constexpr FieldSpec kDepartFields[] = {
-    {Type::kVarint, 0, false},   // id_digest
-    {Type::kVarint, 0, false},   // n_c (population)
-    {Type::kByte, 1, false},     // estimate_q8 (missed flag)
+    {Type::kVarint, 0, false, AT(id_digest)},
+    {Type::kVarint, 0, false, AT(n_c)},  // population
+    {Type::kByte, 1, false, AT(estimate_q8)},  // missed flag
 };
 constexpr FieldSpec kDetectFields[] = {
-    {Type::kVarint, 0, false},   // id_digest
-    {Type::kVarint, 0, false},   // n_c (latency)
-    {Type::kByte, 1, false},     // cascade (ghost flag)
+    {Type::kVarint, 0, false, AT(id_digest)},
+    {Type::kVarint, 0, false, AT(n_c)},  // latency
+    {Type::kByte, 1, false, AT(cascade)},  // ghost flag
 };
 constexpr FieldSpec kEpochFields[] = {
-    {Type::kVarint, 0, false},   // n_c (population)
-    {Type::kVarint, 0, false},   // record (detected)
-    {Type::kVarint, 0, false},   // responders (ghosts)
-    {Type::kVarint, 0, false},   // estimate_q8 (staleness p99)
-    {Type::kVarint, 0, true},    // elapsed_us (cumulative clock)
+    {Type::kVarint, 0, false, AT(n_c)},  // population
+    {Type::kVarint, 0, false, AT(record)},  // detected
+    {Type::kVarint, 0, false, AT(responders)},  // ghosts
+    {Type::kVarint, 0, false, AT(estimate_q8)},  // staleness p99
+    {Type::kVarint, 0, true, AT(elapsed_us)},  // cumulative clock
 };
+
+#undef AT
 
 std::string FileHeaderBytes() {
   std::string out(kTraceMagic);
@@ -123,128 +132,6 @@ bool ValidEventKind(std::uint8_t kind_byte) {
          kind_byte <= static_cast<std::uint8_t>(EventKind::kEpoch);
 }
 
-std::uint64_t GetEventField(const TraceEvent& e, std::size_t index) {
-  switch (e.kind) {
-    case EventKind::kSlot:
-      return index == 0 ? static_cast<std::uint64_t>(e.outcome) : e.responders;
-    case EventKind::kFrame: {
-      const std::uint64_t v[] = {e.n_c, e.record, e.estimate_q8, e.elapsed_us};
-      return v[index];
-    }
-    case EventKind::kRecordOpen:
-      return e.record;
-    case EventKind::kRecordResolve: {
-      const std::uint64_t v[] = {e.record, e.id_digest,
-                                 e.cascade ? 1ull : 0ull};
-      return v[index];
-    }
-    case EventKind::kAck:
-      return index == 0 ? static_cast<std::uint64_t>(e.ack) : e.id_digest;
-    case EventKind::kInject:
-      return e.id_digest;
-    case EventKind::kTdmaSlot:
-      return e.responders;
-    case EventKind::kRunEnd: {
-      const std::uint64_t v[] = {e.record, e.n_c, e.estimate_q8, e.elapsed_us};
-      return v[index];
-    }
-    case EventKind::kFault: {
-      const std::uint64_t v[] = {static_cast<std::uint64_t>(e.fault), e.record,
-                                 e.n_c};
-      return v[index];
-    }
-    case EventKind::kArrive:
-      return index == 0 ? e.id_digest : e.n_c;
-    case EventKind::kDepart: {
-      const std::uint64_t v[] = {e.id_digest, e.n_c,
-                                 e.estimate_q8 ? 1ull : 0ull};
-      return v[index];
-    }
-    case EventKind::kDetect: {
-      const std::uint64_t v[] = {e.id_digest, e.n_c, e.cascade ? 1ull : 0ull};
-      return v[index];
-    }
-    case EventKind::kEpoch: {
-      const std::uint64_t v[] = {e.n_c, e.record, e.responders, e.estimate_q8,
-                                 e.elapsed_us};
-      return v[index];
-    }
-  }
-  return 0;
-}
-
-void SetEventField(TraceEvent& e, std::size_t index, std::uint64_t value) {
-  switch (e.kind) {
-    case EventKind::kSlot:
-      if (index == 0) e.outcome = static_cast<SlotOutcome>(value);
-      else e.responders = static_cast<std::uint32_t>(value);
-      return;
-    case EventKind::kFrame:
-      switch (index) {
-        case 0: e.n_c = value; return;
-        case 1: e.record = value; return;
-        case 2: e.estimate_q8 = value; return;
-        default: e.elapsed_us = value; return;
-      }
-    case EventKind::kRecordOpen:
-      e.record = value;
-      return;
-    case EventKind::kRecordResolve:
-      switch (index) {
-        case 0: e.record = value; return;
-        case 1: e.id_digest = value; return;
-        default: e.cascade = value != 0; return;
-      }
-    case EventKind::kAck:
-      if (index == 0) e.ack = static_cast<AckKind>(value);
-      else e.id_digest = value;
-      return;
-    case EventKind::kInject:
-      e.id_digest = value;
-      return;
-    case EventKind::kTdmaSlot:
-      e.responders = static_cast<std::uint32_t>(value);
-      return;
-    case EventKind::kRunEnd:
-      switch (index) {
-        case 0: e.record = value; return;
-        case 1: e.n_c = value; return;
-        case 2: e.estimate_q8 = value; return;
-        default: e.elapsed_us = value; return;
-      }
-    case EventKind::kFault:
-      switch (index) {
-        case 0: e.fault = static_cast<FaultKind>(value); return;
-        case 1: e.record = value; return;
-        default: e.n_c = value; return;
-      }
-    case EventKind::kArrive:
-      if (index == 0) e.id_digest = value;
-      else e.n_c = value;
-      return;
-    case EventKind::kDepart:
-      switch (index) {
-        case 0: e.id_digest = value; return;
-        case 1: e.n_c = value; return;
-        default: e.estimate_q8 = value != 0 ? 1 : 0; return;
-      }
-    case EventKind::kDetect:
-      switch (index) {
-        case 0: e.id_digest = value; return;
-        case 1: e.n_c = value; return;
-        default: e.cascade = value != 0; return;
-      }
-    case EventKind::kEpoch:
-      switch (index) {
-        case 0: e.n_c = value; return;
-        case 1: e.record = value; return;
-        case 2: e.responders = static_cast<std::uint32_t>(value); return;
-        case 3: e.estimate_q8 = value; return;
-        default: e.elapsed_us = value; return;
-      }
-  }
-}
-
 void EncodeEvent(std::string& out, const TraceEvent& e) {
   wire::PutByte(out, static_cast<std::uint8_t>(e.kind));
   wire::PutVarint(out, e.reader);
@@ -252,7 +139,7 @@ void EncodeEvent(std::string& out, const TraceEvent& e) {
   wire::PutVarint(out, e.frame);
   const auto fields = EventFields(e.kind);
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    const std::uint64_t v = GetEventField(e, i);
+    const std::uint64_t v = GetEventField(e, fields[i]);
     if (fields[i].type == Type::kByte) {
       wire::PutByte(out, static_cast<std::uint8_t>(v));
     } else {
@@ -264,19 +151,15 @@ void EncodeEvent(std::string& out, const TraceEvent& e) {
 bool DecodeEvent(wire::Reader& r, std::uint8_t kind_byte, TraceEvent* e) {
   if (!ValidEventKind(kind_byte)) return false;
   e->kind = static_cast<EventKind>(kind_byte);
-  e->reader = static_cast<std::uint32_t>(r.Varint());
+  const std::uint64_t reader = r.Varint();
+  if (reader > std::numeric_limits<std::uint32_t>::max()) return false;
+  e->reader = static_cast<std::uint32_t>(reader);
   e->slot = r.Varint();
   e->frame = r.Varint();
-  const auto fields = EventFields(e->kind);
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    std::uint64_t v;
-    if (fields[i].type == Type::kByte) {
-      v = r.Byte();
-      if (v > fields[i].max_value) return false;
-    } else {
-      v = r.Varint();
-    }
-    SetEventField(*e, i, v);
+  for (const FieldSpec& f : EventFields(e->kind)) {
+    const std::uint64_t v = f.type == Type::kByte ? r.Byte() : r.Varint();
+    if (v > f.Limit()) return false;
+    SetEventField(*e, f, v);
   }
   return r.ok;
 }

@@ -14,6 +14,8 @@
 // invocation append one block per run to a growing --trace file.
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -53,15 +55,28 @@ struct Reader {
     return static_cast<std::uint8_t>(bytes[pos++]);
   }
 
+  // Shortest-form varints only: a zero final byte after a continuation,
+  // or bits past 64, would decode to a value that re-encodes to other
+  // bytes, so both fail like truncation. At most 10 bytes are examined,
+  // with one bounds check per call rather than per byte.
   std::uint64_t Varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      const std::uint8_t b = Byte();
-      if (!ok) return 0;
-      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) return v;
+    if (AtEnd()) {
+      ok = false;
+      return 0;
     }
-    ok = false;  // varint longer than 64 bits
+    const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data()) + pos;
+    const std::size_t avail = std::min<std::size_t>(bytes.size() - pos, 10);
+    std::uint64_t v = 0;
+    for (std::size_t k = 0; k < avail; ++k) {
+      const std::uint8_t b = p[k];
+      v |= static_cast<std::uint64_t>(b & 0x7F) << (7 * k);
+      if (b < 0x80) {
+        if (k > 0 && (b == 0 || (k == 9 && b > 1))) break;
+        pos += k + 1;
+        return v;
+      }
+    }
+    ok = false;
     return 0;
   }
 };
@@ -73,13 +88,29 @@ struct Reader {
 struct FieldSpec {
   enum class Type : std::uint8_t { kByte, kVarint };
   Type type = Type::kVarint;
-  // Highest value a kByte field may carry on the wire (enum range check);
-  // ignored for kVarint fields.
+  // Highest value a kByte field may carry on the wire (enum or flag
+  // range); ignored for kVarint fields, which are bounded by their
+  // member's width (see Limit()).
   std::uint64_t max_value = 0xFF;
   // True for cumulative-clock fields (elapsed_us): the store's block
   // codec delta-encodes these against the previous event of the same
   // kind, which is what makes soak traces compress.
   bool cumulative_clock = false;
+  // The TraceEvent member the field maps to: byte offset and width (1, 4
+  // or 8 bytes).
+  std::uint16_t offset = 0;
+  std::uint8_t width = 8;
+
+  // A kByte field with range 0..1 is a flag, whatever its member's type.
+  bool IsFlag() const { return type == Type::kByte && max_value == 1; }
+
+  // Highest value a decoder accepts for the field. Anything larger would
+  // not survive the store into its member, so the decoded event would
+  // re-encode to other bytes.
+  std::uint64_t Limit() const {
+    if (type == Type::kByte) return max_value;
+    return width >= 8 ? ~0ull : (1ull << (8 * width)) - 1;
+  }
 };
 
 // Payload schema for `kind` in exact wire order. Every kind the format
@@ -88,10 +119,44 @@ struct FieldSpec {
 std::span<const FieldSpec> EventFields(EventKind kind);
 bool ValidEventKind(std::uint8_t kind_byte);
 
-// Field accessors by schema index (meaning depends on e.kind). Bool-like
-// fields are normalized to 0/1 on read, exactly as the v1 encoder did.
-std::uint64_t GetEventField(const TraceEvent& e, std::size_t index);
-void SetEventField(TraceEvent& e, std::size_t index, std::uint64_t value);
+// Field accessors through the schema's member map. Flags are normalized
+// to 0/1 both ways, exactly as the v1 encoder always did.
+inline std::uint64_t GetEventField(const TraceEvent& e, const FieldSpec& f) {
+  const char* p = reinterpret_cast<const char*>(&e) + f.offset;
+  std::uint64_t v = 0;
+  switch (f.width) {
+    case 1:
+      v = static_cast<std::uint8_t>(*p);
+      break;
+    case 4: {
+      std::uint32_t w;
+      std::memcpy(&w, p, 4);
+      v = w;
+      break;
+    }
+    default:
+      std::memcpy(&v, p, 8);
+  }
+  return f.IsFlag() ? v != 0 : v;
+}
+
+inline void SetEventField(TraceEvent& e, const FieldSpec& f,
+                          std::uint64_t v) {
+  if (f.IsFlag()) v = v != 0;
+  char* p = reinterpret_cast<char*>(&e) + f.offset;
+  switch (f.width) {
+    case 1:
+      *p = static_cast<char>(v);
+      return;
+    case 4: {
+      const auto w = static_cast<std::uint32_t>(v);
+      std::memcpy(p, &w, 4);
+      return;
+    }
+    default:
+      std::memcpy(p, &v, 8);
+  }
+}
 
 // Single-event codec over the schema (the v1 run-block payload format:
 // kind byte, reader/slot/frame varints, then the schema fields).
