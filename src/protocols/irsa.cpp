@@ -108,36 +108,12 @@ void Irsa::DecodeFrame() {
   // tag from the buffered slots, repeat until a stopping set survives.
   // Slots that were singletons before any cancellation attribute their
   // ID to ids_from_singletons; the rest were recovered from collisions.
-  decoded_.assign(read_.size(), 0);
-  std::vector<std::vector<std::uint32_t>> working = slot_tags_;
-  ready_.clear();
-  for (std::uint64_t s = 0; s < frame_size_; ++s) {
-    if (working[s].size() == 1) ready_.push_back(s);
-  }
+  peeler_.Reset(static_cast<std::uint32_t>(read_.size()));
+  for (const auto& tags : slot_tags_) peeler_.AddEquation(tags);
+  peeler_.Decode(config_.max_ic_iterations);
 
-  std::vector<std::pair<std::uint32_t, bool>> reads;  // tag, from_singleton
-  int iterations = 0;
-  std::size_t head = 0;
-  while (head < ready_.size() &&
-         iterations <
-             config_.max_ic_iterations * static_cast<int>(frame_size_)) {
-    const std::uint64_t slot = ready_[head++];
-    ++iterations;
-    if (working[slot].size() != 1) continue;
-    const std::uint32_t tag = working[slot][0];
-    if (decoded_[tag]) continue;
-    decoded_[tag] = 1;
-    reads.emplace_back(tag, slot_tags_[slot].size() == 1);
-    for (std::uint64_t s = 0; s < frame_size_; ++s) {
-      auto& tags = working[s];
-      const auto it = std::find(tags.begin(), tags.end(), tag);
-      if (it == tags.end()) continue;
-      tags.erase(it);
-      if (tags.size() == 1) ready_.push_back(s);
-    }
-  }
-
-  for (const auto& [tag, from_singleton] : reads) {
+  for (const auto& [tag, slot] : peeler_.reads()) {
+    const bool from_singleton = slot_tags_[slot].size() == 1;
     read_[tag] = true;
     learned_this_step_.push_back(population_[tag]);
     ++metrics_.tags_read;

@@ -21,7 +21,7 @@
 // (d = 2 is classic CRDSA, peak ~0.55 IDs/slot at load G = 0.65). Such a
 // configuration names itself "CRDSA-<d>".
 //
-// Relation to the engine machinery: IRSA's SIC sweep is the same
+// Relation to the engine machinery: IRSA's SIC (protocols/peeling.h) is the same
 // last-constituent recovery the CollisionAwareEngine's ANC cascade
 // performs (a slot with one un-cancelled constituent yields that
 // constituent), but applied frame-at-a-time over an idealized
@@ -35,6 +35,7 @@
 
 #include "protocols/baseline_base.h"
 #include "protocols/degree_dist.h"
+#include "protocols/peeling.h"
 
 namespace anc::protocols {
 
@@ -47,7 +48,8 @@ struct IrsaConfig {
   double target_load = 0.9;
   std::uint64_t min_frame_size = 8;
   std::uint64_t max_frame_size = 1u << 15;
-  // Cap on SIC sweeps per frame (stopping-set escape hatch).
+  // Stopping-set escape hatch: a frame's decode pops its ready queue at
+  // most max_ic_iterations × frame_size times (PeelingDecoder::Decode).
   int max_ic_iterations = 50;
 };
 
@@ -104,9 +106,7 @@ class Irsa final : public BaselineBase {
   bool needs_frame_ = true;
   bool finished_ = false;
 
-  // Scratch for DecodeFrame (reused across frames).
-  std::vector<std::uint8_t> decoded_;
-  std::vector<std::uint64_t> ready_;
+  PeelingDecoder peeler_;  // DecodeFrame scratch, reused across frames
   std::vector<TagId> learned_this_step_;
 };
 

@@ -130,81 +130,33 @@ void SeededAloha::DecodeFrame() {
   // records. Every list's constituents are known up front (regenerated
   // from the announced seeds), so a list reaching one unknown constituent
   // yields that tag by subtraction — whether the list is a slot of this
-  // frame or a record stored many frames ago.
-  decoded_.assign(read_.size(), 0);
-  std::vector<std::vector<std::uint32_t>> working = slot_tags_;
-  // Ready-queue entries: [0, frame_size_) = current-frame slots,
-  // frame_size_ + j = stored record j.
-  std::vector<std::uint64_t> ready;
-  for (std::uint64_t s = 0; s < frame_size_; ++s) {
-    if (working[s].size() == 1) ready.push_back(s);
-  }
-  // Stored records enter each frame with >= 2 unknown constituents (the
-  // storage invariant below), so none start ready.
+  // frame or a record stored many frames ago. Equations [0, frame_size_)
+  // are the frame's slots, frame_size_ + j is stored record j. Stored
+  // records enter each frame with >= 2 unknown constituents (the storage
+  // invariant below), so none start ready.
+  peeler_.Reset(static_cast<std::uint32_t>(read_.size()));
+  for (const auto& tags : slot_tags_) peeler_.AddEquation(tags);
+  for (const StoredRecord& r : records_) peeler_.AddEquation(r.constituents);
+  peeler_.Decode(config_.max_ic_iterations);
 
-  enum class Provenance : std::uint8_t { kSingleton, kInFrame, kStored };
-  std::vector<std::pair<std::uint32_t, Provenance>> reads;
-  std::vector<std::uint64_t> resolved_record_ids;
-
-  const auto cancel = [&](std::uint32_t tag) {
-    for (std::uint64_t s = 0; s < frame_size_; ++s) {
-      auto& tags = working[s];
-      const auto it = std::find(tags.begin(), tags.end(), tag);
-      if (it == tags.end()) continue;
-      tags.erase(it);
-      if (tags.size() == 1) ready.push_back(s);
-    }
-    for (std::size_t j = 0; j < records_.size(); ++j) {
-      auto& tags = records_[j].constituents;
-      const auto it = std::find(tags.begin(), tags.end(), tag);
-      if (it == tags.end()) continue;
-      tags.erase(it);
-      if (tags.size() == 1) ready.push_back(frame_size_ + j);
-    }
-  };
-
-  int iterations = 0;
-  std::size_t head = 0;
-  while (head < ready.size() &&
-         iterations < config_.max_ic_iterations *
-                          static_cast<int>(frame_size_ + records_.size())) {
-    const std::uint64_t idx = ready[head++];
-    ++iterations;
-    const bool stored = idx >= frame_size_;
-    auto& list = stored ? records_[idx - frame_size_].constituents
-                        : working[idx];
-    if (list.size() != 1) continue;
-    const std::uint32_t tag = list[0];
-    if (decoded_[tag]) continue;
-    decoded_[tag] = 1;
-    if (stored) {
-      reads.emplace_back(tag, Provenance::kStored);
-      resolved_record_ids.push_back(records_[idx - frame_size_].id);
-    } else {
-      reads.emplace_back(tag, slot_tags_[idx].size() == 1
-                                  ? Provenance::kSingleton
-                                  : Provenance::kInFrame);
-    }
-    cancel(tag);
-  }
-
-  std::size_t resolved_i = 0;
-  for (const auto& [tag, provenance] : reads) {
+  for (const auto& [tag, equation] : peeler_.reads()) {
+    const bool stored = equation >= frame_size_;
+    const bool singleton = !stored && slot_tags_[equation].size() == 1;
     read_[tag] = true;
     learned_this_step_.push_back(population_[tag]);
     ++metrics_.tags_read;
-    if (provenance == Provenance::kSingleton) {
+    if (singleton) {
       ++metrics_.ids_from_singletons;
     } else {
       ++metrics_.ids_from_collisions;
     }
     if (trace_) {
-      if (provenance == Provenance::kStored) {
+      if (stored) {
         trace::TraceEvent r;
         r.kind = trace::EventKind::kRecordResolve;
         r.slot = slot_index_;
         r.frame = metrics_.frames;
-        r.record = resolved_record_ids[resolved_i];
+        r.record = records_[equation - frame_size_].id;
         r.id_digest = population_[tag].Digest();
         r.cascade = true;  // resolved by cross-frame cancellation
         trace_.Emit(r);
@@ -213,27 +165,28 @@ void SeededAloha::DecodeFrame() {
       e.kind = trace::EventKind::kAck;
       e.slot = slot_index_;
       e.frame = metrics_.frames;
-      e.ack = provenance == Provenance::kSingleton
-                  ? trace::AckKind::kSingletonId
-                  : trace::AckKind::kSlotIndex;
+      e.ack = singleton ? trace::AckKind::kSingletonId
+                        : trace::AckKind::kSlotIndex;
       e.id_digest = population_[tag].Digest();
       trace_.Emit(e);
     }
-    if (provenance == Provenance::kStored) ++resolved_i;
   }
 
+  // Surviving constituents keep their order (checkpoints serialize it).
   // Drop stored records that resolved or emptied out (storage invariant:
   // an open record keeps >= 2 unknown constituents).
-  records_.erase(std::remove_if(records_.begin(), records_.end(),
-                                [](const StoredRecord& r) {
-                                  return r.constituents.size() < 2;
-                                }),
-                 records_.end());
+  const auto decoded = [this](std::uint32_t tag) {
+    return peeler_.Decoded(tag);
+  };
+  for (StoredRecord& r : records_) std::erase_if(r.constituents, decoded);
+  std::erase_if(records_, [](const StoredRecord& r) {
+    return r.constituents.size() < 2;
+  });
 
   // This frame's surviving collision slots become open records: their
   // constituents are known (seed headers), so they may resolve later.
   for (std::uint64_t s = 0; s < frame_size_; ++s) {
-    if (working[s].size() < 2) continue;
+    if (peeler_.Remaining(s) < 2) continue;
     if (trace_) {
       trace::TraceEvent e;
       e.kind = trace::EventKind::kRecordOpen;
@@ -244,13 +197,17 @@ void SeededAloha::DecodeFrame() {
       // record_open; the slot's own kSlot event has the occupancy.
       trace_.Emit(e);
     }
-    records_.push_back({next_record_id_++, std::move(working[s])});
+    StoredRecord record{next_record_id_++, slot_tags_[s]};
+    std::erase_if(record.constituents, decoded);
+    records_.push_back(std::move(record));
   }
-  if (config_.store_capacity > 0) {
-    while (records_.size() > config_.store_capacity) {
-      records_.erase(records_.begin());
-      ++metrics_.records_evicted;
-    }
+  // Oldest-first eviction: records_ is in ascending id order.
+  if (config_.store_capacity > 0 &&
+      records_.size() > config_.store_capacity) {
+    const std::size_t excess = records_.size() - config_.store_capacity;
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<std::ptrdiff_t>(excess));
+    metrics_.records_evicted += excess;
   }
 }
 

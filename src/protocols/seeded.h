@@ -38,6 +38,7 @@
 
 #include "protocols/baseline_base.h"
 #include "protocols/degree_dist.h"
+#include "protocols/peeling.h"
 
 namespace anc::protocols {
 
@@ -62,6 +63,8 @@ struct SeededConfig {
   double target_load = 0.9;
   std::uint64_t min_frame_size = 8;
   std::uint64_t max_frame_size = 1u << 15;
+  // Stopping-set escape hatch: a frame's decode pops its ready queue at
+  // most max_ic_iterations × (frame_size + stored records) times.
   int max_ic_iterations = 50;
   // Cap on collision records kept open across frames (0 = unbounded).
   // Overflow drops the oldest record (counted in records_evicted).
@@ -126,10 +129,13 @@ class SeededAloha final : public BaselineBase {
   bool needs_frame_ = true;
   bool finished_ = false;
 
-  std::vector<StoredRecord> records_;  // open cross-frame records (FIFO)
+  // Open cross-frame records, oldest first (ascending id). Decoding
+  // removes resolved records from anywhere in the list; eviction drops
+  // from the front.
+  std::vector<StoredRecord> records_;
   std::uint64_t next_record_id_ = 0;
 
-  std::vector<std::uint8_t> decoded_;  // scratch
+  PeelingDecoder peeler_;  // DecodeFrame scratch, reused across frames
   std::vector<TagId> learned_this_step_;
 };
 

@@ -428,6 +428,113 @@ TEST(GoldenCheckpoint, RecutIsByteIdentical) {
   std::remove(ckpt_path.c_str());
 }
 
+// CRC-32 folded over a protocol's SaveState bytes at its frame
+// boundaries. Owned by the test: the soak driver destroys the protocol.
+struct BoundaryCrc {
+  std::uint32_t crc = 0;
+  std::uint64_t boundaries = 0;
+};
+
+// Forwards every call to the wrapped protocol and folds its SaveState
+// bytes into *out at each frame boundary: before every Step() that opens
+// a frame, and once the run finishes.
+class FrameBoundaryCrc final : public sim::Protocol {
+ public:
+  FrameBoundaryCrc(std::unique_ptr<sim::Protocol> inner, BoundaryCrc* out)
+      : inner_(std::move(inner)), out_(out) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  void Step() override {
+    std::string before;
+    inner_->SaveState(&before);
+    const std::uint64_t frames = inner_->metrics().frames;
+    inner_->Step();
+    if (inner_->metrics().frames != frames) Fold(before);
+    if (inner_->Finished()) {
+      std::string after;
+      inner_->SaveState(&after);
+      Fold(after);
+    }
+  }
+  bool Finished() const override { return inner_->Finished(); }
+  const sim::RunMetrics& metrics() const override {
+    return inner_->metrics();
+  }
+  void AttachTrace(const trace::TraceContext& context) override {
+    inner_->AttachTrace(context);
+  }
+  std::span<const TagId> LearnedThisStep() const override {
+    return inner_->LearnedThisStep();
+  }
+  std::span<const TagId> InjectKnownId(const TagId& id) override {
+    return inner_->InjectKnownId(id);
+  }
+  bool SupportsChurn() const override { return inner_->SupportsChurn(); }
+  bool ArriveTag(const TagId& id) override { return inner_->ArriveTag(id); }
+  bool DepartTag(const TagId& id) override { return inner_->DepartTag(id); }
+  bool BeginInventoryRound(bool refresh) override {
+    return inner_->BeginInventoryRound(refresh);
+  }
+  std::size_t OpenPhyRecords() const override {
+    return inner_->OpenPhyRecords();
+  }
+  void Shutdown() override { inner_->Shutdown(); }
+  bool SupportsCheckpoint() const override {
+    return inner_->SupportsCheckpoint();
+  }
+  void SaveState(std::string* out) const override { inner_->SaveState(out); }
+  bool RestoreState(std::string_view bytes) override {
+    return inner_->RestoreState(bytes);
+  }
+
+ private:
+  void Fold(const std::string& state) {
+    out_->crc = store::Crc32(state, out_->crc);
+    ++out_->boundaries;
+  }
+
+  std::unique_ptr<sim::Protocol> inner_;
+  BoundaryCrc* out_;
+};
+
+// The coded-ALOHA family's checkpoint bytes at every frame boundary of a
+// churning smoke soak, pinned. The stored records' constituent order is
+// serialized but appears in no trace, so only this catches a decoder
+// that reorders survivors.
+TEST(GoldenCheckpoint, CodedFamilyFrameBoundaryBytesPinned) {
+  struct Pin {
+    const char* label;
+    sim::ProtocolFactory factory;
+    std::uint64_t boundaries;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {"irsa", core::MakeIrsaFactory(), 174, 0x6e2ea40bu},
+      {"crdsa2", core::MakeCrdsaFactory(), 152, 0x7481960bu},
+      {"seeded", core::MakeSeededFactory(), 160, 0x1f30104au},
+  };
+  ServiceConfig config;
+  ASSERT_TRUE(LookupServiceProfile("smoke", &config));
+  SoakOptions options;
+  options.n_initial = 60;
+  options.runs = 1;
+  options.base_seed = 5;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.label);
+    BoundaryCrc got;
+    const sim::ProtocolFactory wrapped =
+        [&](std::span<const TagId> population, Pcg32 rng) {
+          return std::unique_ptr<sim::Protocol>(
+              std::make_unique<FrameBoundaryCrc>(
+                  pin.factory(population, rng), &got));
+        };
+    const SloReport report = RunSoakSingle(wrapped, config, options, 0);
+    EXPECT_TRUE(report.churn_supported);
+    EXPECT_EQ(got.boundaries, pin.boundaries);
+    EXPECT_EQ(got.crc, pin.crc);
+  }
+}
+
 // Resuming from the committed checkpoint + torn store reproduces the
 // uninterrupted run byte-for-byte: old checkpoint bytes restore onto
 // the current build.

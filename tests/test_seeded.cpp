@@ -132,6 +132,25 @@ TEST(SeededAloha, BoundedStoreEvictsAndStillReadsEverything) {
   EXPECT_GT(m.records_evicted, 0u);
 }
 
+TEST(SeededAloha, BoundedStoreEvictionCountsArePinned) {
+  // Eviction drops the excess oldest records in one range erase; these
+  // counts were captured from the one-record-at-a-time loop it replaced.
+  struct Pin {
+    std::size_t capacity;
+    std::uint64_t evicted;
+    std::uint64_t read;
+    std::uint64_t slots;
+  };
+  for (const Pin& pin : {Pin{1, 152, 2000, 2392}, Pin{8, 36, 2000, 2278}}) {
+    SeededConfig config;
+    config.store_capacity = pin.capacity;
+    const auto m = sim::RunOnce(core::MakeSeededFactory({}, config), 2000, 5);
+    EXPECT_EQ(m.records_evicted, pin.evicted) << "capacity " << pin.capacity;
+    EXPECT_EQ(m.tags_read, pin.read) << "capacity " << pin.capacity;
+    EXPECT_EQ(m.TotalSlots(), pin.slots) << "capacity " << pin.capacity;
+  }
+}
+
 TEST(SeededAloha, TraceByteIdenticalAcrossThreadCounts) {
   // "Same seed → same replica pattern at any --threads": the pattern is a
   // pure function of (digest, salt, frame), so the serialized trace is
