@@ -242,12 +242,10 @@ sim::ProtocolFactory MakeIrsaFactory(phy::TimingModel timing,
 }
 
 sim::ProtocolFactory MakeSeededFactory(phy::TimingModel timing,
-                                       protocols::SeededConfig config) {
-  return [timing, config](std::span<const TagId> population,
-                          anc::Pcg32 rng) {
-    return std::make_unique<protocols::SeededAloha>(population, rng, timing,
-                                                    config);
-  };
+                                       std::size_t store_capacity) {
+  protocols::IrsaConfig config;
+  config.seeded_store_capacity = store_capacity;
+  return MakeIrsaFactory(timing, config);
 }
 
 sim::ProtocolFactory MakeMprFactory(phy::TimingModel timing,

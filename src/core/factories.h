@@ -42,7 +42,6 @@
 #include "protocols/fsa.h"
 #include "protocols/irsa.h"
 #include "protocols/mpr.h"
-#include "protocols/seeded.h"
 #include "sim/runner.h"
 
 namespace anc::core {
@@ -126,12 +125,16 @@ sim::ProtocolFactory MakeCrdsaFactory(phy::TimingModel timing = {});
 sim::ProtocolFactory MakeFsaFactory(phy::TimingModel timing = {},
                                     protocols::FsaConfig config = {});
 
-// The coded-ALOHA family (IRSA / seeded pseudo-random / MPR readers) —
-// see DESIGN.md "Protocol family".
+// The coded-ALOHA family — see DESIGN.md "Protocol family". IRSA,
+// CRDSA-d (above) and SEEDED are one reader, protocols::Irsa; MPR and
+// PERFECT are the multi-packet-reception readers.
 sim::ProtocolFactory MakeIrsaFactory(phy::TimingModel timing = {},
                                      protocols::IrsaConfig config = {});
+// SEEDED: the IRSA reader in its seeded mode (seed-derived replica
+// patterns plus a cross-frame collision-record store holding at most
+// `store_capacity` records, 0 = unbounded).
 sim::ProtocolFactory MakeSeededFactory(phy::TimingModel timing = {},
-                                       protocols::SeededConfig config = {});
+                                       std::size_t store_capacity = 0);
 sim::ProtocolFactory MakeMprFactory(phy::TimingModel timing = {},
                                     protocols::MprConfig config = {});
 sim::ProtocolFactory MakePerfectFactory(phy::TimingModel timing = {},

@@ -64,7 +64,7 @@ class DegreeDistribution {
   int Sample(anc::Pcg32& rng) const;
   // Samples a degree from a raw 64-bit uniform value — the seeded
   // pseudo-random path, where the "draw" is a hash the reader can
-  // regenerate (see protocols/seeded.h).
+  // regenerate (see DeriveSeededPattern in protocols/irsa.h).
   int SampleFromUniform(std::uint64_t u) const;
 
   // d when Λ(x) = x^d (every tag sends exactly d replicas), else 0.

@@ -4,19 +4,72 @@
 #include <cmath>
 #include <string>
 
+#include "common/hash.h"
+
 namespace anc::protocols {
 
 namespace {
+
 constexpr std::uint32_t kNoTag = ~std::uint32_t{0};
+
+// Picks `degree` distinct slots from `next_slot()` by rejection (degrees
+// are tiny against the frame), in draw order.
+template <typename NextSlot>
+SeededPattern PickSlots(int degree, NextSlot next_slot) {
+  SeededPattern p;
+  p.degree = degree;
+  int picked = 0;
+  while (picked < degree) {
+    const std::uint32_t slot = next_slot();
+    bool duplicate = false;
+    for (int i = 0; i < picked; ++i) duplicate |= p.slots[i] == slot;
+    if (duplicate) continue;
+    p.slots[picked++] = slot;
+  }
+  return p;
+}
+
+int MaxDegree(std::uint64_t frame_size) {
+  return static_cast<int>(std::min<std::uint64_t>(
+      frame_size, static_cast<std::uint64_t>(SeededPattern::kMaxDegree)));
+}
+
 }  // namespace
+
+SeededPattern DeriveSeededPattern(std::uint64_t tag_digest,
+                                  std::uint64_t run_salt,
+                                  std::uint64_t frame_index,
+                                  std::uint64_t frame_size,
+                                  const DegreeDistribution& degrees) {
+  if (frame_size == 0) return {};
+  // The per-(tag, frame) seed the tag announces in its burst headers; the
+  // whole pattern is a pure SplitMix64 counter chain over it.
+  const std::uint64_t seed =
+      SplitMix64(SplitMix64(tag_digest ^ run_salt) ^ frame_index);
+  const int degree = std::min(degrees.SampleFromUniform(SplitMix64(seed)),
+                              MaxDegree(frame_size));
+  std::uint64_t counter = seed;
+  return PickSlots(degree, [&] {
+    return static_cast<std::uint32_t>(
+        SplitMix64(++counter) % frame_size);  // 64-bit hash: bias < 2^-49
+  });
+}
 
 Irsa::Irsa(std::span<const TagId> population, anc::Pcg32 rng,
            phy::TimingModel timing, IrsaConfig config)
-    : BaselineBase("IRSA", population, rng, timing),
+    : BaselineBase(config.seeded_store_capacity ? "SEEDED" : "IRSA",
+                   population, rng, timing),
       config_(config),
       read_(population.size(), false),
       present_(population.size(), true) {
-  if (const int d = config_.degrees.FixedDegree()) {
+  if (seeded()) {
+    // One salt per run, announced with the reader's frame advertisement;
+    // drawn before any other use of the stream so the pattern inputs are
+    // a fixed function of the run seed.
+    const std::uint64_t hi = rng_();
+    const std::uint64_t lo = rng_();
+    run_salt_ = hi << 32 | lo;
+  } else if (const int d = config_.degrees.FixedDegree()) {
     name_storage_ = "CRDSA-" + std::to_string(d);
     name_ = name_storage_;
   }
@@ -50,8 +103,9 @@ bool Irsa::DepartTag(const TagId& id) {
   const std::uint32_t tag = IndexOf(id);
   if (tag == kNoTag) return false;
   present_[tag] = false;
-  // Replicas already on the air stay buffered at the reader; the ones the
-  // tag would have transmitted in the remainder of the frame vanish.
+  // Replicas already on the air (and contributions to stored records)
+  // stay buffered at the reader; the ones the tag would have transmitted
+  // in the remainder of the frame vanish.
   for (std::uint64_t s = slot_cursor_; s < frame_size_; ++s) {
     auto& tags = slot_tags_[s];
     tags.erase(std::remove(tags.begin(), tags.end(), tag), tags.end());
@@ -76,27 +130,25 @@ void Irsa::StartFrame() {
   const auto backlog = static_cast<double>(unread_.size());
   frame_size_ = std::clamp<std::uint64_t>(
       static_cast<std::uint64_t>(std::llround(backlog / config_.target_load)),
-      config_.min_frame_size, config_.max_frame_size);
+      kMinFrameSize, kMaxFrameSize);
 
   slot_cursor_ = 0;
   frame_transmissions_ = 0;
   slot_tags_.assign(frame_size_, {});
+  const auto frame = static_cast<std::uint32_t>(frame_size_);
   for (std::uint32_t tag : unread_) {
-    // Sample the replica degree from Λ, then pick that many distinct
-    // slots (rejection sampling; degrees are tiny against the frame).
-    const int degree =
-        std::min<int>(config_.degrees.Sample(rng_),
-                      static_cast<int>(std::min<std::uint64_t>(frame_size_, 16)));
-    std::uint32_t chosen[16];
-    int picked = 0;
-    while (picked < degree) {
-      const std::uint32_t slot =
-          rng_.UniformBelow(static_cast<std::uint32_t>(frame_size_));
-      bool duplicate = false;
-      for (int i = 0; i < picked; ++i) duplicate |= chosen[i] == slot;
-      if (duplicate) continue;
-      chosen[picked++] = slot;
-      slot_tags_[slot].push_back(tag);
+    // Seeded: the pattern the tag's announced seed determines. Otherwise
+    // the tag's private draws: a degree from Λ, then that many slots.
+    const SeededPattern p =
+        seeded()
+            ? DeriveSeededPattern(population_[tag].Digest(), run_salt_,
+                                  metrics_.frames, frame_size_,
+                                  config_.degrees)
+            : PickSlots(std::min(config_.degrees.Sample(rng_),
+                                 MaxDegree(frame_size_)),
+                        [&] { return rng_.UniformBelow(frame); });
+    for (int i = 0; i < p.degree; ++i) {
+      slot_tags_[p.slots[i]].push_back(tag);
       ++metrics_.tag_transmissions;
     }
     ++frame_transmissions_;
@@ -106,32 +158,88 @@ void Irsa::StartFrame() {
 void Irsa::DecodeFrame() {
   // Whole-frame SIC: decode singletons, cancel every copy of a decoded
   // tag from the buffered slots, repeat until a stopping set survives.
-  // Slots that were singletons before any cancellation attribute their
-  // ID to ids_from_singletons; the rest were recovered from collisions.
+  // Equations [0, frame_size_) are the frame's slots; in seeded mode
+  // frame_size_ + j is stored record j, whose constituents are known up
+  // front (regenerated from the announced seeds). Stored records enter
+  // each frame with >= 2 unknown constituents (the storage invariant
+  // below), so none start ready. Slots that were singletons before any
+  // cancellation attribute their ID to ids_from_singletons; the rest were
+  // recovered from collisions.
   peeler_.Reset(static_cast<std::uint32_t>(read_.size()));
   for (const auto& tags : slot_tags_) peeler_.AddEquation(tags);
-  peeler_.Decode(config_.max_ic_iterations);
+  for (const StoredRecord& r : records_) peeler_.AddEquation(r.constituents);
+  peeler_.Decode();
 
-  for (const auto& [tag, slot] : peeler_.reads()) {
-    const bool from_singleton = slot_tags_[slot].size() == 1;
+  for (const auto& [tag, equation] : peeler_.reads()) {
+    const bool stored = equation >= frame_size_;
+    const bool singleton = !stored && slot_tags_[equation].size() == 1;
     read_[tag] = true;
     learned_this_step_.push_back(population_[tag]);
     ++metrics_.tags_read;
-    if (from_singleton) {
+    if (singleton) {
       ++metrics_.ids_from_singletons;
     } else {
       ++metrics_.ids_from_collisions;
     }
     if (trace_) {
+      if (stored) {
+        trace::TraceEvent r;
+        r.kind = trace::EventKind::kRecordResolve;
+        r.slot = slot_index_;
+        r.frame = metrics_.frames;
+        r.record = records_[equation - frame_size_].id;
+        r.id_digest = population_[tag].Digest();
+        r.cascade = true;  // resolved by cross-frame cancellation
+        trace_.Emit(r);
+      }
       trace::TraceEvent e;
       e.kind = trace::EventKind::kAck;
       e.slot = slot_index_;
       e.frame = metrics_.frames;
-      e.ack = from_singleton ? trace::AckKind::kSingletonId
-                             : trace::AckKind::kSlotIndex;
+      e.ack = singleton ? trace::AckKind::kSingletonId
+                        : trace::AckKind::kSlotIndex;
       e.id_digest = population_[tag].Digest();
       trace_.Emit(e);
     }
+  }
+  if (!seeded()) return;
+
+  // Surviving constituents keep their order (checkpoints serialize it).
+  // Drop stored records that resolved or emptied out (storage invariant:
+  // an open record keeps >= 2 unknown constituents).
+  const auto decoded = [this](std::uint32_t tag) {
+    return peeler_.Decoded(tag);
+  };
+  for (StoredRecord& r : records_) std::erase_if(r.constituents, decoded);
+  std::erase_if(records_, [](const StoredRecord& r) {
+    return r.constituents.size() < 2;
+  });
+
+  // This frame's surviving collision slots become open records: their
+  // constituents are known (seed headers), so they may resolve later.
+  for (std::uint64_t s = 0; s < frame_size_; ++s) {
+    if (peeler_.Remaining(s) < 2) continue;
+    if (trace_) {
+      trace::TraceEvent e;
+      e.kind = trace::EventKind::kRecordOpen;
+      e.slot = slot_index_ - frame_size_ + s;
+      e.frame = metrics_.frames;
+      e.record = next_record_id_;
+      // No responders field: the wire format carries only the handle for
+      // record_open; the slot's own kSlot event has the occupancy.
+      trace_.Emit(e);
+    }
+    StoredRecord record{next_record_id_++, slot_tags_[s]};
+    std::erase_if(record.constituents, decoded);
+    records_.push_back(std::move(record));
+  }
+  // Oldest-first eviction: records_ is in ascending id order.
+  const std::size_t capacity = *config_.seeded_store_capacity;
+  if (capacity > 0 && records_.size() > capacity) {
+    const std::size_t excess = records_.size() - capacity;
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<std::ptrdiff_t>(excess));
+    metrics_.records_evicted += excess;
   }
 }
 
@@ -172,12 +280,18 @@ void Irsa::Step() {
     e.slot = slot_index_;
     e.frame = metrics_.frames;
     e.n_c = n_c;
+    e.record = records_.size();  // open-record store occupancy
     e.estimate_q8 =
         trace::QuantizeEstimate(static_cast<double>(unread_.size()));
     e.elapsed_us = trace::QuantizeSeconds(metrics_.elapsed_seconds);
     trace_.Emit(e);
   }
   if (frame_transmissions_ == 0) {
+    // Records only hold unread constituents, so a drained population has
+    // already emptied the store; anything left is released and reported
+    // as unresolved.
+    metrics_.unresolved_records += records_.size();
+    records_.clear();
     finished_ = true;
     return;
   }
@@ -203,30 +317,73 @@ void Irsa::SaveState(std::string* out) const {
   }
   ser::PutBool(*out, needs_frame_);
   ser::PutBool(*out, finished_);
+  if (!seeded()) return;
+  ser::PutVarint(*out, records_.size());
+  for (const StoredRecord& record : records_) {
+    ser::PutVarint(*out, record.id);
+    ser::PutVarint(*out, record.constituents.size());
+    for (std::uint32_t tag : record.constituents) {
+      ser::PutVarint(*out, tag);
+    }
+  }
+  ser::PutVarint(*out, next_record_id_);
 }
 
 bool Irsa::RestoreState(std::string_view bytes) {
   ser::Reader r{bytes};
   if (!RestoreBaseState(r)) return false;
-  unread_.assign(static_cast<std::size_t>(r.Varint()), 0);
-  for (std::uint32_t& tag : unread_) {
-    tag = static_cast<std::uint32_t>(r.Varint());
-  }
+  // Every tag list holds distinct indices into the population: Step(),
+  // DepartTag() and the decoder index by them. `stamp` marks the tags
+  // seen in the list being read.
+  const std::size_t n_tags = population_.size();
+  std::vector<std::uint64_t> stamp(n_tags, 0);
+  std::uint64_t list = 0;
+  const auto read_tags = [&](std::vector<std::uint32_t>& tags) {
+    const std::uint64_t size = r.Varint();
+    if (!r.ok || size > n_tags) return false;
+    ++list;
+    tags.assign(static_cast<std::size_t>(size), 0);
+    for (std::uint32_t& tag : tags) {
+      const std::uint64_t v = r.Varint();
+      if (!r.ok || v >= n_tags || stamp[v] == list) return false;
+      stamp[v] = list;
+      tag = static_cast<std::uint32_t>(v);
+    }
+    return true;
+  };
+
+  if (!read_tags(unread_)) return false;
   if (static_cast<std::size_t>(r.Varint()) != read_.size()) return false;
   for (std::size_t i = 0; i < read_.size(); ++i) read_[i] = r.Bool();
   for (std::size_t i = 0; i < present_.size(); ++i) present_[i] = r.Bool();
   frame_size_ = r.Varint();
   slot_cursor_ = r.Varint();
   frame_transmissions_ = r.Varint();
-  slot_tags_.assign(static_cast<std::size_t>(r.Varint()), {});
+  if (frame_size_ > kMaxFrameSize || slot_cursor_ > frame_size_ ||
+      r.Varint() != frame_size_) {
+    return false;
+  }
+  slot_tags_.assign(static_cast<std::size_t>(frame_size_), {});
   for (auto& slot : slot_tags_) {
-    slot.assign(static_cast<std::size_t>(r.Varint()), 0);
-    for (std::uint32_t& tag : slot) {
-      tag = static_cast<std::uint32_t>(r.Varint());
-    }
+    if (!read_tags(slot)) return false;
   }
   needs_frame_ = r.Bool();
   finished_ = r.Bool();
+  // A frame in progress has a slot left to air.
+  if (!needs_frame_ && !finished_ && slot_cursor_ == frame_size_) {
+    return false;
+  }
+  records_.clear();
+  if (seeded()) {
+    const std::uint64_t count = r.Varint();
+    if (count > bytes.size()) return false;  // each record takes >= 2 bytes
+    records_.resize(static_cast<std::size_t>(count));
+    for (StoredRecord& record : records_) {
+      record.id = r.Varint();
+      if (!read_tags(record.constituents)) return false;
+    }
+    next_record_id_ = r.Varint();
+  }
   learned_this_step_.clear();
   return r.ok && r.AtEnd();
 }

@@ -21,7 +21,7 @@ void PeelingDecoder::AddEquation(std::span<const std::uint32_t> tags) {
   xor_.push_back(x);
 }
 
-void PeelingDecoder::Decode(int max_pops_per_equation) {
+void PeelingDecoder::Decode() {
   const auto n_eq = static_cast<std::uint32_t>(count_.size());
 
   // Counting sort of the edges by tag. Counts land at tag_start_[t + 2],
@@ -43,9 +43,7 @@ void PeelingDecoder::Decode(int max_pops_per_equation) {
   for (std::uint32_t e = 0; e < n_eq; ++e) {
     if (count_[e] == 1) ready_.push_back(e);
   }
-  const std::int64_t max_pops =
-      std::int64_t{max_pops_per_equation} * std::int64_t{n_eq};
-  for (std::size_t head = 0; head < ready_.size() && pops_ < max_pops;) {
+  for (std::size_t head = 0; head < ready_.size();) {
     const std::uint32_t e = ready_[head++];
     ++pops_;
     if (count_[e] != 1) continue;  // emptied while queued

@@ -1,9 +1,9 @@
-// The peeling (iterative SIC) decoder shared by the coded-ALOHA family:
-// Irsa (which also runs CRDSA-d) and SeededAloha. DESIGN.md §7c.
+// The peeling (iterative SIC) decoder of the coded-ALOHA reader, Irsa
+// (IRSA, CRDSA-d and SEEDED). DESIGN.md §7c.
 //
 // A decode runs over *equations*: sets of distinct tag indices whose
 // replicas superpose in one stored signal (a slot of the buffered frame,
-// or a SEEDED collision record kept from an earlier frame). An equation
+// or a seeded-mode collision record kept from an earlier frame). An equation
 // left with one unknown constituent yields that tag, which is then
 // cancelled out of every equation it appears in.
 //
@@ -14,7 +14,9 @@
 // those reaching count 1 in the order a full ascending sweep over all
 // equations would. Decode order, the yielding equation of every read and
 // the pop count therefore match that sweep (tests/test_peeling.cpp).
-// Peeling is O(edges), plus an O(tags) clear of tag-indexed scratch.
+// Counts only fall, so each equation is queued at most once and a decode
+// pops at most one entry per equation. Peeling is O(edges), plus an
+// O(tags) clear of tag-indexed scratch.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +38,9 @@ class PeelingDecoder {
   void AddEquation(std::span<const std::uint32_t> tags);
 
   // Runs once per Reset(). Seeds the ready queue with every count-1
-  // equation in index order, then pops it until empty or until
-  // `max_pops_per_equation` × (number of equations) pops — the
-  // stopping-set escape hatch. Pops of equations that emptied while
-  // queued count toward the cap.
-  void Decode(int max_pops_per_equation);
+  // equation in index order, then pops it until empty (a stopping set,
+  // or nothing, survives).
+  void Decode();
 
   // Results of the last Decode().
   std::span<const Read> reads() const { return reads_; }  // decode order
@@ -49,6 +49,8 @@ class PeelingDecoder {
   std::uint32_t Remaining(std::size_t equation) const {
     return count_[equation];
   }
+  // Ready-queue pops, including those of equations that emptied while
+  // queued.
   std::int64_t pops() const { return pops_; }
 
  private:

@@ -214,6 +214,7 @@ TEST(SloReportFile, RoundTripAndRejectsCorruption) {
 struct ResumeCase {
   const char* label;
   sim::ProtocolFactory factory;
+  bool evicts = false;  // its bounded record store overflows in the soak
 };
 
 std::vector<ResumeCase> CheckpointableFactories() {
@@ -226,7 +227,8 @@ std::vector<ResumeCase> CheckpointableFactories() {
           {"scat2", core::MakeScatFactory(scat)},
           {"irsa", core::MakeIrsaFactory()},
           {"crdsa2", core::MakeCrdsaFactory()},
-          {"seeded", core::MakeSeededFactory()}};
+          {"seeded", core::MakeSeededFactory()},
+          {"seeded_cap2", core::MakeSeededFactory({}, 2), true}};
 }
 
 // The waveform phy keeps no savable record store, so FCAT over it opts
@@ -274,6 +276,9 @@ TEST(ResumableSoak, KilledAndResumedRunIsByteIdentical) {
       const SloReport ref_report = RunSoakResumable(
           c.factory, config, options, 0, ref_sink.get(), ref_opts);
       ASSERT_EQ(ref_sink->Finish(), "");
+      if (c.evicts) {
+        EXPECT_GT(ref_report.metrics.records_evicted, 0u);
+      }
 
       // Killed run: dies at slot 1100 with no shutdown path at all.
       auto torn_sink =

@@ -6,7 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/serialize.h"
 #include "core/factories.h"
+#include "sim/metrics.h"
+#include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
 #include "trace/recorder.h"
@@ -262,6 +266,137 @@ TEST(Crdsa, SlotMixRecorded) {
   EXPECT_GT(m.singleton_slots, 0u);
   EXPECT_EQ(m.TotalSlots(),
             m.empty_slots + m.singleton_slots + m.collision_slots);
+}
+
+// ---- checkpoint input validation -----------------------------------------
+
+// One varint of a checkpoint blob: its offset and encoded length.
+struct Field {
+  std::size_t pos = 0;
+  std::size_t len = 0;
+};
+
+Field NextVarint(ser::Reader& r) {
+  const std::size_t pos = r.pos;
+  r.Varint();
+  return {pos, r.pos - pos};
+}
+
+// The varints of an Irsa::SaveState blob that a restore must check,
+// located by walking the layout SaveState writes.
+struct BlobFields {
+  Field unread_tag;
+  Field frame_size;
+  Field slot_cursor;
+  Field slot_tag;       // first tag of the first occupied slot
+  Field record_tag[2];  // first two constituents of the first record
+};
+
+BlobFields Walk(std::string_view blob, bool seeded) {
+  ser::Reader r{blob};
+  Pcg32 rng;
+  sim::RunMetrics metrics;
+  EXPECT_TRUE(ReadPcg32(r, rng));
+  EXPECT_TRUE(sim::ReadRunMetrics(r, metrics));
+  r.Varint();  // slot index
+  BlobFields b;
+  const std::uint64_t unread = r.Varint();
+  for (std::uint64_t i = 0; i < unread; ++i) {
+    const Field f = NextVarint(r);
+    if (i == 0) b.unread_tag = f;
+  }
+  const std::uint64_t n_tags = r.Varint();
+  for (std::uint64_t i = 0; i < 2 * n_tags; ++i) r.Bool();  // read, present
+  b.frame_size = NextVarint(r);
+  b.slot_cursor = NextVarint(r);
+  r.Varint();  // frame transmissions
+  const std::uint64_t slots = r.Varint();
+  for (std::uint64_t s = 0; s < slots; ++s) {
+    const std::uint64_t size = r.Varint();
+    for (std::uint64_t i = 0; i < size; ++i) {
+      const Field f = NextVarint(r);
+      if (b.slot_tag.len == 0) b.slot_tag = f;
+    }
+  }
+  r.Bool();  // needs_frame
+  r.Bool();  // finished
+  if (seeded) {
+    const std::uint64_t records = r.Varint();
+    for (std::uint64_t j = 0; j < records; ++j) {
+      r.Varint();  // id
+      const std::uint64_t size = r.Varint();
+      for (std::uint64_t i = 0; i < size; ++i) {
+        const Field f = NextVarint(r);
+        if (j == 0 && i < 2) b.record_tag[i] = f;
+      }
+    }
+    r.Varint();  // next record id
+  }
+  EXPECT_TRUE(r.ok && r.AtEnd());
+  return b;
+}
+
+std::string Patch(std::string blob, Field f, std::uint64_t value) {
+  std::string varint;
+  ser::PutVarint(varint, value);
+  return blob.replace(f.pos, f.len, varint);
+}
+
+std::uint64_t ValueAt(std::string_view blob, Field f) {
+  ser::Reader r{blob.substr(f.pos, f.len)};
+  return r.Varint();
+}
+
+// A real mid-run blob; seeded runs step on until a record is stored.
+std::string MidRunBlob(const sim::ProtocolFactory& factory,
+                       std::span<const TagId> population, bool seeded) {
+  auto protocol = factory(population, Pcg32(5, 9));
+  while (!protocol->Finished() &&
+         (protocol->metrics().frames < 2 ||
+          (seeded && protocol->OpenPhyRecords() == 0))) {
+    protocol->Step();
+  }
+  for (int i = 0; i < 3; ++i) protocol->Step();  // into the frame
+  std::string blob;
+  protocol->SaveState(&blob);
+  return blob;
+}
+
+// A checkpoint whose CRC is valid can still carry a tag index outside the
+// population or an inconsistent frame; indexing by either would run past
+// the reader's arrays. Restore must refuse it.
+TEST(IrsaCheckpoint, RestoreRejectsPatchedBlobs) {
+  Pcg32 pop_rng(5, 8);
+  const auto population = sim::MakePopulation(300, pop_rng);
+  const std::uint64_t n = population.size();
+  const auto restores = [&](const sim::ProtocolFactory& factory,
+                            const std::string& blob) {
+    return factory(population, Pcg32(5, 9))->RestoreState(blob);
+  };
+
+  const auto irsa = core::MakeIrsaFactory();
+  const std::string blob = MidRunBlob(irsa, population, false);
+  const BlobFields f = Walk(blob, false);
+  ASSERT_GT(f.unread_tag.len, 0u);
+  ASSERT_GT(f.slot_tag.len, 0u);
+  ASSERT_TRUE(restores(irsa, blob));
+  EXPECT_FALSE(restores(irsa, Patch(blob, f.unread_tag, n)));
+  EXPECT_FALSE(restores(irsa, Patch(blob, f.slot_tag, n)));
+  EXPECT_FALSE(restores(irsa, Patch(blob, f.slot_tag, ~std::uint64_t{0})));
+  const std::uint64_t frame = ValueAt(blob, f.frame_size);
+  EXPECT_FALSE(restores(irsa, Patch(blob, f.slot_cursor, frame + 1)));
+  EXPECT_FALSE(restores(irsa, Patch(blob, f.slot_cursor, frame)));
+  EXPECT_FALSE(restores(irsa, Patch(blob, f.frame_size, frame + 1)));
+
+  const auto seeded = core::MakeSeededFactory();
+  const std::string sblob = MidRunBlob(seeded, population, true);
+  const BlobFields g = Walk(sblob, true);
+  ASSERT_GT(g.record_tag[1].len, 0u);
+  ASSERT_TRUE(restores(seeded, sblob));
+  EXPECT_FALSE(restores(seeded, Patch(sblob, g.record_tag[0], n)));
+  EXPECT_FALSE(restores(
+      seeded, Patch(sblob, g.record_tag[1], ValueAt(sblob, g.record_tag[0]))));
+  EXPECT_FALSE(restores(seeded, Patch(sblob, g.slot_tag, n + 7)));
 }
 
 }  // namespace

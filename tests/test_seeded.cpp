@@ -1,4 +1,4 @@
-#include "protocols/seeded.h"
+#include "protocols/irsa.h"
 
 #include <gtest/gtest.h>
 
@@ -115,7 +115,10 @@ TEST(SeededAloha, CrossFrameRecordsActuallyResolve) {
 TEST(SeededAloha, NoOpenRecordsAfterACompletedRun) {
   anc::Pcg32 pop_rng(11, 2);
   const auto population = sim::MakePopulation(600, pop_rng);
-  SeededAloha protocol(population, anc::Pcg32(11, 3), {}, {});
+  IrsaConfig config;
+  config.seeded_store_capacity = 0;
+  Irsa protocol(population, anc::Pcg32(11, 3), {}, config);
+  ASSERT_EQ(protocol.name(), "SEEDED");
   std::uint64_t guard = 0;
   while (!protocol.Finished() && ++guard < 600 * 100) protocol.Step();
   ASSERT_TRUE(protocol.Finished());
@@ -125,9 +128,7 @@ TEST(SeededAloha, NoOpenRecordsAfterACompletedRun) {
 }
 
 TEST(SeededAloha, BoundedStoreEvictsAndStillReadsEverything) {
-  SeededConfig config;
-  config.store_capacity = 1;
-  const auto m = sim::RunOnce(core::MakeSeededFactory({}, config), 2000, 5);
+  const auto m = sim::RunOnce(core::MakeSeededFactory({}, 1), 2000, 5);
   EXPECT_EQ(m.tags_read, 2000u);
   EXPECT_GT(m.records_evicted, 0u);
 }
@@ -142,9 +143,8 @@ TEST(SeededAloha, BoundedStoreEvictionCountsArePinned) {
     std::uint64_t slots;
   };
   for (const Pin& pin : {Pin{1, 152, 2000, 2392}, Pin{8, 36, 2000, 2278}}) {
-    SeededConfig config;
-    config.store_capacity = pin.capacity;
-    const auto m = sim::RunOnce(core::MakeSeededFactory({}, config), 2000, 5);
+    const auto m =
+        sim::RunOnce(core::MakeSeededFactory({}, pin.capacity), 2000, 5);
     EXPECT_EQ(m.records_evicted, pin.evicted) << "capacity " << pin.capacity;
     EXPECT_EQ(m.tags_read, pin.read) << "capacity " << pin.capacity;
     EXPECT_EQ(m.TotalSlots(), pin.slots) << "capacity " << pin.capacity;
