@@ -16,12 +16,17 @@
 // The Reader latches `ok` on the first truncated read and returns 0
 // from then on; callers check once at the end (fail-closed decode).
 //
-// Arenas (the phy and tracker record stores) go through PutVarints /
-// AppendVarints: raw WriteVarint stores into a stack buffer, appended a
-// few kilobytes at a time — the same bytes as a PutVarint loop without
-// a capacity check and terminator store per byte. A bool field encodes
-// as the varint 0/1, which is PutBool's byte, so a struct of integers
-// and bools can be written as one row of varints.
+// Arrays go through PutVarints / AppendVarints: raw WriteVarint stores
+// into a stack buffer, appended a few kilobytes at a time — the same
+// bytes as a PutVarint loop without a capacity check and terminator
+// store per byte. A bool field encodes as the varint 0/1, which is
+// PutBool's byte, so a struct of integers and bools can be written as
+// one row of varints. The record stores' arenas are cached in that
+// encoding (common/chunk_cache.h) and handed out through Pieces, which
+// holds views of cached bytes next to freshly written ones, so a
+// length-prefixed blob is sized before its bytes are copied, once.
+// Reader::Count bounds an item count by the bytes left before anything
+// is sized from it.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +37,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 namespace anc::ser {
 
@@ -125,6 +131,63 @@ inline void PutBytes(std::string& out, std::string_view s) {
   out.append(s.data(), s.size());
 }
 
+// A byte string held as a list of pieces: runs of bytes written through
+// bytes(), and views of bytes kept elsewhere (a cache) that must stay
+// unchanged until the pieces are copied out. A writer can size a
+// length-prefixed blob before copying it, so cached bytes are copied once.
+class Pieces {
+ public:
+  // Bytes appended here follow every piece added so far.
+  std::string& bytes() { return owned_; }
+
+  void AddView(std::string_view view) {
+    CloseRun();
+    parts_.push_back({view.data(), 0, view.size()});
+    size_ += view.size();
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    return size_ + owned_.size() - run_start_;
+  }
+
+  // Calls f(std::string_view) for every piece, in order.
+  template <class F>
+  void ForEach(F f) const {
+    for (const Part& part : parts_) {
+      f(part.view != nullptr ? std::string_view(part.view, part.size)
+                             : std::string_view(owned_).substr(part.offset,
+                                                               part.size));
+    }
+    if (owned_.size() > run_start_) {
+      f(std::string_view(owned_).substr(run_start_));
+    }
+  }
+
+  void AppendTo(std::string& out) const {
+    out.reserve(out.size() + size());
+    ForEach([&out](std::string_view piece) { out.append(piece); });
+  }
+
+ private:
+  struct Part {
+    const char* view;  // null: owned_ bytes at `offset`
+    std::size_t offset;
+    std::size_t size;
+  };
+
+  void CloseRun() {
+    if (owned_.size() == run_start_) return;
+    parts_.push_back({nullptr, run_start_, owned_.size() - run_start_});
+    size_ += owned_.size() - run_start_;
+    run_start_ = owned_.size();
+  }
+
+  std::string owned_;
+  std::size_t run_start_ = 0;  // start of the open run of owned_ bytes
+  std::size_t size_ = 0;       // bytes in parts_
+  std::vector<Part> parts_;
+};
+
 struct Reader {
   std::string_view bytes;
   std::size_t pos = 0;
@@ -151,6 +214,18 @@ struct Reader {
       if ((b & 0x80) == 0) return v;
       shift += 7;
     }
+  }
+
+  // A count of items that follow, each taking at least one byte: a count
+  // larger than the bytes left latches !ok and reads as 0, so a corrupt
+  // count never sizes an allocation.
+  std::uint64_t Count() {
+    const std::uint64_t n = Varint();
+    if (n > bytes.size() - std::min(pos, bytes.size())) {
+      ok = false;
+      return 0;
+    }
+    return n;
   }
 
   bool Bool() { return Byte() != 0; }

@@ -571,16 +571,14 @@ void CollisionAwareEngine::Step() {
   }
 }
 
-void CollisionAwareEngine::SaveEngineState(std::string* out) const {
+void CollisionAwareEngine::SaveEngineState(anc::ser::Pieces& pieces) const {
+  std::string* out = &pieces.bytes();
   PutPcg32(*out, rng_);
-  ser::PutVarint(*out, active_.size());
-  for (std::uint32_t tag : active_) ser::PutVarint(*out, tag);
-  ser::PutVarint(*out, pos_in_active_.size());
-  for (std::uint32_t pos : pos_in_active_) ser::PutVarint(*out, pos);
-  ser::PutVarint(*out, read_.size());
-  for (bool b : read_) ser::PutBool(*out, b);
-  for (bool b : present_) ser::PutBool(*out, b);
-  tracker_.SaveState(out);
+  ser::PutVarints(*out, active_);
+  ser::PutVarints(*out, pos_in_active_);
+  ser::PutVarints(*out, read_);
+  ser::AppendVarints(*out, present_);
+  tracker_.SaveState(pieces);
   estimator_.SaveState(out);
   ser::PutBool(*out, fault_ != nullptr);
   if (fault_) fault_->SaveState(out);
@@ -605,18 +603,42 @@ void CollisionAwareEngine::SaveEngineState(std::string* out) const {
   sim::PutRunMetrics(*out, metrics_);
 }
 
+void CollisionAwareEngine::SaveEngineState(std::string* out) const {
+  ser::Pieces pieces;
+  SaveEngineState(pieces);
+  pieces.AppendTo(*out);
+}
+
 bool CollisionAwareEngine::RestoreEngineState(anc::ser::Reader& r) {
   if (!ReadPcg32(r, rng_)) return false;
-  active_.assign(static_cast<std::size_t>(r.Varint()), 0);
+  const std::size_t n_tags = pos_in_active_.size();
+  const std::uint64_t n_active = r.Varint();
+  if (n_active > n_tags) return false;
+  active_.assign(static_cast<std::size_t>(n_active), 0);
   for (std::uint32_t& tag : active_) {
-    tag = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t v = r.Varint();
+    if (v >= n_tags) return false;
+    tag = static_cast<std::uint32_t>(v);
   }
-  if (static_cast<std::size_t>(r.Varint()) != pos_in_active_.size()) {
+  if (static_cast<std::size_t>(r.Varint()) != n_tags) {
     return false;  // universe size mismatch: wrong configuration
   }
+  // pos_in_active_ inverts active_ (so active_ holds distinct tags) and
+  // marks every other tag kNotActive: Deactivate/Activate index by both.
+  std::size_t inactive = 0;
   for (std::uint32_t& pos : pos_in_active_) {
-    pos = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t v = r.Varint();
+    if (v == kNotActive) {
+      ++inactive;
+    } else if (v >= active_.size()) {
+      return false;
+    }
+    pos = static_cast<std::uint32_t>(v);
   }
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (pos_in_active_[active_[i]] != i) return false;
+  }
+  if (inactive + active_.size() != n_tags) return false;
   if (static_cast<std::size_t>(r.Varint()) != read_.size()) return false;
   for (std::size_t i = 0; i < read_.size(); ++i) read_[i] = r.Bool();
   for (std::size_t i = 0; i < present_.size(); ++i) present_[i] = r.Bool();
@@ -628,9 +650,11 @@ bool CollisionAwareEngine::RestoreEngineState(anc::ser::Reader& r) {
   cascade_queue_.clear();
   const auto n_cascade = static_cast<std::size_t>(r.Varint());
   for (std::size_t i = 0; i < n_cascade && r.ok; ++i) {
-    const auto tag = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t tag = r.Varint();
     const bool from_collision = r.Bool();
-    cascade_queue_.emplace_back(tag, from_collision);
+    if (tag >= n_tags) return false;
+    cascade_queue_.emplace_back(static_cast<std::uint32_t>(tag),
+                                from_collision);
   }
   slot_index_ = r.Varint();
   slot_in_frame_ = r.Varint();

@@ -100,7 +100,12 @@ class CollisionAwareEngine : public sim::Protocol {
   // over is an external reference, and the owning EngineProtocol<Phy>
   // (core/engine_protocol.h) pairs the two blobs and implements the
   // Protocol-level hooks. Must be called between Step()s (per-step
-  // scratch is empty then).
+  // scratch is empty then). The record tracker's share of the state comes
+  // as views of its encoding cache (ser::Pieces). RestoreEngineState
+  // rejects an unread-tag list that is not a set of tags with
+  // pos_in_active_ as its inverse, and a cascade entry outside the
+  // universe.
+  void SaveEngineState(anc::ser::Pieces& out) const;
   void SaveEngineState(std::string* out) const;
   bool RestoreEngineState(anc::ser::Reader& r);
 

@@ -60,18 +60,23 @@ class EngineProtocol : public sim::Protocol {
   // Checkpoint hooks, for phys that can save their record store: the phy
   // state and the engine state as two length-prefixed blobs. The options
   // (and the whole construction path) are rederived by the factory before
-  // restore. Over any other phy these stay the unsupported defaults.
+  // restore. Over any other phy these stay the unsupported defaults. Both
+  // blobs are gathered as pieces first, so their lengths are known before
+  // their bytes are copied into `out`, once.
   static constexpr bool kCheckpoints =
-      requires(const Phy& p, std::string* out) { p.SaveState(out); };
+      requires(const Phy& p, ser::Pieces& out) { p.SaveState(out); };
   bool SupportsCheckpoint() const override { return kCheckpoints; }
   void SaveState(std::string* out) const override {
     if constexpr (kCheckpoints) {
-      std::string blob;
-      phy_.SaveState(&blob);
-      ser::PutBytes(*out, blob);
-      blob.clear();
-      engine_.SaveEngineState(&blob);
-      ser::PutBytes(*out, blob);
+      ser::Pieces phy;
+      phy_.SaveState(phy);
+      ser::Pieces engine;
+      engine_.SaveEngineState(engine);
+      out->reserve(out->size() + phy.size() + engine.size() + 20);
+      ser::PutVarint(*out, phy.size());
+      phy.AppendTo(*out);
+      ser::PutVarint(*out, engine.size());
+      engine.AppendTo(*out);
     }
   }
   bool RestoreState(std::string_view bytes) override {

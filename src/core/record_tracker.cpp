@@ -184,55 +184,143 @@ std::vector<phy::RecordHandle> RecordTracker::TakeRetryAbandoned() {
   return std::exchange(retry_abandoned_, {});
 }
 
-void RecordTracker::SaveState(std::string* out) const {
-  ser::PutVarints(*out, records_, [](const RecordState& state) {
-    return std::array<std::uint64_t, 4>{state.knowns_offset, state.knowns_len,
-                                        state.knowns_cap, state.open};
+void RecordTracker::SaveState(anc::ser::Pieces& out) const {
+  records_cache_.Update(
+      records_,
+      [](const RecordState& state) {
+        return std::array<std::uint64_t, 4>{state.knowns_offset,
+                                            state.knowns_len, state.knowns_cap,
+                                            state.open};
+      },
+      [this](std::size_t i) { return records_[i].open; });
+  // The watched records are the open ones. Their known slices ascend
+  // without overlap (Register appends them; RestoreState checks it), so
+  // one cursor walks the unfilled ranges along the ascending positions.
+  std::vector<std::pair<std::size_t, std::size_t>> unfilled;  // [begin, end)
+  records_cache_.ForEachWatched([&](std::size_t i) {
+    const RecordState& state = records_[i];
+    if (state.knowns_len < state.knowns_cap) {
+      unfilled.emplace_back(state.knowns_offset + state.knowns_len,
+                            state.knowns_offset + state.knowns_cap);
+    }
   });
-  ser::PutVarints(*out, knowns_arena_);
-  ser::PutVarints(*out, chain_nodes_, [](const ChainNode& node) {
-    return std::array<std::uint64_t, 2>{node.record.index(), node.next};
+  std::size_t range = 0;  // first range not wholly below the position
+  knowns_cache_.Update(knowns_arena_, ser::Value{}, [&](std::size_t pos) {
+    while (range < unfilled.size() && unfilled[range].second <= pos) ++range;
+    return range < unfilled.size() && unfilled[range].first <= pos;
   });
-  ser::PutVarints(*out, chain_head_);
-  ser::AppendVarints(*out, chain_tail_);
-  ser::PutVarint(*out, open_records_);
-  ser::PutVarints(*out, retry_abandoned_, [](phy::RecordHandle h) {
+  chain_cache_.Update(
+      chain_nodes_,
+      [](const ChainNode& node) {
+        return std::array<std::uint64_t, 2>{node.record.index(), node.next};
+      },
+      [this](std::size_t i) { return chain_nodes_[i].next == kNil; });
+
+  std::string& bytes = out.bytes();
+  ser::PutVarint(bytes, records_.size());
+  records_cache_.AppendTo(out);
+  ser::PutVarint(bytes, knowns_arena_.size());
+  knowns_cache_.AppendTo(out);
+  ser::PutVarint(bytes, chain_nodes_.size());
+  chain_cache_.AppendTo(out);
+  ser::PutVarints(bytes, chain_head_);
+  ser::AppendVarints(bytes, chain_tail_);
+  ser::PutVarint(bytes, open_records_);
+  ser::PutVarints(bytes, retry_abandoned_, [](phy::RecordHandle h) {
     return std::array<std::uint64_t, 1>{h.index()};
   });
 }
 
+void RecordTracker::SaveState(std::string* out) const {
+  ser::Pieces pieces;
+  SaveState(pieces);
+  pieces.AppendTo(*out);
+}
+
 bool RecordTracker::RestoreState(anc::ser::Reader& r) {
-  records_.assign(static_cast<std::size_t>(r.Varint()), RecordState{});
+  records_cache_.Clear();
+  knowns_cache_.Clear();
+  chain_cache_.Clear();
+  records_.assign(static_cast<std::size_t>(r.Count()), RecordState{});
+  std::size_t open = 0;
   for (RecordState& state : records_) {
-    state.knowns_offset = static_cast<std::uint32_t>(r.Varint());
-    state.knowns_len = static_cast<std::uint32_t>(r.Varint());
-    state.knowns_cap = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t offset = r.Varint();
+    const std::uint64_t len = r.Varint();
+    const std::uint64_t cap = r.Varint();
+    if (len > cap || cap > UINT32_MAX || offset > UINT32_MAX - cap) {
+      return false;
+    }
+    state.knowns_offset = static_cast<std::uint32_t>(offset);
+    state.knowns_len = static_cast<std::uint32_t>(len);
+    state.knowns_cap = static_cast<std::uint32_t>(cap);
     state.open = r.Bool();
+    open += state.open ? 1 : 0;
   }
-  knowns_arena_.assign(static_cast<std::size_t>(r.Varint()), 0);
+  const std::size_t n_tags = chain_head_.size();
+  knowns_arena_.assign(static_cast<std::size_t>(r.Count()), 0);
   for (std::uint32_t& tag : knowns_arena_) {
-    tag = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t v = r.Varint();
+    if (v >= n_tags) return false;
+    tag = static_cast<std::uint32_t>(v);
   }
-  chain_nodes_.assign(static_cast<std::size_t>(r.Varint()), ChainNode{});
+  // Known slices lie inside the arena and, as Register lays them out,
+  // ascend in record order without overlap.
+  std::uint64_t slices_end = 0;
+  for (const RecordState& state : records_) {
+    const std::uint64_t end =
+        std::uint64_t{state.knowns_offset} + state.knowns_cap;
+    if (end > knowns_arena_.size()) return false;
+    if (state.knowns_cap == 0) continue;
+    if (state.knowns_offset < slices_end) return false;
+    slices_end = end;
+  }
+  chain_nodes_.assign(static_cast<std::size_t>(r.Count()), ChainNode{});
+  const std::size_t n_nodes = chain_nodes_.size();
+  const auto node_ok = [n_nodes](std::uint64_t v) {
+    return v == kNil || v < n_nodes;
+  };
   for (ChainNode& node : chain_nodes_) {
-    node.record = phy::RecordHandle(static_cast<std::uint32_t>(r.Varint()));
-    node.next = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t record = r.Varint();
+    const std::uint64_t next = r.Varint();
+    if (record >= records_.size() || !node_ok(next)) return false;
+    node.record = phy::RecordHandle(static_cast<std::uint32_t>(record));
+    node.next = static_cast<std::uint32_t>(next);
   }
-  const auto n_tags = static_cast<std::size_t>(r.Varint());
-  if (n_tags != chain_head_.size()) return false;  // population mismatch
-  for (std::uint32_t& head : chain_head_) {
-    head = static_cast<std::uint32_t>(r.Varint());
+  if (r.Varint() != n_tags) return false;  // population mismatch
+  for (std::vector<std::uint32_t>* ends : {&chain_head_, &chain_tail_}) {
+    for (std::uint32_t& end : *ends) {
+      const std::uint64_t v = r.Varint();
+      if (!node_ok(v)) return false;
+      end = static_cast<std::uint32_t>(v);
+    }
   }
-  for (std::uint32_t& tail : chain_tail_) {
-    tail = static_cast<std::uint32_t>(r.Varint());
+  // Every node lies on exactly one tag's chain, which runs from its head
+  // to its tail: the walks in OnIdKnown end, and Register links a new
+  // node after a real tail.
+  std::vector<bool> seen(n_nodes, false);
+  std::size_t walked = 0;
+  for (std::size_t tag = 0; tag < n_tags; ++tag) {
+    std::uint32_t last = kNil;
+    for (std::uint32_t node = chain_head_[tag]; node != kNil;
+         node = chain_nodes_[node].next) {
+      if (seen[node]) return false;
+      seen[node] = true;
+      ++walked;
+      last = node;
+    }
+    if (last != chain_tail_[tag]) return false;
   }
+  if (walked != n_nodes) return false;
   chain_live_ = chain_head_;
   first_maybe_open_ = 0;
   open_records_ = static_cast<std::size_t>(r.Varint());
-  retry_abandoned_.assign(static_cast<std::size_t>(r.Varint()),
+  if (open_records_ != open) return false;
+  retry_abandoned_.assign(static_cast<std::size_t>(r.Count()),
                           phy::RecordHandle{});
   for (phy::RecordHandle& h : retry_abandoned_) {
-    h = phy::RecordHandle(static_cast<std::uint32_t>(r.Varint()));
+    const std::uint64_t v = r.Varint();
+    if (v >= records_.size()) return false;
+    h = phy::RecordHandle(static_cast<std::uint32_t>(v));
   }
   return r.ok;
 }

@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chunk_cache.h"
 #include "common/serialize.h"
 #include "common/tag_id.h"
 #include "fault/record_ledger.h"
@@ -111,6 +112,21 @@ class RecordTracker {
   // Checkpoint hooks (common/serialize.h wire format): the record arena,
   // the per-tag chains and the pending retry-abandon list. The ledger
   // pointer is re-attached by the owning engine after restore.
+  //
+  // The three arenas' encodings are cached between saves
+  // (common/chunk_cache.h). Rows that can still change: an open record,
+  // the unfilled part of an open record's known slice (PushKnown only
+  // writes at its end), and a chain node whose `next` is kNil (`next` is
+  // set at most once). A closed record never reopens: phy handles are
+  // never reused.
+  //
+  // RestoreState rejects input that would index past an arena or break
+  // the layout the cache relies on: a known slice outside knowns_arena_
+  // or out of record order, a chain node naming a missing record or
+  // node, a per-tag chain that is not a simple path from head to tail
+  // covering every node once, and an open count that disagrees with the
+  // rows.
+  void SaveState(anc::ser::Pieces& out) const;
   void SaveState(std::string* out) const;
   bool RestoreState(anc::ser::Reader& r);
 
@@ -161,6 +177,11 @@ class RecordTracker {
   std::size_t open_records_ = 0;
   fault::RecordLedger* ledger_ = nullptr;
   std::vector<phy::RecordHandle> retry_abandoned_;
+
+  // Checkpoint encoding caches of the three arenas.
+  mutable anc::ser::VarintChunkCache<4> records_cache_;
+  mutable anc::ser::VarintChunkCache<1> knowns_cache_;
+  mutable anc::ser::VarintChunkCache<2> chain_cache_;
 
   // Batch scratch, reused across OnIdKnown calls.
   std::vector<phy::ResolveRequest> requests_scratch_;

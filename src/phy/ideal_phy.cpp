@@ -92,31 +92,64 @@ void IdealPhy::ReleaseRecord(RecordHandle handle) {
   }
 }
 
+void IdealPhy::SaveState(anc::ser::Pieces& out) const {
+  // A closed record never changes (doomed is only set while open), and
+  // the participant arena is only appended to.
+  records_cache_.Update(
+      records_,
+      [](const Record& record) {
+        return std::array<std::uint64_t, 4>{record.offset, record.count,
+                                            record.open, record.doomed};
+      },
+      [this](std::size_t i) { return records_[i].open; });
+  participants_cache_.Update(participants_arena_, ser::Value{},
+                             [](std::size_t) { return false; });
+  PutPcg32(out.bytes(), rng_);
+  ser::PutVarint(out.bytes(), records_.size());
+  records_cache_.AppendTo(out);
+  ser::PutVarint(out.bytes(), participants_arena_.size());
+  participants_cache_.AppendTo(out);
+  ser::PutVarint(out.bytes(), open_records_);
+}
+
 void IdealPhy::SaveState(std::string* out) const {
-  PutPcg32(*out, rng_);
-  ser::PutVarints(*out, records_, [](const Record& record) {
-    return std::array<std::uint64_t, 4>{record.offset, record.count,
-                                        record.open, record.doomed};
-  });
-  ser::PutVarints(*out, participants_arena_);
-  ser::PutVarint(*out, open_records_);
+  ser::Pieces pieces;
+  SaveState(pieces);
+  pieces.AppendTo(*out);
 }
 
 bool IdealPhy::RestoreState(anc::ser::Reader& r) {
+  records_cache_.Clear();
+  participants_cache_.Clear();
   if (!ReadPcg32(r, rng_)) return false;
-  records_.assign(static_cast<std::size_t>(r.Varint()), Record{});
+  records_.assign(static_cast<std::size_t>(r.Count()), Record{});
   for (Record& record : records_) {
-    record.offset = static_cast<std::uint32_t>(r.Varint());
-    record.count = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t offset = r.Varint();
+    const std::uint64_t count = r.Varint();
+    if (offset > UINT32_MAX || count > UINT32_MAX) return false;
+    record.offset = static_cast<std::uint32_t>(offset);
+    record.count = static_cast<std::uint32_t>(count);
     record.open = r.Bool();
     record.doomed = r.Bool();
   }
-  participants_arena_.assign(static_cast<std::size_t>(r.Varint()), 0);
+  participants_arena_.assign(static_cast<std::size_t>(r.Count()), 0);
   for (std::uint32_t& tag : participants_arena_) {
-    tag = static_cast<std::uint32_t>(r.Varint());
+    const std::uint64_t v = r.Varint();
+    if (v >= population_.size()) return false;
+    tag = static_cast<std::uint32_t>(v);
   }
   open_records_ = static_cast<std::size_t>(r.Varint());
-  return r.ok;
+  // ResolveOne reads a record's slice of the arena and indexes the
+  // population by its tags.
+  std::size_t open = 0;
+  for (const Record& record : records_) {
+    if (std::uint64_t{record.offset} + record.count >
+        participants_arena_.size()) {
+      return false;
+    }
+    open += record.open ? 1 : 0;
+  }
+  return r.ok && open == open_records_;
 }
 
 }  // namespace anc::phy

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chunk_cache.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "phy/phy.h"
@@ -57,7 +58,11 @@ class IdealPhy final : public PhyInterface {
 
   // Checkpoint hooks (common/serialize.h wire format): the noise RNG
   // stream and the whole record arena; population and config are
-  // construction-time.
+  // construction-time. The arena's encoding is cached between saves
+  // (common/chunk_cache.h): only open records can change. RestoreState
+  // rejects a record slice outside the arena, a participant outside the
+  // population and an open count that disagrees with the rows.
+  void SaveState(anc::ser::Pieces& out) const;
   void SaveState(std::string* out) const;
   bool RestoreState(anc::ser::Reader& r);
 
@@ -75,8 +80,10 @@ class IdealPhy final : public PhyInterface {
   IdealPhyConfig config_;
   anc::Pcg32 rng_;
   std::vector<Record> records_;
-  std::vector<std::uint32_t> participants_arena_;
+  std::vector<std::uint32_t> participants_arena_;  // append-only
   std::size_t open_records_ = 0;
+  mutable anc::ser::VarintChunkCache<4> records_cache_;
+  mutable anc::ser::VarintChunkCache<1> participants_cache_;
 };
 
 }  // namespace anc::phy

@@ -23,36 +23,46 @@ struct Fingerprint {
   std::string service_name;
 };
 
+// Fills `ckpt` (reused across cuts, so its blobs keep their capacity)
+// and writes it. Durability order: the store is synced before the writer
+// snapshot is taken, and the snapshot before the file is renamed in.
 std::string CutCheckpoint(const std::string& path, const Fingerprint& fp,
                           std::uint64_t slot, const InventoryService& service,
                           const sim::Protocol& protocol,
-                          store::StoreFileSink* sink) {
-  ServiceCheckpoint ckpt;
-  ckpt.run_index = fp.run_index;
-  ckpt.base_seed = fp.base_seed;
-  ckpt.n_initial = fp.n_initial;
-  ckpt.max_slots = fp.max_slots;
-  ckpt.service_name = fp.service_name;
-  ckpt.slot = slot;
-  service.SaveState(&ckpt.service_blob, slot);
-  protocol.SaveState(&ckpt.protocol_blob);
+                          store::StoreFileSink* sink, ServiceCheckpoint* ckpt) {
+  ckpt->run_index = fp.run_index;
+  ckpt->base_seed = fp.base_seed;
+  ckpt->n_initial = fp.n_initial;
+  ckpt->max_slots = fp.max_slots;
+  ckpt->service_name = fp.service_name;
+  ckpt->slot = slot;
+  ckpt->service_blob.clear();
+  ckpt->protocol_blob.clear();
+  ckpt->writer_blob.clear();
+  service.SaveState(&ckpt->service_blob, slot);
+  protocol.SaveState(&ckpt->protocol_blob);
   if (sink != nullptr) {
     // Durability first: the writer snapshot's saved offset must be
     // backed by bytes that survive a kill the instant after rename.
     const std::string sync_err = sink->writer().SyncNow();
     if (!sync_err.empty()) return sync_err;
-    sink->writer().SaveState(&ckpt.writer_blob);
+    sink->writer().SaveState(&ckpt->writer_blob);
   }
-  return WriteCheckpointFile(path, ckpt);
+  return WriteCheckpointFile(path, *ckpt);
 }
 
-// Atomic durable write shared by checkpoint and .slo result files.
-std::string AtomicWriteFile(const std::string& path, std::string_view bytes) {
+// Atomic durable write shared by checkpoint and .slo result files: the
+// pieces land in "<path>.tmp" in order, are fsynced, then renamed.
+std::string AtomicWriteFile(const std::string& path,
+                            const ser::Pieces& pieces) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return "cannot open " + tmp;
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  bool wrote = true;
+  pieces.ForEach([&](std::string_view piece) {
+    wrote = wrote &&
+            std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
+  });
   const bool flushed = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   if (std::fclose(f) != 0 || !wrote || !flushed) {
     std::remove(tmp.c_str());
@@ -63,6 +73,29 @@ std::string AtomicWriteFile(const std::string& path, std::string_view bytes) {
     return "rename to " + path + " failed";
   }
   return "";
+}
+
+// Appends the CRC-32 of every byte in `pieces` so far, little-endian:
+// the trailer of checkpoint and .slo files.
+void PutCrcTrailer(ser::Pieces& pieces) {
+  std::uint32_t crc = 0;
+  pieces.ForEach(
+      [&crc](std::string_view piece) { crc = store::Crc32(piece, crc); });
+  for (int i = 0; i < 4; ++i) {
+    pieces.bytes().push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
+  }
+}
+
+// The fields before the blobs, shared by the encoder and the file writer.
+void PutCheckpointHead(std::string& out, const ServiceCheckpoint& ckpt) {
+  out.append(kCheckpointMagic);
+  ser::PutVarint(out, ckpt.version);
+  ser::PutVarint(out, ckpt.run_index);
+  ser::PutVarint(out, ckpt.base_seed);
+  ser::PutVarint(out, ckpt.n_initial);
+  ser::PutVarint(out, ckpt.max_slots);
+  ser::PutBytes(out, ckpt.service_name);
+  ser::PutVarint(out, ckpt.slot);
 }
 
 std::string ReadWholeFile(const std::string& path, std::string* out) {
@@ -87,14 +120,7 @@ constexpr std::string_view kSloMagic = "ANCSLO01";
 
 std::string EncodeCheckpoint(const ServiceCheckpoint& ckpt) {
   std::string out;
-  out.append(kCheckpointMagic);
-  ser::PutVarint(out, ckpt.version);
-  ser::PutVarint(out, ckpt.run_index);
-  ser::PutVarint(out, ckpt.base_seed);
-  ser::PutVarint(out, ckpt.n_initial);
-  ser::PutVarint(out, ckpt.max_slots);
-  ser::PutBytes(out, ckpt.service_name);
-  ser::PutVarint(out, ckpt.slot);
+  PutCheckpointHead(out, ckpt);
   ser::PutBytes(out, ckpt.service_blob);
   ser::PutBytes(out, ckpt.protocol_blob);
   ser::PutBytes(out, ckpt.writer_blob);
@@ -145,7 +171,16 @@ std::string DecodeCheckpoint(std::string_view bytes, ServiceCheckpoint* out) {
 
 std::string WriteCheckpointFile(const std::string& path,
                                 const ServiceCheckpoint& ckpt) {
-  const std::string err = AtomicWriteFile(path, EncodeCheckpoint(ckpt));
+  // EncodeCheckpoint's bytes, written from the blobs in place.
+  ser::Pieces pieces;
+  PutCheckpointHead(pieces.bytes(), ckpt);
+  for (const std::string* blob :
+       {&ckpt.service_blob, &ckpt.protocol_blob, &ckpt.writer_blob}) {
+    ser::PutVarint(pieces.bytes(), blob->size());
+    pieces.AddView(*blob);
+  }
+  PutCrcTrailer(pieces);
+  const std::string err = AtomicWriteFile(path, pieces);
   return err.empty() ? "" : "checkpoint: " + err;
 }
 
@@ -159,14 +194,11 @@ std::string ReadCheckpointFile(const std::string& path,
 
 std::string WriteSloReportFile(const std::string& path,
                                const SloReport& report) {
-  std::string bytes;
-  bytes.append(kSloMagic);
-  PutSloReport(bytes, report);
-  const std::uint32_t crc = store::Crc32(bytes);
-  for (int i = 0; i < 4; ++i) {
-    bytes.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  const std::string err = AtomicWriteFile(path, bytes);
+  ser::Pieces pieces;
+  pieces.bytes().append(kSloMagic);
+  PutSloReport(pieces.bytes(), report);
+  PutCrcTrailer(pieces);
+  const std::string err = AtomicWriteFile(path, pieces);
   return err.empty() ? "" : "slo: " + err;
 }
 
@@ -230,6 +262,7 @@ SloReport RunSoakResumable(const sim::ProtocolFactory& factory,
 
   const Fingerprint fp{run_index, options.base_seed, options.n_initial,
                        config.max_slots, service_name};
+  ServiceCheckpoint cut;  // reused by every cut of this run
   InventoryService::RunHooks hooks;
   hooks.abort_before_slot = resumable.abort_before_slot;
   hooks.aborted = aborted;
@@ -240,8 +273,9 @@ SloReport RunSoakResumable(const sim::ProtocolFactory& factory,
     hooks.on_checkpoint = [&](std::uint64_t slot) {
       // Best-effort: a failed checkpoint write must not kill the run —
       // the previous checkpoint (if any) stays valid on disk.
-      const std::string err = CutCheckpoint(resumable.checkpoint_path, fp,
-                                            slot, service, *protocol, sink);
+      const std::string err =
+          CutCheckpoint(resumable.checkpoint_path, fp, slot, service,
+                        *protocol, sink, &cut);
       if (!err.empty()) {
         std::fprintf(stderr, "anc: checkpoint skipped: %s\n", err.c_str());
       }
@@ -333,6 +367,7 @@ std::string ResumeSoak(const sim::ProtocolFactory& factory,
 
   const Fingerprint fp{run_index, options.base_seed, options.n_initial,
                        config.max_slots, service_name};
+  ServiceCheckpoint cut;  // reused by every cut of this run
   InventoryService::RunHooks hooks;
   hooks.abort_before_slot = resumable.abort_before_slot;
   hooks.aborted = aborted;
@@ -343,7 +378,7 @@ std::string ResumeSoak(const sim::ProtocolFactory& factory,
     hooks.on_checkpoint = [&](std::uint64_t at_slot) {
       const std::string err =
           CutCheckpoint(resumable.checkpoint_path, fp, at_slot, service,
-                        *protocol, sink.get());
+                        *protocol, sink.get(), &cut);
       if (!err.empty()) {
         std::fprintf(stderr, "anc: checkpoint skipped: %s\n", err.c_str());
       }

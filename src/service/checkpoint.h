@@ -56,7 +56,8 @@ struct ServiceCheckpoint {
 std::string EncodeCheckpoint(const ServiceCheckpoint& ckpt);
 std::string DecodeCheckpoint(std::string_view bytes, ServiceCheckpoint* out);
 
-// File IO. WriteCheckpointFile is atomic: the bytes land in
+// File IO. WriteCheckpointFile writes EncodeCheckpoint's bytes straight
+// from the blobs (no whole-file copy), atomically: they land in
 // "<path>.tmp", are fsynced, then renamed over `path`.
 std::string WriteCheckpointFile(const std::string& path,
                                 const ServiceCheckpoint& ckpt);

@@ -5,13 +5,15 @@
 namespace anc::store {
 namespace {
 
-// Slice-by-8 tables: kTables[0] is the classic bytewise table; entry i of
-// kTables[k] is the CRC contribution of byte i followed by k zero bytes,
-// so eight input bytes fold into the register with eight lookups.
+// Slice-by-16 tables: kTables[0] is the classic bytewise table; entry i
+// of kTables[k] is the CRC contribution of byte i followed by k zero
+// bytes, so sixteen input bytes fold into the register with sixteen
+// lookups.
 using Table = std::array<std::uint32_t, 256>;
+constexpr std::size_t kSlices = 16;
 
-constexpr std::array<Table, 8> MakeTables() {
-  std::array<Table, 8> tables{};
+constexpr std::array<Table, kSlices> MakeTables() {
+  std::array<Table, kSlices> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
@@ -19,7 +21,7 @@ constexpr std::array<Table, 8> MakeTables() {
     }
     tables[0][i] = c;
   }
-  for (std::size_t k = 1; k < 8; ++k) {
+  for (std::size_t k = 1; k < kSlices; ++k) {
     for (std::uint32_t i = 0; i < 256; ++i) {
       const std::uint32_t prev = tables[k - 1][i];
       tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
@@ -38,6 +40,14 @@ inline std::uint32_t Load32(const unsigned char* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+// The contribution of the four bytes of `w`, the first of them `first`
+// bytes from the end of a 16-byte stride.
+inline std::uint32_t Fold4(std::uint32_t w, std::size_t first) {
+  const auto& t = kTables;
+  return t[first][w & 0xFF] ^ t[first - 1][(w >> 8) & 0xFF] ^
+         t[first - 2][(w >> 16) & 0xFF] ^ t[first - 3][w >> 24];
+}
+
 }  // namespace
 
 std::uint32_t Crc32(std::string_view bytes, std::uint32_t seed) {
@@ -45,12 +55,9 @@ std::uint32_t Crc32(std::string_view bytes, std::uint32_t seed) {
   const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
   std::size_t n = bytes.size();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = c ^ Load32(p);
-    const std::uint32_t hi = Load32(p + 4);
-    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
-        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  for (; n >= kSlices; p += kSlices, n -= kSlices) {
+    c = Fold4(c ^ Load32(p), 15) ^ Fold4(Load32(p + 4), 11) ^
+        Fold4(Load32(p + 8), 7) ^ Fold4(Load32(p + 12), 3);
   }
   for (; n > 0; ++p, --n) {
     c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);

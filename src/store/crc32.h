@@ -2,8 +2,8 @@
 // and footer integrity check of the trace store container. The trace
 // layer's CRC-16/CCITT (common/crc16.h) models the over-the-air tag CRC;
 // this one guards on-disk bytes, where the 16-bit variant's collision
-// rate over 64 KiB blocks would be too weak. Slice-by-8: eight table
-// lookups per eight input bytes, the same values as the bytewise loop.
+// rate over 64 KiB blocks would be too weak. Slice-by-16: sixteen table
+// lookups per sixteen input bytes, the same values as the bytewise loop.
 // `seed` chains: Crc32(b, Crc32(a)) == Crc32(a + b).
 #pragma once
 

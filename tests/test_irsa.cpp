@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "blob_patch.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
@@ -270,17 +271,10 @@ TEST(Crdsa, SlotMixRecorded) {
 
 // ---- checkpoint input validation -----------------------------------------
 
-// One varint of a checkpoint blob: its offset and encoded length.
-struct Field {
-  std::size_t pos = 0;
-  std::size_t len = 0;
-};
-
-Field NextVarint(ser::Reader& r) {
-  const std::size_t pos = r.pos;
-  r.Varint();
-  return {pos, r.pos - pos};
-}
+using testing_blob::Field;
+using testing_blob::NextVarint;
+using testing_blob::Patch;
+using testing_blob::ValueAt;
 
 // The varints of an Irsa::SaveState blob that a restore must check,
 // located by walking the layout SaveState writes.
@@ -334,17 +328,6 @@ BlobFields Walk(std::string_view blob, bool seeded) {
   }
   EXPECT_TRUE(r.ok && r.AtEnd());
   return b;
-}
-
-std::string Patch(std::string blob, Field f, std::uint64_t value) {
-  std::string varint;
-  ser::PutVarint(varint, value);
-  return blob.replace(f.pos, f.len, varint);
-}
-
-std::uint64_t ValueAt(std::string_view blob, Field f) {
-  ser::Reader r{blob.substr(f.pos, f.len)};
-  return r.Varint();
 }
 
 // A real mid-run blob; seeded runs step on until a record is stored.
