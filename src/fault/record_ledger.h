@@ -93,10 +93,13 @@ class RecordLedger {
     ser::PutVarint(*out, open_.size());
     for (phy::RecordHandle h : open_) ser::PutVarint(*out, h.index());
   }
+  // RestoreState rejects an open list that is not exactly the open
+  // records, each once: victim picks and TTL sweeps index metas_ by it.
   bool RestoreState(ser::Reader& r) {
     slot_ = r.Varint();
     frame_ = r.Varint();
-    metas_.assign(static_cast<std::size_t>(r.Varint()), Meta{});
+    metas_.assign(static_cast<std::size_t>(r.Count()), Meta{});
+    std::size_t open = 0;
     for (Meta& m : metas_) {
       m.opened_slot = r.Varint();
       m.opened_frame = r.Varint();
@@ -105,10 +108,16 @@ class RecordLedger {
       m.resolve_failures = static_cast<std::uint32_t>(r.Varint());
       m.open = r.Bool();
       m.corrupt = r.Bool();
+      open += m.open ? 1 : 0;
     }
-    open_.assign(static_cast<std::size_t>(r.Varint()), phy::RecordHandle{});
+    open_.assign(static_cast<std::size_t>(r.Count()), phy::RecordHandle{});
+    if (open_.size() != open) return false;
+    std::vector<bool> listed(metas_.size(), false);
     for (phy::RecordHandle& h : open_) {
-      h = phy::RecordHandle(static_cast<std::uint32_t>(r.Varint()));
+      const std::uint64_t v = r.Varint();
+      if (v >= metas_.size() || !metas_[v].open || listed[v]) return false;
+      listed[v] = true;
+      h = phy::RecordHandle(static_cast<std::uint32_t>(v));
     }
     return r.ok;
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/factories.h"
@@ -141,6 +142,57 @@ TEST(RecordLedger, EvictionPolicyVictims) {
     const phy::RecordHandle victim = open_three(ledger);
     EXPECT_LT(victim.index(), 3u);  // some open record, deterministic per seed
   }
+}
+
+// A checkpoint's open list must name exactly the open records, each once:
+// the victim pick and the TTL sweep index the per-record metadata by it.
+TEST(RecordLedger, RestoreRejectsBadOpenList) {
+  fault::RecordStorePolicy store;
+  store.capacity = 8;
+  store.eviction = fault::EvictionPolicy::kLargestK;
+  fault::FaultCounters counters;
+  anc::Pcg32 rng(9, 9);
+  fault::RecordLedger ledger(store, &counters, &rng);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    ledger.Tick(10 + i, 1);
+    ASSERT_EQ(ledger.Open(phy::RecordHandle{i}, 2 + i), phy::kInvalidRecord);
+  }
+  ledger.Close(phy::RecordHandle{1},
+               fault::RecordLedger::CloseReason::kResolved);
+  std::string blob;
+  ledger.SaveState(&blob);
+
+  // Locate the meta count and the open list: slot, frame, metas (five
+  // varints and two bools each), then the list.
+  ser::Reader walk{blob};
+  walk.Varint();
+  walk.Varint();
+  const std::size_t metas_at = walk.pos;
+  const std::uint64_t metas = walk.Varint();
+  ASSERT_EQ(metas, 4u);
+  for (std::uint64_t i = 0; i < 7 * metas; ++i) walk.Varint();
+  const std::size_t list_at = walk.pos;
+  ASSERT_EQ(walk.Varint(), 3u);  // records 0, 2, 3
+  const std::size_t first_at = walk.pos;
+  ASSERT_EQ(walk.Varint(), 0u);
+  ASSERT_TRUE(walk.ok);
+
+  const auto restores = [&](std::string bytes) {
+    fault::RecordLedger fresh(store, &counters, &rng);
+    ser::Reader r{bytes};
+    return fresh.RestoreState(r) && r.AtEnd();
+  };
+  const auto patch = [&](std::size_t at, char value) {
+    std::string bytes = blob;
+    bytes[at] = value;  // every patched varint here is one byte
+    return bytes;
+  };
+  ASSERT_TRUE(restores(blob));
+  EXPECT_FALSE(restores(patch(first_at, 4)));   // past the metadata
+  EXPECT_FALSE(restores(patch(first_at, 1)));   // a closed record
+  EXPECT_FALSE(restores(patch(first_at, 2)));   // listed twice
+  EXPECT_FALSE(restores(patch(list_at, 2)));    // shorter than the open set
+  EXPECT_FALSE(restores(patch(metas_at, 0x7F)));  // more metas than bytes
 }
 
 TEST(FaultEngine, BoundedStoreCompletesAndReconciles) {
