@@ -11,15 +11,6 @@ Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream)
   operator()();
 }
 
-Pcg32::result_type Pcg32::operator()() {
-  const std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  const auto xorshifted =
-      static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
-  const auto rot = static_cast<std::uint32_t>(old >> 59);
-  return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
-}
-
 std::uint32_t Pcg32::UniformBelow(std::uint32_t bound) {
   if (bound <= 1) return 0;
   // Lemire's nearly-divisionless method.
@@ -33,14 +24,6 @@ std::uint32_t Pcg32::UniformBelow(std::uint32_t bound) {
     }
   }
   return static_cast<std::uint32_t>(m >> 32);
-}
-
-double Pcg32::UniformDouble() {
-  // 53 random bits into [0, 1).
-  const std::uint64_t hi = operator()();
-  const std::uint64_t lo = operator()();
-  const std::uint64_t bits53 = ((hi << 32) | lo) >> 11;
-  return static_cast<double>(bits53) * 0x1.0p-53;
 }
 
 double Pcg32::Normal() {

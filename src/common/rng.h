@@ -26,13 +26,28 @@ class Pcg32 {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()();
+  // Defined inline (with UniformDouble): the waveform noise kernel draws
+  // twice per sample, and an out-of-line call keeps the state in memory.
+  result_type operator()() {
+    const std::uint64_t old = state_;
+    state_ = old * 6364136223846793005ULL + inc_;
+    const auto xorshifted =
+        static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
+    const auto rot = static_cast<std::uint32_t>(old >> 59);
+    return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
+  }
 
   // Uniform integer in [0, bound) without modulo bias (Lemire rejection).
   std::uint32_t UniformBelow(std::uint32_t bound);
 
   // Uniform double in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    // 53 random bits into [0, 1).
+    const std::uint64_t hi = operator()();
+    const std::uint64_t lo = operator()();
+    const std::uint64_t bits53 = ((hi << 32) | lo) >> 11;
+    return static_cast<double>(bits53) * 0x1.0p-53;
+  }
 
   // Standard normal via Box-Muller (cached second value).
   double Normal();

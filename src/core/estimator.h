@@ -13,6 +13,7 @@
 // excluded from the average.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -68,11 +69,13 @@ class EmbeddedEstimator {
     floor_total_ = r.F64();
     informative_frames_ = static_cast<std::size_t>(r.Varint());
     if (!anc::ReadRunningStats(r, samples_)) return false;
-    const auto n = static_cast<std::size_t>(r.Varint());
+    // Update keeps at most window_ frames (none when window_ == 0).
+    const std::uint64_t n = r.Varint();
+    if (!r.ok || n > window_) return false;
     recent_.clear();
-    for (std::size_t i = 0; i < n && r.ok; ++i) recent_.push_back(r.F64());
+    for (std::uint64_t i = 0; i < n && r.ok; ++i) recent_.push_back(r.F64());
     recent_sum_ = r.F64();
-    return r.ok;
+    return r.ok && std::isfinite(recent_sum_);
   }
 
  private:

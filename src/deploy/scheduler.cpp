@@ -30,8 +30,12 @@ class SequentialScheduler final : public Scheduler {
     anc::ser::PutVarint(*out, cursor_);
   }
   bool RestoreState(anc::ser::Reader& r) override {
-    cursor_ = static_cast<std::uint32_t>(r.Varint());
-    return r.ok;
+    // NextSlot indexes `pending` with the cursor: bound it before the
+    // narrowing cast (0 stays valid when there are no readers).
+    const std::uint64_t cursor = r.Varint();
+    if (!r.ok || (cursor != 0 && cursor >= n_)) return false;
+    cursor_ = static_cast<std::uint32_t>(cursor);
+    return true;
   }
 
  private:

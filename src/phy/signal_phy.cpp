@@ -102,6 +102,7 @@ SignalPhy::SignalPhy(std::span<const TagId> population,
       config_(config),
       rng_(rng),
       codec_(config.samples_per_bit, config.preamble_bits),
+      modulator_(codec_.modulation()),
       resolver_(config.subtraction, config.samples_per_bit),
       references_(population.size()) {
   channels_.reserve(population.size());
@@ -129,22 +130,19 @@ SignalPhy::SignalPhy(std::span<const TagId> population,
 SignalPhy::~SignalPhy() = default;
 
 std::span<const Sample> SignalPhy::CachedWaveform(std::uint32_t tag) {
-  Sample* slot = wave_cache_.data() + frame_samples_ * tag;
+  const std::span<Sample> slot(wave_cache_.data() + frame_samples_ * tag,
+                               frame_samples_);
   if (!wave_cached_[tag]) {
-    const Buffer unit = codec_.Encode(population_[tag]);
+    modulator_.ModulateInto(codec_.FrameBits(population_[tag]), slot);
     if (channels_[tag].cfo_per_sample == 0.0) {
       // Slot-invariant rotation: cache the as-received waveform outright
       // (bit-identical to recomputing it per slot, since the slot phase
       // advance is cfo * slot * samples = 0).
-      Buffer applied;
-      anc::signal::ApplyChannelInto(unit, channels_[tag], &applied);
-      std::copy(applied.begin(), applied.end(), slot);
-    } else {
-      std::copy(unit.begin(), unit.end(), slot);
+      anc::signal::ApplyChannelInto(slot, channels_[tag], slot);
     }
     wave_cached_[tag] = 1;
   }
-  return {slot, frame_samples_};
+  return slot;
 }
 
 std::span<const Sample> SignalPhy::ReceivedWaveform(
@@ -161,8 +159,10 @@ std::span<const Sample> SignalPhy::ReceivedWaveform(
                    static_cast<double>(slot_index) *
                    static_cast<double>(frame_samples_);
   if (synth_pool_.size() <= pool_index) synth_pool_.resize(pool_index + 1);
-  anc::signal::ApplyChannelInto(cached, channel, &synth_pool_[pool_index]);
-  return synth_pool_[pool_index];
+  Buffer& synth = synth_pool_[pool_index];
+  synth.resize(cached.size());
+  anc::signal::ApplyChannelInto(cached, channel, synth);
+  return synth;
 }
 
 std::uint32_t SignalPhy::AcquireSlab() {

@@ -15,7 +15,13 @@
 //     With zero CFO the channel rotation is slot-independent, so the
 //     cached channel-applied waveform is bit-exact for every slot; with
 //     CFO the unit MSK frame is cached and only the slot-phase rotation
-//     is recomputed per transmission.
+//     is recomputed per transmission. Synthesis writes straight into the
+//     cache slot, rotating in place.
+//   * One MSK phase-walk table (signal/msk.h) per instance serves every
+//     tag of the run: all frames walk the same few hundred phase
+//     doubles, so cos/sin run once per distinct phase instead of once
+//     per sample, with bit-identical output. The table is an instance
+//     member, never shared, so instances stay thread-confined.
 //   * Record waveforms live in a slab arena: fixed-stride slices of one
 //     flat buffer, recycled through a free list on release. Record
 //     metadata is a flat vector indexed by handle (handles are never
@@ -44,6 +50,7 @@
 #include "phy/phy.h"
 #include "signal/anc_resolver.h"
 #include "signal/channel.h"
+#include "signal/msk.h"
 #include "signal/waveform_codec.h"
 
 namespace anc::phy {
@@ -154,6 +161,7 @@ class SignalPhy final : public PhyInterface {
   SignalPhyConfig config_;
   anc::Pcg32 rng_;
   anc::signal::WaveformCodec codec_;
+  anc::signal::MskModulator modulator_;  // phase-walk table for the run
   anc::signal::AncResolver resolver_;
   std::vector<anc::signal::ChannelParams> channels_;
   std::vector<anc::signal::Buffer> references_;

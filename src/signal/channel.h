@@ -25,10 +25,10 @@ struct ChannelParams {
 // Returns the channel-transformed copy of x.
 Buffer ApplyChannel(std::span<const Sample> x, const ChannelParams& params);
 
-// Channel-transforms x into *out (resized; allocation-free once out has
-// capacity) — the hot-path variant for reusable scratch buffers.
+// Channel-transforms x into `out`, which must hold x.size() samples and
+// may be x itself (in place) — the allocation-free hot-path variant.
 void ApplyChannelInto(std::span<const Sample> x, const ChannelParams& params,
-                      Buffer* out);
+                      std::span<Sample> out);
 
 // Adds circularly-symmetric complex Gaussian noise of total power
 // `noise_power` = E|n|^2 to y in place. Draws per sample via the ziggurat

@@ -8,9 +8,9 @@
 // Pcg32::Normal() itself is left untouched: Binomial()'s normal-
 // approximation path feeds the engine's transmitter selection, and
 // changing its draw sequence would invalidate the committed golden
-// traces. Only the signal layer (whose realizations are checked
-// statistically, not byte-wise, against the pre-batched build) uses this
-// sampler.
+// traces. Only the signal layer uses this sampler; its draws are pinned
+// byte-wise by tests/golden/fcat_signal_smoke.trace, so the table and
+// the draw order below must not change.
 //
 // Determinism: table construction and the sampler use only exp/log/sqrt
 // and IEEE double arithmetic in a fixed order, so draws are reproducible

@@ -4,7 +4,7 @@ namespace anc::signal {
 
 WaveformCodec::WaveformCodec(int samples_per_bit, int preamble_bits)
     : preamble_bits_(preamble_bits),
-      modulator_(MskParams{samples_per_bit, 1.0, 0.0}),
+      modulation_{samples_per_bit, 1.0, 0.0},
       demodulator_(samples_per_bit) {}
 
 std::vector<std::uint8_t> WaveformCodec::FrameBits(const TagId& id) const {
@@ -19,7 +19,7 @@ std::vector<std::uint8_t> WaveformCodec::FrameBits(const TagId& id) const {
 }
 
 Buffer WaveformCodec::Encode(const TagId& id) const {
-  return modulator_.Modulate(FrameBits(id));
+  return MskModulator(modulation_).Modulate(FrameBits(id));
 }
 
 std::optional<TagId> WaveformCodec::Decode(

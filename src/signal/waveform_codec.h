@@ -23,8 +23,13 @@ class WaveformCodec {
   // Full over-the-air bit frame for an ID.
   [[nodiscard]] std::vector<std::uint8_t> FrameBits(const TagId& id) const;
 
-  // Unit-amplitude transmit waveform for an ID.
+  // Unit-amplitude transmit waveform for an ID. Builds a throwaway
+  // phase-walk table; a caller that encodes many IDs modulates
+  // FrameBits() through its own MskModulator(modulation()) instead.
   [[nodiscard]] Buffer Encode(const TagId& id) const;
+
+  // The modulator parameters Encode uses.
+  const MskParams& modulation() const { return modulation_; }
 
   // Demodulates a received waveform; returns the ID when the preamble
   // matches and the CRC validates, nullopt otherwise (collision or noise).
@@ -44,11 +49,11 @@ class WaveformCodec {
   std::size_t frame_bits() const {
     return static_cast<std::size_t>(preamble_bits_) + TagId::kTotalBits;
   }
-  int samples_per_bit() const { return modulator_.params().samples_per_bit; }
+  int samples_per_bit() const { return modulation_.samples_per_bit; }
 
  private:
   int preamble_bits_;
-  MskModulator modulator_;
+  MskParams modulation_;
   MskDemodulator demodulator_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "blob_patch.h"
 #include "deploy/geometry.h"
 
 namespace anc::deploy {
@@ -127,6 +128,38 @@ TEST(DeployScheduler, ColorwaveIsDeterministicForAFixedSeed) {
   for (int slot = 0; slot < 200; ++slot) {
     EXPECT_EQ(a->NextSlot(pending), b->NextSlot(pending));
   }
+}
+
+TEST(DeployScheduler, SequentialRestoreRejectsOutOfRangeCursor) {
+  const InterferenceGraph graph = RandomGraph(5, 6);
+  auto scheduler =
+      MakeScheduler(SchedulerPolicy::kSequential, graph, anc::Pcg32(1));
+  const std::vector<bool> pending(6, true);
+  for (int slot = 0; slot < 3; ++slot) scheduler->NextSlot(pending);
+  std::string blob;
+  scheduler->SaveState(&blob);
+  ser::Reader walk{blob};
+  const testing_blob::Field cursor = testing_blob::NextVarint(walk);
+  ASSERT_EQ(testing_blob::ValueAt(blob, cursor), 3u);
+
+  // Past the reader vector, and a value whose low 32 bits are in range.
+  for (std::uint64_t bad : {std::uint64_t{6}, std::uint64_t{1000},
+                            (std::uint64_t{1} << 32) + 1}) {
+    auto fresh =
+        MakeScheduler(SchedulerPolicy::kSequential, graph, anc::Pcg32(1));
+    const std::string patched = testing_blob::Patch(blob, cursor, bad);
+    ser::Reader r{patched};
+    EXPECT_FALSE(fresh->RestoreState(r)) << "cursor " << bad;
+  }
+  // The last reader is a valid cursor, and the restored scheduler resumes
+  // the round-robin there.
+  auto fresh =
+      MakeScheduler(SchedulerPolicy::kSequential, graph, anc::Pcg32(1));
+  const std::string last = testing_blob::Patch(blob, cursor, 5);
+  ser::Reader r{last};
+  ASSERT_TRUE(fresh->RestoreState(r));
+  EXPECT_EQ(fresh->NextSlot(pending), (std::vector<std::uint32_t>{5}));
+  EXPECT_EQ(fresh->NextSlot(pending), (std::vector<std::uint32_t>{0}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "analysis/estimator_model.h"
+#include "blob_patch.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -149,6 +150,52 @@ TEST(EmbeddedEstimator, DegenerateProbabilitiesIgnored) {
   est.Update(10, 1.0, 0);
   EXPECT_EQ(est.InformativeFrames(), 0u);
   EXPECT_DOUBLE_EQ(est.EstimatedTotal(), 123.0);
+}
+
+// The recent-frame count of a SaveState blob: after the floor (F64), the
+// informative-frame varint and the running stats (varint + 4 x F64).
+testing_blob::Field RecentCountField(const std::string& blob) {
+  ser::Reader r{blob};
+  r.F64();
+  r.Varint();
+  RunningStats stats;
+  EXPECT_TRUE(ReadRunningStats(r, stats));
+  return testing_blob::NextVarint(r);
+}
+
+TEST(EmbeddedEstimator, RestoreRejectsPatchedWindow) {
+  for (std::size_t window : {std::size_t{0}, std::size_t{4}}) {
+    EmbeddedEstimator est(30, 1.414, 30.0, window);
+    for (int i = 0; i < 9; ++i) est.Update(3 + i % 4, 0.05, 0);
+    std::string blob;
+    est.SaveState(&blob);
+    const testing_blob::Field count = RecentCountField(blob);
+    ASSERT_EQ(testing_blob::ValueAt(blob, count), window);
+
+    // Round trip.
+    EmbeddedEstimator same(30, 1.414, 30.0, window);
+    ser::Reader ok{blob};
+    ASSERT_TRUE(same.RestoreState(ok));
+    EXPECT_EQ(same.EstimatedTotal(), est.EstimatedTotal());
+
+    // One frame more than the window holds, with its F64 appended before
+    // the sum so that only the count is wrong.
+    std::string longer = testing_blob::Patch(blob, count, window + 1);
+    longer.insert(longer.size() - 8, 8, '\0');
+    EmbeddedEstimator fresh(30, 1.414, 30.0, window);
+    ser::Reader r{longer};
+    EXPECT_FALSE(fresh.RestoreState(r)) << "window " << window;
+
+    // A non-finite running sum.
+    std::string inf_sum = blob;
+    const double inf = HUGE_VAL;
+    std::string bits;
+    ser::PutF64(bits, inf);
+    inf_sum.replace(inf_sum.size() - 8, 8, bits);
+    EmbeddedEstimator fresh2(30, 1.414, 30.0, window);
+    ser::Reader r2{inf_sum};
+    EXPECT_FALSE(fresh2.RestoreState(r2)) << "window " << window;
+  }
 }
 
 }  // namespace

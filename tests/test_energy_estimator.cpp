@@ -20,7 +20,7 @@ std::vector<std::uint8_t> RandomBits(std::size_t n, anc::Pcg32& rng) {
 
 Buffer TwoSignalMixture(double a, double b, anc::Pcg32& rng,
                         std::size_t bits = 512) {
-  const MskModulator mod(MskParams{8, 1.0, 0.0});
+  MskModulator mod(MskParams{8, 1.0, 0.0});
   Buffer s1 = ApplyChannel(mod.Modulate(RandomBits(bits, rng)),
                            {a, 2.0 * M_PI * rng.UniformDouble(), 0.0});
   Buffer s2 = ApplyChannel(mod.Modulate(RandomBits(bits, rng)),
@@ -74,7 +74,7 @@ TEST(EnergyEstimator, SigmaMinusMuIsFourABOverPi) {
 TEST(EnergyEstimator, SingleSignalDegenerates) {
   // A pure constant-envelope signal: weaker component ~ 0.
   anc::Pcg32 rng(13);
-  const MskModulator mod(MskParams{8, 1.0, 0.0});
+  MskModulator mod(MskParams{8, 1.0, 0.0});
   const Buffer solo = mod.Modulate(RandomBits(256, rng));
   const AmplitudeEstimate est = EstimateTwoAmplitudes(solo);
   ASSERT_TRUE(est.valid);

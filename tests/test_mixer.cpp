@@ -53,7 +53,7 @@ TEST(Mixer, OffsetsShiftConstituents) {
 
 TEST(Mixer, MixtureMinusConstituentIsOther) {
   anc::Pcg32 rng(1);
-  const MskModulator mod(MskParams{8, 1.0, 0.0});
+  MskModulator mod(MskParams{8, 1.0, 0.0});
   std::vector<std::uint8_t> bits_a(64), bits_b(64);
   for (auto& b : bits_a) b = static_cast<std::uint8_t>(rng() & 1);
   for (auto& b : bits_b) b = static_cast<std::uint8_t>(rng() & 1);

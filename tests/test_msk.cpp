@@ -18,7 +18,7 @@ std::vector<std::uint8_t> RandomBits(std::size_t n, anc::Pcg32& rng) {
 
 TEST(Msk, ConstantEnvelope) {
   anc::Pcg32 rng(1);
-  const MskModulator mod(MskParams{8, 2.5, 0.3});
+  MskModulator mod(MskParams{8, 2.5, 0.3});
   const Buffer y = mod.Modulate(RandomBits(64, rng));
   for (const Sample& s : y) {
     EXPECT_NEAR(std::abs(s), 2.5, 1e-9);
@@ -26,7 +26,7 @@ TEST(Msk, ConstantEnvelope) {
 }
 
 TEST(Msk, PhaseAdvancesHalfPiPerBit) {
-  const MskModulator mod(MskParams{16, 1.0, 0.0});
+  MskModulator mod(MskParams{16, 1.0, 0.0});
   const std::uint8_t one_bits[] = {1, 1, 1, 1};
   const Buffer ones = mod.Modulate(one_bits);
   // After k bits of '1', accumulated phase = k * pi/2.
@@ -44,7 +44,7 @@ class MskRoundTrip : public ::testing::TestWithParam<int> {};
 TEST_P(MskRoundTrip, NoiselessRecovery) {
   const int samples_per_bit = GetParam();
   anc::Pcg32 rng(100 + samples_per_bit);
-  const MskModulator mod(MskParams{samples_per_bit, 1.0, 0.0});
+  MskModulator mod(MskParams{samples_per_bit, 1.0, 0.0});
   const MskDemodulator demod(samples_per_bit);
   for (int trial = 0; trial < 20; ++trial) {
     const auto bits = RandomBits(96, rng);
@@ -60,7 +60,7 @@ TEST(Msk, RecoveryThroughChannel) {
   // Attenuation and phase rotation must not affect the phase-difference
   // detector.
   anc::Pcg32 rng(7);
-  const MskModulator mod(MskParams{8, 1.0, 0.0});
+  MskModulator mod(MskParams{8, 1.0, 0.0});
   const MskDemodulator demod(8);
   for (int trial = 0; trial < 20; ++trial) {
     const auto bits = RandomBits(96, rng);
@@ -73,7 +73,7 @@ TEST(Msk, RecoveryThroughChannel) {
 
 TEST(Msk, BerLowAtHighSnr) {
   anc::Pcg32 rng(8);
-  const MskModulator mod(MskParams{8, 1.0, 0.0});
+  MskModulator mod(MskParams{8, 1.0, 0.0});
   const MskDemodulator demod(8);
   int errors = 0, total = 0;
   for (int trial = 0; trial < 50; ++trial) {
@@ -91,7 +91,7 @@ TEST(Msk, BerLowAtHighSnr) {
 
 TEST(Msk, BerDegradesMonotonicallyWithNoise) {
   anc::Pcg32 rng(9);
-  const MskModulator mod(MskParams{8, 1.0, 0.0});
+  MskModulator mod(MskParams{8, 1.0, 0.0});
   const MskDemodulator demod(8);
   auto ber_at = [&](double snr_db) {
     int errors = 0, total = 0;

@@ -7,6 +7,8 @@
 // a completed run must leave no collision record open in the phy arena.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/factories.h"
@@ -83,6 +85,38 @@ TEST(SignalTrace, NoOpenRecordsAfterCompletedRun) {
     EXPECT_EQ(protocol->phy().OpenRecords(), 0u)
         << "demod_pool=" << demod_pool;
     EXPECT_EQ(protocol->OpenPhyRecords(), 0u);
+  }
+}
+
+// ---- the waveform golden, re-recorded in-process ---------------------------
+
+// The bytes `trace_inspect record --protocol=fcat-signal --n=40 --runs=2
+// --seed=1 --demod-pool=<pool>` writes.
+std::string RecordSignalGolden(unsigned demod_pool) {
+  core::FcatSignalOptions o;
+  o.signal.demod_pool_threads = demod_pool;
+  sim::ExperimentOptions eo;
+  eo.n_tags = 40;
+  eo.runs = 2;
+  eo.base_seed = 1;
+  trace::MultiRunRecorder recorder(eo.runs);
+  eo.trace_factory = recorder.Factory();
+  sim::RunExperiment(core::MakeFcatSignalFactory(o), eo);
+  return trace::EncodeTrace(recorder.File());
+}
+
+TEST(SignalGolden, FcatSignalSmokeReRecordsByteIdentical) {
+  // The trace pins every stored float of the waveform path: synthesis,
+  // channel, noise, mixing, subtraction and demodulation all feed it.
+  std::ifstream in(ANC_GOLDEN_DIR "/fcat_signal_smoke.trace",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  ASSERT_FALSE(golden.str().empty());
+  for (unsigned demod_pool : {0u, 2u}) {
+    EXPECT_TRUE(RecordSignalGolden(demod_pool) == golden.str())
+        << "fcat_signal_smoke.trace drifted at demod_pool=" << demod_pool;
   }
 }
 
