@@ -22,6 +22,7 @@
 #include "core/factories.h"
 #include "phy/timing.h"
 #include "sim/runner.h"
+#include "trace/jsonl.h"
 #include "trace/recorder.h"
 
 namespace anc::bench {
@@ -61,15 +62,7 @@ inline std::string JsonNum(double v) {
   return buf;
 }
 
-inline std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
+inline std::string JsonStr(const std::string& s) { return trace::JsonStr(s); }
 
 inline std::string JsonStats(const RunningStats& s) {
   return "{\"count\":" + std::to_string(s.count()) +

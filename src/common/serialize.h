@@ -1,20 +1,20 @@
-// Checkpoint serialization primitives (crash-safe resumable soaks).
-//
-// A tiny header-only codec — LEB128-style varints, length-prefixed byte
-// strings and IEEE-754 bit-pattern doubles — shared by every layer that
-// snapshots mutable state into a service checkpoint (common RNG/stats,
-// phy record stores, the collision-aware engine, coded-ALOHA protocols,
-// deployments and the service itself). The byte format matches the
-// trace wire codec (trace/binary.h) so checkpoint blobs diff cleanly
-// next to trace bytes, but lives in common so the bottom layers can
-// serialize without depending on the trace library.
+// The byte codec of every stored format: v1 traces, ANCSTORE blocks and
+// footers, ANCCKPT checkpoints and .slo result files. It holds unsigned
+// LEB128 varints, length-prefixed byte strings, and little-endian
+// fixed-width integers and IEEE-754 bit-pattern doubles. It is
+// header-only and lives in common so the bottom layers (common RNG and
+// stats, the phy record stores, the engine, protocols, deployments, the
+// service) can serialize without depending on the trace or store
+// libraries.
 //
 // Doubles are stored as their exact little-endian IEEE-754 bit pattern:
 // a restored estimator continues bit-identically, which is what the
 // resume-vs-uninterrupted byte-identity tests rely on.
 //
-// The Reader latches `ok` on the first truncated read and returns 0
-// from then on; callers check once at the end (fail-closed decode).
+// The Reader latches `ok = false` on the first bad read, which returns
+// 0; callers check once at the end (fail-closed decode). It accepts
+// shortest-form varints only, the only form any writer here emits, so
+// every accepted input re-encodes to the same bytes.
 //
 // Arrays go through PutVarints / AppendVarints: raw WriteVarint stores
 // into a stack buffer, appended a few kilobytes at a time — the same
@@ -31,8 +31,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -118,12 +118,16 @@ void PutVarints(std::string& out, const Range& items, Fields fields = {}) {
 
 inline void PutBool(std::string& out, bool b) { PutByte(out, b ? 1 : 0); }
 
+inline void PutU32Le(std::string& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+inline void PutU64Le(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
 inline void PutF64(std::string& out, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof bits);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(bits >> (8 * i)));
-  }
+  PutU64Le(out, std::bit_cast<std::uint64_t>(d));
 }
 
 inline void PutBytes(std::string& out, std::string_view s) {
@@ -201,19 +205,29 @@ struct Reader {
     return static_cast<std::uint8_t>(bytes[pos++]);
   }
 
+  // Shortest-form varints only: a zero final byte after a continuation,
+  // or bits past 64, would decode to a value that re-encodes to other
+  // bytes, so both fail like truncation. At most 10 bytes are examined,
+  // with one bounds check per call rather than per byte.
   std::uint64_t Varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (pos >= bytes.size() || shift > 63) {
-        ok = false;
-        return 0;
-      }
-      const auto b = static_cast<std::uint8_t>(bytes[pos++]);
-      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
+    if (pos >= bytes.size()) {
+      ok = false;
+      return 0;
     }
+    const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data()) + pos;
+    const std::size_t avail = std::min<std::size_t>(bytes.size() - pos, 10);
+    std::uint64_t v = 0;
+    for (std::size_t k = 0; k < avail; ++k) {
+      const std::uint8_t b = p[k];
+      v |= static_cast<std::uint64_t>(b & 0x7F) << (7 * k);
+      if (b < 0x80) {
+        if (k > 0 && (b == 0 || (k == 9 && b > 1))) break;
+        pos += k + 1;
+        return v;
+      }
+    }
+    ok = false;
+    return 0;
   }
 
   // A count of items that follow, each taking at least one byte: a count
@@ -230,23 +244,9 @@ struct Reader {
 
   bool Bool() { return Byte() != 0; }
 
-  double F64() {
-    if (bytes.size() - pos < 8 || pos > bytes.size()) {
-      ok = false;
-      pos = bytes.size();
-      return 0.0;
-    }
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(bytes[pos + i]))
-              << (8 * i);
-    }
-    pos += 8;
-    double d = 0.0;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-  }
+  std::uint32_t U32Le() { return static_cast<std::uint32_t>(FixedLe(4)); }
+  std::uint64_t U64Le() { return FixedLe(8); }
+  double F64() { return std::bit_cast<double>(U64Le()); }
 
   std::string_view Bytes() {
     const std::uint64_t n = Varint();
@@ -260,6 +260,24 @@ struct Reader {
   }
 
   bool AtEnd() const { return pos == bytes.size(); }
+
+ private:
+  // An n-byte little-endian integer; too few bytes left latch !ok and
+  // consume the rest.
+  std::uint64_t FixedLe(std::size_t n) {
+    if (pos > bytes.size() || bytes.size() - pos < n) {
+      ok = false;
+      pos = bytes.size();
+      return 0;
+    }
+    const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data()) + pos;
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
+    pos += n;
+    return v;
+  }
 };
 
 }  // namespace anc::ser

@@ -1,6 +1,7 @@
 #include "service/checkpoint.h"
 
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include <unistd.h>
@@ -81,9 +82,16 @@ void PutCrcTrailer(ser::Pieces& pieces) {
   std::uint32_t crc = 0;
   pieces.ForEach(
       [&crc](std::string_view piece) { crc = store::Crc32(piece, crc); });
-  for (int i = 0; i < 4; ++i) {
-    pieces.bytes().push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
+  ser::PutU32Le(pieces.bytes(), crc);
+}
+
+// The bytes before a CRC trailer that matches them, or nullopt.
+// `bytes` holds at least the 4-byte trailer.
+std::optional<std::string_view> CrcCheckedBody(std::string_view bytes) {
+  const std::string_view body = bytes.substr(0, bytes.size() - 4);
+  ser::Reader trailer{bytes.substr(body.size())};
+  if (store::Crc32(body) != trailer.U32Le()) return std::nullopt;
+  return body;
 }
 
 // The fields before the blobs, shared by the encoder and the file writer.
@@ -124,10 +132,7 @@ std::string EncodeCheckpoint(const ServiceCheckpoint& ckpt) {
   ser::PutBytes(out, ckpt.service_blob);
   ser::PutBytes(out, ckpt.protocol_blob);
   ser::PutBytes(out, ckpt.writer_blob);
-  const std::uint32_t crc = store::Crc32(out);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
+  ser::PutU32Le(out, store::Crc32(out));
   return out;
 }
 
@@ -138,17 +143,9 @@ std::string DecodeCheckpoint(std::string_view bytes, ServiceCheckpoint* out) {
   if (bytes.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
     return "checkpoint: bad magic (not an ANCCKPT file)";
   }
-  const std::string_view body = bytes.substr(0, bytes.size() - 4);
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(
-                  static_cast<std::uint8_t>(bytes[bytes.size() - 4 + i]))
-              << (8 * i);
-  }
-  if (store::Crc32(body) != stored) {
-    return "checkpoint: checksum mismatch (torn or corrupt)";
-  }
-  ser::Reader r{body.substr(kCheckpointMagic.size())};
+  const auto body = CrcCheckedBody(bytes);
+  if (!body) return "checkpoint: checksum mismatch (torn or corrupt)";
+  ser::Reader r{body->substr(kCheckpointMagic.size())};
   ServiceCheckpoint ckpt;
   ckpt.version = r.Varint();
   if (r.ok && (ckpt.version < kCheckpointVersionMin ||
@@ -210,16 +207,9 @@ std::string ReadSloReportFile(const std::string& path, SloReport* out) {
       std::string_view(bytes).substr(0, kSloMagic.size()) != kSloMagic) {
     return "slo: not a result file";
   }
-  const std::string_view body =
-      std::string_view(bytes).substr(0, bytes.size() - 4);
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(
-                  static_cast<std::uint8_t>(bytes[bytes.size() - 4 + i]))
-              << (8 * i);
-  }
-  if (store::Crc32(body) != stored) return "slo: checksum mismatch";
-  ser::Reader r{body.substr(kSloMagic.size())};
+  const auto body = CrcCheckedBody(bytes);
+  if (!body) return "slo: checksum mismatch";
+  ser::Reader r{body->substr(kSloMagic.size())};
   SloReport report;
   if (!ReadSloReport(r, report) || !r.AtEnd()) return "slo: truncated body";
   if (out != nullptr) *out = report;

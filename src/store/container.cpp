@@ -17,7 +17,6 @@
 namespace anc::store {
 namespace {
 
-namespace wire = trace::wire;
 using trace::EventKind;
 using trace::FieldSpec;
 using trace::TraceEvent;
@@ -42,26 +41,6 @@ inline std::uint64_t ZigZag(std::uint64_t delta_bits) {
 
 inline std::uint64_t UnZigZag(std::uint64_t enc) {
   return (enc >> 1) ^ (0ull - (enc & 1));
-}
-
-inline void PutU64Le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-inline void PutU32Le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-inline std::uint64_t GetU64Le(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-inline std::uint32_t GetU32Le(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
 }
 
 // Per-run cumulative counters the footer carries for query seeding
@@ -111,22 +90,38 @@ void FillBlockCoverage(const std::vector<TraceEvent>& events, BlockMeta* m) {
 }
 
 void PutBlockMeta(std::string& out, const BlockMeta& m) {
-  wire::PutVarint(out, m.run_ordinal);
-  wire::PutVarint(out, m.offset);
-  wire::PutVarint(out, m.raw_len);
-  wire::PutVarint(out, m.comp_len);
-  wire::PutVarint(out, m.crc32);
-  wire::PutVarint(out, m.first_event);
-  wire::PutVarint(out, m.n_events);
-  wire::PutVarint(out, m.min_frame);
-  wire::PutVarint(out, m.max_frame);
-  wire::PutVarint(out, m.first_slot);
-  wire::PutVarint(out, m.last_slot);
-  wire::PutVarint(out, m.acks_cum);
-  wire::PutVarint(out, m.arrives_cum);
-  wire::PutVarint(out, m.departs_cum);
-  wire::PutVarint(out, m.detects_cum);
-  wire::PutVarint(out, m.population_end);
+  ser::PutVarint(out, m.run_ordinal);
+  ser::PutVarint(out, m.offset);
+  ser::PutVarint(out, m.raw_len);
+  ser::PutVarint(out, m.comp_len);
+  ser::PutVarint(out, m.crc32);
+  ser::PutVarint(out, m.first_event);
+  ser::PutVarint(out, m.n_events);
+  ser::PutVarint(out, m.min_frame);
+  ser::PutVarint(out, m.max_frame);
+  ser::PutVarint(out, m.first_slot);
+  ser::PutVarint(out, m.last_slot);
+  ser::PutVarint(out, m.acks_cum);
+  ser::PutVarint(out, m.arrives_cum);
+  ser::PutVarint(out, m.departs_cum);
+  ser::PutVarint(out, m.detects_cum);
+  ser::PutVarint(out, m.population_end);
+}
+
+// A run's footer entry: its header, then its event and block span.
+void PutStoredRun(std::string& out, const StoredRun& run) {
+  trace::PutRunHeader(out, run.header);
+  ser::PutVarint(out, run.n_events);
+  ser::PutVarint(out, run.first_block);
+  ser::PutVarint(out, run.n_blocks);
+}
+
+bool GetStoredRun(ser::Reader& r, StoredRun* run) {
+  if (!trace::GetRunHeader(r, &run->header)) return false;
+  run->n_events = r.Varint();
+  run->first_block = static_cast<std::size_t>(r.Varint());
+  run->n_blocks = static_cast<std::size_t>(r.Varint());
+  return r.ok;
 }
 
 // Footer + trailer serialization, shared by StoreWriter::Finish and the
@@ -136,19 +131,9 @@ std::string BuildFooterBytes(const std::vector<StoredRun>& runs,
                              const std::vector<BlockMeta>& blocks) {
   std::string footer;
   footer.push_back(kFooterMarker);
-  wire::PutVarint(footer, runs.size());
-  for (const StoredRun& run : runs) {
-    wire::PutVarint(footer, run.header.run_index);
-    wire::PutVarint(footer, run.header.base_seed);
-    wire::PutVarint(footer, run.header.n_tags);
-    wire::PutVarint(footer, run.header.max_slots_per_tag);
-    wire::PutVarint(footer, run.header.protocol.size());
-    footer += run.header.protocol;
-    wire::PutVarint(footer, run.n_events);
-    wire::PutVarint(footer, run.first_block);
-    wire::PutVarint(footer, run.n_blocks);
-  }
-  wire::PutVarint(footer, blocks.size());
+  ser::PutVarint(footer, runs.size());
+  for (const StoredRun& run : runs) PutStoredRun(footer, run);
+  ser::PutVarint(footer, blocks.size());
   for (const BlockMeta& meta : blocks) PutBlockMeta(footer, meta);
   return footer;
 }
@@ -156,13 +141,13 @@ std::string BuildFooterBytes(const std::vector<StoredRun>& runs,
 std::string BuildTrailerBytes(std::uint64_t footer_offset,
                               const std::string& footer) {
   std::string tail;
-  PutU64Le(tail, footer_offset);
-  PutU32Le(tail, Crc32(footer));
+  ser::PutU64Le(tail, footer_offset);
+  ser::PutU32Le(tail, Crc32(footer));
   tail += kStoreEndMagic;
   return tail;
 }
 
-bool GetBlockMeta(wire::Reader& r, BlockMeta* m) {
+bool GetBlockMeta(ser::Reader& r, BlockMeta* m) {
   m->run_ordinal = r.Varint();
   m->offset = r.Varint();
   m->raw_len = r.Varint();
@@ -180,6 +165,21 @@ bool GetBlockMeta(wire::Reader& r, BlockMeta* m) {
   m->detects_cum = r.Varint();
   m->population_end = r.Varint();
   return r.ok;
+}
+
+// Per run: the running max frame over its blocks, FindBlockForFrame's
+// search structure.
+std::vector<std::vector<std::uint64_t>> RunningMaxFrames(
+    const std::vector<StoredRun>& runs, const std::vector<BlockMeta>& blocks) {
+  std::vector<std::vector<std::uint64_t>> out(runs.size());
+  for (std::size_t ri = 0; ri < runs.size(); ++ri) {
+    std::uint64_t running = 0;
+    for (std::size_t b = 0; b < runs[ri].n_blocks; ++b) {
+      running = std::max(running, blocks[runs[ri].first_block + b].max_frame);
+      out[ri].push_back(running);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -219,25 +219,25 @@ class KindIndex {
 // ok == false when the payload ends first. Varint columns end at their
 // count-th final byte, so reading `count` values consumes the reader
 // exactly unless one of them is malformed.
-wire::Reader NextColumn(std::string_view raw, std::size_t* pos,
-                        FieldSpec::Type type, std::uint64_t count) {
+ser::Reader NextColumn(std::string_view raw, std::size_t* pos,
+                       FieldSpec::Type type, std::uint64_t count) {
   std::size_t end = *pos;
   if (type == FieldSpec::Type::kByte) {
-    if (count > raw.size() - end) return wire::Reader{{}, 0, false};
+    if (count > raw.size() - end) return ser::Reader{{}, 0, false};
     end += static_cast<std::size_t>(count);
   } else {
     for (; count > 0; ++end) {
-      if (end == raw.size()) return wire::Reader{{}, 0, false};
+      if (end == raw.size()) return ser::Reader{{}, 0, false};
       count -= static_cast<std::uint8_t>(raw[end]) < 0x80;
     }
   }
-  const wire::Reader column{raw.substr(*pos, end - *pos)};
+  const ser::Reader column{raw.substr(*pos, end - *pos)};
   *pos = end;
   return column;
 }
 
 // Appends bytes and varints through a stack buffer: the bytes of
-// wire::PutVarint/PutByte without a capacity check per byte.
+// ser::PutVarint/PutByte without a capacity check per byte.
 class ColumnWriter {
  public:
   void Varint(std::uint64_t v) {
@@ -323,7 +323,7 @@ namespace {
 // DecodeBlockPayload's body: fills *out, or returns an error.
 std::string DecodeColumns(std::string_view raw, std::uint64_t expect_events,
                           std::vector<TraceEvent>* out) {
-  wire::Reader head{raw};
+  ser::Reader head{raw};
   const std::uint64_t n = head.Varint();
   if (!head.ok) return "truncated block payload header";
   if (n != expect_events) {
@@ -333,7 +333,7 @@ std::string DecodeColumns(std::string_view raw, std::uint64_t expect_events,
   // Every event takes a kind byte plus reader, slot and frame varints.
   if (n > raw.size() / 4) return "event count exceeds payload size";
   std::size_t pos = head.pos;
-  const wire::Reader kinds = NextColumn(raw, &pos, FieldSpec::Type::kByte, n);
+  const ser::Reader kinds = NextColumn(raw, &pos, FieldSpec::Type::kByte, n);
   if (!kinds.ok) return "truncated kind column";
   for (const char c : kinds.bytes) {
     const auto kb = static_cast<std::uint8_t>(c);
@@ -342,9 +342,9 @@ std::string DecodeColumns(std::string_view raw, std::uint64_t expect_events,
     }
   }
   // The kind, reader, slot and frame columns fill each event in one pass.
-  wire::Reader readers = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
-  wire::Reader slots = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
-  wire::Reader frames = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  ser::Reader readers = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  ser::Reader slots = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  ser::Reader frames = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
   if (!readers.ok || !slots.ok || !frames.ok) {
     return "truncated reader/slot/frame columns";
   }
@@ -381,7 +381,7 @@ std::string DecodeColumns(std::string_view raw, std::uint64_t expect_events,
     // reload both after every field.
     TraceEvent* const decoded = out->data();
     for (const FieldSpec f : trace::EventFields(kind)) {
-      wire::Reader column = NextColumn(raw, &pos, f.type, events.size());
+      ser::Reader column = NextColumn(raw, &pos, f.type, events.size());
       const std::uint64_t limit = f.Limit();
       std::uint64_t clock = 0;
       for (const std::uint32_t i : events) {
@@ -427,8 +427,8 @@ std::string StoreWriter::Open(const std::string& path,
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) return error_ = "cannot open " + path + " for write";
   std::string header(kStoreMagic);
-  wire::PutVarint(header, kStoreVersion);
-  wire::PutVarint(header, trace::kTraceVersion);
+  ser::PutVarint(header, kStoreVersion);
+  ser::PutVarint(header, trace::kTraceVersion);
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     return error_ = "short write to " + path;
   }
@@ -444,12 +444,7 @@ void StoreWriter::BeginRun(const trace::RunHeader& header) {
   // the data region alone when the footer never landed.
   std::string marker;
   marker.push_back(kRunMarker);
-  wire::PutVarint(marker, header.run_index);
-  wire::PutVarint(marker, header.base_seed);
-  wire::PutVarint(marker, header.n_tags);
-  wire::PutVarint(marker, header.max_slots_per_tag);
-  wire::PutVarint(marker, header.protocol.size());
-  marker += header.protocol;
+  trace::PutRunHeader(marker, header);
   if (std::fwrite(marker.data(), 1, marker.size(), file_) != marker.size()) {
     error_ = "short write (run marker)";
     return;
@@ -503,9 +498,9 @@ std::string StoreWriter::FlushBlock() {
 
   std::string head;
   head.push_back(kBlockMarker);
-  wire::PutVarint(head, meta.raw_len);
-  wire::PutVarint(head, meta.comp_len);
-  wire::PutVarint(head, meta.crc32);  // v2: blocks self-validate
+  ser::PutVarint(head, meta.raw_len);
+  ser::PutVarint(head, meta.comp_len);
+  ser::PutVarint(head, meta.crc32);  // v2: blocks self-validate
   if (std::fwrite(head.data(), 1, head.size(), file_) != head.size()) {
     return "short write (block header)";
   }
@@ -575,31 +570,21 @@ void StoreWriter::SaveState(std::string* out) const {
   // Mid-run writer snapshot: file offset, full index so far, cumulative
   // counters and the buffered partial block (as a columnar payload).
   // Everything a resumed writer needs to continue byte-identically.
-  wire::PutVarint(*out, offset_);
-  wire::PutVarint(*out, events_in_run_);
-  wire::PutByte(*out, run_open_ ? 1 : 0);
-  wire::PutVarint(*out, acks_cum_);
-  wire::PutVarint(*out, arrives_cum_);
-  wire::PutVarint(*out, departs_cum_);
-  wire::PutVarint(*out, detects_cum_);
-  wire::PutVarint(*out, population_);
-  wire::PutVarint(*out, runs_.size());
-  for (const StoredRun& run : runs_) {
-    wire::PutVarint(*out, run.header.run_index);
-    wire::PutVarint(*out, run.header.base_seed);
-    wire::PutVarint(*out, run.header.n_tags);
-    wire::PutVarint(*out, run.header.max_slots_per_tag);
-    wire::PutVarint(*out, run.header.protocol.size());
-    *out += run.header.protocol;
-    wire::PutVarint(*out, run.n_events);
-    wire::PutVarint(*out, run.first_block);
-    wire::PutVarint(*out, run.n_blocks);
-  }
-  wire::PutVarint(*out, blocks_.size());
+  ser::PutVarint(*out, offset_);
+  ser::PutVarint(*out, events_in_run_);
+  ser::PutByte(*out, run_open_ ? 1 : 0);
+  ser::PutVarint(*out, acks_cum_);
+  ser::PutVarint(*out, arrives_cum_);
+  ser::PutVarint(*out, departs_cum_);
+  ser::PutVarint(*out, detects_cum_);
+  ser::PutVarint(*out, population_);
+  ser::PutVarint(*out, runs_.size());
+  for (const StoredRun& run : runs_) PutStoredRun(*out, run);
+  ser::PutVarint(*out, blocks_.size());
   for (const BlockMeta& meta : blocks_) PutBlockMeta(*out, meta);
   const std::string pending = EncodeBlockPayload(buffer_);
-  wire::PutVarint(*out, buffer_.size());
-  wire::PutVarint(*out, pending.size());
+  ser::PutVarint(*out, buffer_.size());
+  ser::PutVarint(*out, pending.size());
   *out += pending;
 }
 
@@ -610,7 +595,7 @@ std::string StoreWriter::RestoreOpen(const std::string& path,
   options_ = options;
   if (options_.block_events == 0) options_.block_events = 1;
 
-  wire::Reader r{state};
+  ser::Reader r{state};
   const std::uint64_t offset = r.Varint();
   const std::uint64_t events_in_run = r.Varint();
   const bool run_open = r.Byte() != 0;
@@ -625,19 +610,7 @@ std::string StoreWriter::RestoreOpen(const std::string& path,
   runs.reserve(static_cast<std::size_t>(n_runs));
   for (std::uint64_t i = 0; i < n_runs; ++i) {
     StoredRun run;
-    run.header.run_index = r.Varint();
-    run.header.base_seed = r.Varint();
-    run.header.n_tags = r.Varint();
-    run.header.max_slots_per_tag = r.Varint();
-    const std::uint64_t name_len = r.Varint();
-    if (!r.ok || name_len > state.size() - r.pos) {
-      return "corrupt writer state (run header)";
-    }
-    run.header.protocol = std::string(state.substr(r.pos, name_len));
-    r.pos += name_len;
-    run.n_events = r.Varint();
-    run.first_block = static_cast<std::size_t>(r.Varint());
-    run.n_blocks = static_cast<std::size_t>(r.Varint());
+    if (!GetStoredRun(r, &run)) return "corrupt writer state (run header)";
     runs.push_back(std::move(run));
   }
   const std::uint64_t n_blocks = r.Varint();
@@ -753,7 +726,7 @@ std::string StoreReader::OpenLegacy(std::string bytes,
   legacy_bytes_ = std::move(bytes);
   file_bytes_ = legacy_bytes_.size();
   const std::string_view view = legacy_bytes_;
-  wire::Reader r{view, trace::kTraceMagic.size()};
+  ser::Reader r{view, trace::kTraceMagic.size()};
   const std::uint64_t version = r.Varint();
   if (!r.ok) return path + ": truncated header";
   if (version != trace::kTraceVersion) {
@@ -767,17 +740,10 @@ std::string StoreReader::OpenLegacy(std::string bytes,
              std::to_string(r.pos - 1);
     }
     StoredRun run;
-    run.header.run_index = r.Varint();
-    run.header.base_seed = r.Varint();
-    run.header.n_tags = r.Varint();
-    run.header.max_slots_per_tag = r.Varint();
-    const std::uint64_t name_len = r.Varint();
-    if (!r.ok || r.pos + name_len > view.size()) {
+    if (!trace::GetRunHeader(r, &run.header)) {
       return path + ": truncated run header at offset " +
              std::to_string(r.pos);
     }
-    run.header.protocol = std::string(view.substr(r.pos, name_len));
-    r.pos += name_len;
     run.first_block = blocks_.size();
     RunCounters counters;
     std::vector<TraceEvent> pending;
@@ -827,14 +793,7 @@ std::string StoreReader::OpenLegacy(std::string bytes,
     run.n_blocks = blocks_.size() - run.first_block;
     runs_.push_back(std::move(run));
   }
-  cummax_frame_.resize(runs_.size());
-  for (std::size_t ri = 0; ri < runs_.size(); ++ri) {
-    std::uint64_t running = 0;
-    for (std::size_t b = 0; b < runs_[ri].n_blocks; ++b) {
-      running = std::max(running, blocks_[runs_[ri].first_block + b].max_frame);
-      cummax_frame_[ri].push_back(running);
-    }
-  }
+  cummax_frame_ = RunningMaxFrames(runs_, blocks_);
   return "";
 }
 
@@ -859,7 +818,7 @@ std::string StoreReader::OpenStore(const std::string& path) {
   std::fseek(file_, 0, SEEK_SET);
   const std::size_t n_head =
       std::fread(head_buf, 1, sizeof head_buf, file_);
-  wire::Reader hr{std::string_view(head_buf, n_head), kStoreMagic.size()};
+  ser::Reader hr{std::string_view(head_buf, n_head), kStoreMagic.size()};
   const std::uint64_t store_version = hr.Varint();
   const std::uint64_t trace_version = hr.Varint();
   if (!hr.ok) return path + ": truncated store header";
@@ -883,20 +842,20 @@ std::string StoreReader::OpenStore(const std::string& path) {
     return path + ": no room for a trailer (torn store; " +
            "`trace_inspect recover` may salvage it)";
   }
-  unsigned char tail[kTrailerBytes];
+  char tail[kTrailerBytes];
   std::fseek(file_, end - static_cast<long>(kTrailerBytes), SEEK_SET);
   if (std::fread(tail, 1, kTrailerBytes, file_) != kTrailerBytes) {
     open_failure_ = OpenFailure::kIo;
     return path + ": short read (trailer)";
   }
-  if (std::string_view(reinterpret_cast<const char*>(tail) + 12, 8) !=
-      kStoreEndMagic) {
+  if (std::string_view(tail + 12, 8) != kStoreEndMagic) {
     open_failure_ = OpenFailure::kTornTail;
     return path + ": missing end magic (torn or unfinalized store; " +
            "`trace_inspect recover` may salvage it)";
   }
-  const std::uint64_t footer_offset = GetU64Le(tail);
-  const std::uint32_t footer_crc = GetU32Le(tail + 8);
+  ser::Reader tr{std::string_view(tail, kTrailerBytes)};
+  const std::uint64_t footer_offset = tr.U64Le();
+  const std::uint32_t footer_crc = tr.U32Le();
   if (footer_offset < header_len ||
       footer_offset > file_bytes_ - kTrailerBytes) {
     return path + ": footer offset " + std::to_string(footer_offset) +
@@ -914,28 +873,16 @@ std::string StoreReader::OpenStore(const std::string& path) {
     return path + ": footer CRC mismatch (corrupt index)";
   }
 
-  wire::Reader r{footer};
+  ser::Reader r{footer};
   if (r.Byte() != kFooterMarker) return path + ": bad footer marker";
   const std::uint64_t n_runs = r.Varint();
   if (!r.ok || n_runs > footer.size()) return path + ": corrupt footer";
   runs_.reserve(static_cast<std::size_t>(n_runs));
   for (std::uint64_t i = 0; i < n_runs; ++i) {
     StoredRun run;
-    run.header.run_index = r.Varint();
-    run.header.base_seed = r.Varint();
-    run.header.n_tags = r.Varint();
-    run.header.max_slots_per_tag = r.Varint();
-    const std::uint64_t name_len = r.Varint();
-    if (!r.ok || r.pos + name_len > footer.size()) {
+    if (!GetStoredRun(r, &run)) {
       return path + ": corrupt footer (run " + std::to_string(i) + ")";
     }
-    run.header.protocol =
-        std::string(std::string_view(footer).substr(r.pos, name_len));
-    r.pos += name_len;
-    run.n_events = r.Varint();
-    run.first_block = static_cast<std::size_t>(r.Varint());
-    run.n_blocks = static_cast<std::size_t>(r.Varint());
-    if (!r.ok) return path + ": corrupt footer (run " + std::to_string(i) + ")";
     runs_.push_back(std::move(run));
   }
   const std::uint64_t n_blocks = r.Varint();
@@ -969,14 +916,7 @@ std::string StoreReader::OpenStore(const std::string& path) {
       return path + ": run block range outside index";
     }
   }
-  cummax_frame_.resize(runs_.size());
-  for (std::size_t ri = 0; ri < runs_.size(); ++ri) {
-    std::uint64_t running = 0;
-    for (std::size_t b = 0; b < runs_[ri].n_blocks; ++b) {
-      running = std::max(running, blocks_[runs_[ri].first_block + b].max_frame);
-      cummax_frame_[ri].push_back(running);
-    }
-  }
+  cummax_frame_ = RunningMaxFrames(runs_, blocks_);
   return "";
 }
 
@@ -1009,7 +949,7 @@ std::string StoreReader::ReadBlock(std::size_t index,
   }
   if (legacy_) {
     // Pseudo-block over v1 row-format bytes: decode events directly.
-    wire::Reader r{payload};
+    ser::Reader r{payload};
     out->reserve(static_cast<std::size_t>(meta.n_events));
     for (std::uint64_t i = 0; i < meta.n_events; ++i) {
       const std::uint8_t kind = r.Byte();
@@ -1092,7 +1032,7 @@ std::string RecoverStoreFile(const std::string& in_path,
       std::string_view(bytes).substr(0, kStoreMagic.size()) != kStoreMagic) {
     return in_path + ": not an ANCSTORE file";
   }
-  wire::Reader r{bytes, kStoreMagic.size()};
+  ser::Reader r{bytes, kStoreMagic.size()};
   const std::uint64_t store_version = r.Varint();
   const std::uint64_t trace_version = r.Varint();
   if (!r.ok) return in_path + ": truncated store header (nothing to salvage)";
@@ -1141,18 +1081,11 @@ std::string RecoverStoreFile(const std::string& in_path,
     if (marker == kRunMarker) {
       ++r.pos;
       trace::RunHeader h;
-      h.run_index = r.Varint();
-      h.base_seed = r.Varint();
-      h.n_tags = r.Varint();
-      h.max_slots_per_tag = r.Varint();
-      const std::uint64_t name_len = r.Varint();
-      if (!r.ok || name_len > bytes.size() - r.pos) {
+      if (!trace::GetRunHeader(r, &h)) {
         torn = true;
         r.pos = segment_start;
         break;
       }
-      h.protocol = bytes.substr(r.pos, static_cast<std::size_t>(name_len));
-      r.pos += static_cast<std::size_t>(name_len);
       close_run();
       StoredRun run;
       run.header = std::move(h);
@@ -1209,7 +1142,7 @@ std::string RecoverStoreFile(const std::string& in_path,
       }
       raw = raw_storage;
     }
-    wire::Reader pr{raw};
+    ser::Reader pr{raw};
     const std::uint64_t n_events = pr.Varint();
     if (!pr.ok || n_events == 0) {
       return in_path + ": block" + at(segment_start) +

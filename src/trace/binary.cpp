@@ -6,22 +6,6 @@
 
 namespace anc::trace {
 
-namespace wire {
-
-void PutVarint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-void PutByte(std::string& out, std::uint8_t b) {
-  out.push_back(static_cast<char>(b));
-}
-
-}  // namespace wire
-
 namespace {
 
 constexpr char kRunMarker = 'R';
@@ -102,7 +86,7 @@ constexpr FieldSpec kEpochFields[] = {
 
 std::string FileHeaderBytes() {
   std::string out(kTraceMagic);
-  wire::PutVarint(out, kTraceVersion);
+  ser::PutVarint(out, kTraceVersion);
   return out;
 }
 
@@ -133,22 +117,22 @@ bool ValidEventKind(std::uint8_t kind_byte) {
 }
 
 void EncodeEvent(std::string& out, const TraceEvent& e) {
-  wire::PutByte(out, static_cast<std::uint8_t>(e.kind));
-  wire::PutVarint(out, e.reader);
-  wire::PutVarint(out, e.slot);
-  wire::PutVarint(out, e.frame);
+  ser::PutByte(out, static_cast<std::uint8_t>(e.kind));
+  ser::PutVarint(out, e.reader);
+  ser::PutVarint(out, e.slot);
+  ser::PutVarint(out, e.frame);
   const auto fields = EventFields(e.kind);
   for (std::size_t i = 0; i < fields.size(); ++i) {
     const std::uint64_t v = GetEventField(e, fields[i]);
     if (fields[i].type == Type::kByte) {
-      wire::PutByte(out, static_cast<std::uint8_t>(v));
+      ser::PutByte(out, static_cast<std::uint8_t>(v));
     } else {
-      wire::PutVarint(out, v);
+      ser::PutVarint(out, v);
     }
   }
 }
 
-bool DecodeEvent(wire::Reader& r, std::uint8_t kind_byte, TraceEvent* e) {
+bool DecodeEvent(ser::Reader& r, std::uint8_t kind_byte, TraceEvent* e) {
   if (!ValidEventKind(kind_byte)) return false;
   e->kind = static_cast<EventKind>(kind_byte);
   const std::uint64_t reader = r.Varint();
@@ -164,15 +148,27 @@ bool DecodeEvent(wire::Reader& r, std::uint8_t kind_byte, TraceEvent* e) {
   return r.ok;
 }
 
+void PutRunHeader(std::string& out, const RunHeader& h) {
+  ser::PutVarint(out, h.run_index);
+  ser::PutVarint(out, h.base_seed);
+  ser::PutVarint(out, h.n_tags);
+  ser::PutVarint(out, h.max_slots_per_tag);
+  ser::PutBytes(out, h.protocol);
+}
+
+bool GetRunHeader(ser::Reader& r, RunHeader* h) {
+  h->run_index = r.Varint();
+  h->base_seed = r.Varint();
+  h->n_tags = r.Varint();
+  h->max_slots_per_tag = r.Varint();
+  h->protocol = std::string(r.Bytes());
+  return r.ok;
+}
+
 std::string EncodeRun(const RunTrace& run) {
   std::string out;
   out.push_back(kRunMarker);
-  wire::PutVarint(out, run.header.run_index);
-  wire::PutVarint(out, run.header.base_seed);
-  wire::PutVarint(out, run.header.n_tags);
-  wire::PutVarint(out, run.header.max_slots_per_tag);
-  wire::PutVarint(out, run.header.protocol.size());
-  out += run.header.protocol;
+  PutRunHeader(out, run.header);
   for (const TraceEvent& e : run.events) EncodeEvent(out, e);
   out.push_back(kEndOfRun);
   return out;
@@ -183,79 +179,6 @@ std::string EncodeTrace(const TraceFile& file) {
   for (const RunTrace& run : file.runs) out += EncodeRun(run);
   return out;
 }
-
-std::string DecodeTrace(std::string_view bytes, TraceFile* out) {
-  out->runs.clear();
-  if (bytes.size() < kTraceMagic.size() ||
-      bytes.substr(0, kTraceMagic.size()) != kTraceMagic) {
-    return "bad magic: not an ANCTRACE file";
-  }
-  wire::Reader r{bytes, kTraceMagic.size()};
-  const std::uint64_t version = r.Varint();
-  if (!r.ok) return "truncated header";
-  if (version != kTraceVersion) {
-    return "unsupported trace version " + std::to_string(version) +
-           " (this build reads version " + std::to_string(kTraceVersion) + ")";
-  }
-  while (!r.AtEnd()) {
-    if (r.Byte() != kRunMarker) {
-      return "corrupt run marker at offset " + std::to_string(r.pos - 1);
-    }
-    RunTrace run;
-    run.header.run_index = r.Varint();
-    run.header.base_seed = r.Varint();
-    run.header.n_tags = r.Varint();
-    run.header.max_slots_per_tag = r.Varint();
-    const std::uint64_t name_len = r.Varint();
-    if (!r.ok || r.pos + name_len > bytes.size()) {
-      return "truncated run header at offset " + std::to_string(r.pos);
-    }
-    run.header.protocol = std::string(bytes.substr(r.pos, name_len));
-    r.pos += name_len;
-    for (;;) {
-      const std::uint8_t kind = r.Byte();
-      if (!r.ok) return "unterminated run block at offset " +
-                        std::to_string(r.pos);
-      if (kind == static_cast<std::uint8_t>(kEndOfRun)) break;
-      TraceEvent e;
-      if (!DecodeEvent(r, kind, &e)) {
-        return "corrupt event at offset " + std::to_string(r.pos);
-      }
-      run.events.push_back(e);
-    }
-    out->runs.push_back(std::move(run));
-  }
-  return "";
-}
-
-std::string ReadTraceFile(const std::string& path, TraceFile* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return "cannot open " + path;
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
-  const std::string err = DecodeTrace(bytes, out);
-  return err.empty() ? "" : path + ": " + err;
-}
-
-namespace {
-
-std::string AppendBytes(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (!f) return "cannot open " + path + " for append";
-  // A fresh (or truncated-empty) file needs the versioned header first.
-  std::string payload;
-  if (std::ftell(f) == 0) payload = FileHeaderBytes();
-  payload += bytes;
-  const bool ok =
-      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
-  std::fclose(f);
-  return ok ? "" : "short write to " + path;
-}
-
-}  // namespace
 
 std::string WriteTraceFile(const std::string& path, const TraceFile& file) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -268,15 +191,15 @@ std::string WriteTraceFile(const std::string& path, const TraceFile& file) {
 
 std::string AppendRunsToFile(const std::string& path,
                              std::span<const RunTrace> runs) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (!f) return "cannot open " + path + " for append";
+  // A fresh (or truncated-empty) file needs the versioned header first.
   std::string bytes;
+  if (std::ftell(f) == 0) bytes = FileHeaderBytes();
   for (const RunTrace& run : runs) bytes += EncodeRun(run);
-  return AppendBytes(path, bytes);
-}
-
-void BinaryFileSink::EndRun() {
-  const std::string err = AppendBytes(path_, EncodeRun(current_));
-  if (!err.empty()) error_ = err;
-  current_ = RunTrace{};
+  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  std::fclose(f);
+  return ok ? "" : "short write to " + path;
 }
 
 }  // namespace anc::trace

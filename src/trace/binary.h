@@ -14,12 +14,12 @@
 // invocation append one block per run to a growing --trace file.
 #pragma once
 
-#include <algorithm>
 #include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
 
+#include "common/serialize.h"
 #include "trace/sink.h"
 
 namespace anc::trace {
@@ -27,61 +27,10 @@ namespace anc::trace {
 inline constexpr std::string_view kTraceMagic = "ANCTRACE";
 inline constexpr std::uint64_t kTraceVersion = 1;
 
-// ---- Wire primitives -------------------------------------------------------
-//
-// The varint encoding and the per-kind payload schema are shared with the
-// block-compressed container (src/store), which re-serializes the same
-// fields in a column-major layout. Everything here is the single source
-// of truth for "what bytes does event kind K carry".
-namespace wire {
-
-void PutVarint(std::string& out, std::uint64_t v);
-void PutByte(std::string& out, std::uint8_t b);
-
-// Cursor over encoded input with latched error state; decode helpers
-// return 0 on underflow and set `ok = false` so callers check once.
-struct Reader {
-  std::string_view bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool AtEnd() const { return pos >= bytes.size(); }
-
-  std::uint8_t Byte() {
-    if (AtEnd()) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(bytes[pos++]);
-  }
-
-  // Shortest-form varints only: a zero final byte after a continuation,
-  // or bits past 64, would decode to a value that re-encodes to other
-  // bytes, so both fail like truncation. At most 10 bytes are examined,
-  // with one bounds check per call rather than per byte.
-  std::uint64_t Varint() {
-    if (AtEnd()) {
-      ok = false;
-      return 0;
-    }
-    const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data()) + pos;
-    const std::size_t avail = std::min<std::size_t>(bytes.size() - pos, 10);
-    std::uint64_t v = 0;
-    for (std::size_t k = 0; k < avail; ++k) {
-      const std::uint8_t b = p[k];
-      v |= static_cast<std::uint64_t>(b & 0x7F) << (7 * k);
-      if (b < 0x80) {
-        if (k > 0 && (b == 0 || (k == 9 && b > 1))) break;
-        pos += k + 1;
-        return v;
-      }
-    }
-    ok = false;
-    return 0;
-  }
-};
-
-}  // namespace wire
+// The per-kind payload schema below is shared with the block-compressed
+// container (src/store), which re-serializes the same fields in a
+// column-major layout: it is the single source of truth for "what bytes
+// does event kind K carry". Both formats encode through common/serialize.h.
 
 // One payload field of an event kind (the fields after the common
 // reader/slot/frame prefix), in wire order.
@@ -162,44 +111,25 @@ inline void SetEventField(TraceEvent& e, const FieldSpec& f,
 // kind byte, reader/slot/frame varints, then the schema fields).
 // DecodeEvent returns false on a malformed or truncated event.
 void EncodeEvent(std::string& out, const TraceEvent& e);
-bool DecodeEvent(wire::Reader& r, std::uint8_t kind_byte, TraceEvent* e);
+bool DecodeEvent(ser::Reader& r, std::uint8_t kind_byte, TraceEvent* e);
 
-// In-memory encode/decode. Decode* return "" on success, else a
-// human-readable error ("bad magic", "truncated event at offset N", ...).
+// A run header's fields in wire order: the v1 run block after its 'R'
+// marker, and the store's run markers, footer entries and writer
+// snapshot. GetRunHeader returns r.ok.
+void PutRunHeader(std::string& out, const RunHeader& h);
+bool GetRunHeader(ser::Reader& r, RunHeader* h);
+
+// The v1 writer. Files are read back through store::StoreReader, which
+// opens v1 traces as well as ANCSTORE files.
 std::string EncodeRun(const RunTrace& run);
 std::string EncodeTrace(const TraceFile& file);  // header + all run blocks
-std::string DecodeTrace(std::string_view bytes, TraceFile* out);
 
-// File round-trip. Read/Write/Append return "" on success, else an error.
-std::string ReadTraceFile(const std::string& path, TraceFile* out);
+// Write/Append return "" on success, else an error.
 std::string WriteTraceFile(const std::string& path, const TraceFile& file);
 // Appends run blocks to `path`, writing the versioned header first when
 // the file is new or empty (how the shared bench --trace flag accumulates
 // one block per run across data points).
 std::string AppendRunsToFile(const std::string& path,
                              std::span<const RunTrace> runs);
-
-// Streaming sink: buffers the current run in memory and appends its
-// encoded block to `path` on EndRun (header written on first use).
-class BinaryFileSink final : public TraceSink {
- public:
-  explicit BinaryFileSink(std::string path) : path_(std::move(path)) {}
-
-  void BeginRun(const RunHeader& header) override {
-    current_ = RunTrace{header, {}};
-  }
-  void OnEvent(const TraceEvent& event) override {
-    current_.events.push_back(event);
-  }
-  void EndRun() override;
-
-  // Error from the last flush attempt ("" if none).
-  const std::string& error() const { return error_; }
-
- private:
-  std::string path_;
-  RunTrace current_;
-  std::string error_;
-};
 
 }  // namespace anc::trace

@@ -1,17 +1,36 @@
 #include "trace/jsonl.h"
 
-namespace anc::trace {
-namespace {
+#include <cstdio>
 
-std::string JsonStr(const std::string& s) {
+namespace anc::trace {
+
+std::string JsonStr(std::string_view s) {
   std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char esc[7];
+          std::snprintf(esc, sizeof esc, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += esc;
+        } else {
+          out += c;
+        }
+    }
   }
   out += '"';
   return out;
 }
+
+namespace {
 
 std::string Num(std::uint64_t v) { return std::to_string(v); }
 
@@ -92,35 +111,6 @@ std::string EventToJson(const TraceEvent& e) {
   }
   s += "}";
   return s;
-}
-
-JsonlFileSink::JsonlFileSink(const std::string& path) {
-  if (path.empty()) return;
-  file_ = std::fopen(path.c_str(), "w");
-  if (!file_) {
-    std::fprintf(stderr, "warning: cannot open trace JSONL file %s\n",
-                 path.c_str());
-  }
-}
-
-JsonlFileSink::~JsonlFileSink() {
-  if (file_) std::fclose(file_);
-}
-
-void JsonlFileSink::BeginRun(const RunHeader& header) {
-  if (!file_) return;
-  const std::string line = RunHeaderToJson(header);
-  std::fprintf(file_, "%s\n", line.c_str());
-}
-
-void JsonlFileSink::OnEvent(const TraceEvent& event) {
-  if (!file_) return;
-  const std::string line = EventToJson(event);
-  std::fprintf(file_, "%s\n", line.c_str());
-}
-
-void JsonlFileSink::EndRun() {
-  if (file_) std::fflush(file_);
 }
 
 }  // namespace anc::trace

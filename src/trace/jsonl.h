@@ -1,6 +1,5 @@
-// Streaming JSONL sink: one JSON object per line, written as events are
-// emitted (no buffering beyond stdio's), so a trace survives a crashed or
-// killed run up to the last flushed line. Line shapes:
+// JSONL rendering of trace events, one JSON object per line (what
+// `trace_inspect filter --format=jsonl` prints). Line shapes:
 //
 //   {"type":"run_header","run":0,"base_seed":1,"n_tags":200,
 //    "max_slots_per_tag":100,"protocol":"FCAT-2"}
@@ -14,32 +13,17 @@
 // trace/binary.h.
 #pragma once
 
-#include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "trace/sink.h"
 
 namespace anc::trace {
 
-class JsonlFileSink final : public TraceSink {
- public:
-  // Truncates `path` ("" or an unopenable path disables the sink with a
-  // one-time stderr warning).
-  explicit JsonlFileSink(const std::string& path);
-  ~JsonlFileSink() override;
-
-  JsonlFileSink(const JsonlFileSink&) = delete;
-  JsonlFileSink& operator=(const JsonlFileSink&) = delete;
-
-  void BeginRun(const RunHeader& header) override;
-  void OnEvent(const TraceEvent& event) override;
-  void EndRun() override;
-
-  bool ok() const { return file_ != nullptr; }
-
- private:
-  std::FILE* file_ = nullptr;
-};
+// `s` as a JSON string literal (RFC 8259): `"`, `\` and the control
+// bytes U+0000..U+001F are escaped, every other byte passes through.
+// The bench harnesses' JSON lines quote their strings through it too.
+std::string JsonStr(std::string_view s);
 
 // The JSONL rendering of one event (shared with `trace_inspect filter
 // --format=jsonl`). No trailing newline.

@@ -1,16 +1,16 @@
 // The pluggable sink interface the traced protocols emit into, plus the
-// in-memory sink implementations (null, unbounded, bounded ring buffer).
+// in-memory sink implementations (null and unbounded memory). Files are
+// written by store::StoreFileSink and the v1 writer (trace/binary.h).
 //
 // Header-only on purpose: sim::Protocol carries a TraceContext and the
 // experiment runner drives sinks through this interface, but anc_sim must
 // not link against anc_trace (anc_trace's replay verifier depends on
 // anc_sim). Everything that needs a .cpp — the binary codec, JSONL
-// streaming, the multi-run recorder, diff, time series, replay — lives in
+// rendering, the multi-run recorder, diff, time series, replay — lives in
 // the anc_trace library proper.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -99,47 +99,6 @@ class MemorySink final : public TraceSink {
 
  private:
   std::vector<RunTrace> runs_;
-};
-
-// Bounded ring buffer: keeps the most recent `capacity` events of the
-// current run (flight-recorder style — cheap always-on tracing where only
-// the tail around a failure matters). Earlier events are counted, not
-// stored.
-class RingBufferSink final : public TraceSink {
- public:
-  explicit RingBufferSink(std::size_t capacity) : capacity_(capacity) {}
-
-  void BeginRun(const RunHeader& header) override {
-    header_ = header;
-    events_.clear();
-    dropped_ = 0;
-  }
-  void OnEvent(const TraceEvent& event) override {
-    if (capacity_ == 0) {
-      ++dropped_;
-      return;
-    }
-    if (events_.size() == capacity_) {
-      events_.pop_front();
-      ++dropped_;
-    }
-    events_.push_back(event);
-  }
-  void EndRun() override {}
-
-  const RunHeader& header() const { return header_; }
-  std::size_t capacity() const { return capacity_; }
-  // Events evicted (or rejected, for capacity 0) since BeginRun.
-  std::uint64_t dropped() const { return dropped_; }
-  std::vector<TraceEvent> Events() const {
-    return {events_.begin(), events_.end()};
-  }
-
- private:
-  std::size_t capacity_;
-  RunHeader header_;
-  std::deque<TraceEvent> events_;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace anc::trace

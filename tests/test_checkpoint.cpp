@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
+#include "deploy/deployment.h"
 #include "fault/injector.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
@@ -177,12 +178,8 @@ TEST(CheckpointCodec, RejectsVersionBump) {
   // byte 0x01), ..., 4-byte little-endian Crc32 trailer over the rest.
   ASSERT_EQ(bytes[8], '\x01');
   bytes[8] = static_cast<char>(kCheckpointVersion + 1);
-  const std::uint32_t crc =
-      store::Crc32(std::string_view(bytes).substr(0, bytes.size() - 4));
-  for (int i = 0; i < 4; ++i) {
-    bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
-        static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
+  bytes.resize(bytes.size() - 4);
+  ser::PutU32Le(bytes, store::Crc32(bytes));
   ServiceCheckpoint got;
   EXPECT_NE(DecodeCheckpoint(bytes, &got), "");
 }
@@ -255,13 +252,26 @@ std::vector<ResumeCase> CheckpointableFactories() {
   core::ScatOptions scat;
   scat.lambda = 2;
   scat.estimation_prestep = true;
+  // A 2x2 reader grid over a 40 m room: the blob nests every reader's
+  // FCAT state, the scheduler cursor and the merged inventory.
+  deploy::DeploymentConfig sequential;
+  sequential.policy = deploy::SchedulerPolicy::kSequential;
+  deploy::DeploymentConfig coloring;
+  coloring.policy = deploy::SchedulerPolicy::kColoring;
+  coloring.share_records = true;
   return {{"fcat2", core::MakeFcatFactory(fcat)},
           {"fcat2_chaos", core::MakeFcatFactory(chaos), true},
           {"scat2", core::MakeScatFactory(scat)},
           {"irsa", core::MakeIrsaFactory()},
           {"crdsa2", core::MakeCrdsaFactory()},
           {"seeded", core::MakeSeededFactory()},
-          {"seeded_cap2", core::MakeSeededFactory({}, 2), true}};
+          {"seeded_cap2", core::MakeSeededFactory({}, 2), true},
+          {"deploy_sequential_fcat2",
+           deploy::MakeDeploymentFactory(sequential,
+                                         core::MakeFcatFactory(fcat))},
+          {"deploy_coloring_fcat2",
+           deploy::MakeDeploymentFactory(coloring,
+                                         core::MakeFcatFactory(fcat))}};
 }
 
 // The waveform phy keeps no savable record store, so FCAT over it opts

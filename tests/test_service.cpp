@@ -9,6 +9,7 @@
 #include "core/factories.h"
 #include "deploy/deployment.h"
 #include "fault/injector.h"
+#include "read_back.h"
 #include "service/replay.h"
 #include "sim/population.h"
 #include "trace/binary.h"
@@ -309,9 +310,8 @@ TEST(ServiceReplay, ChurnEventsSurviveTheBinaryCodec) {
   ASSERT_EQ(sink.runs().size(), 1u);
 
   trace::TraceFile file{sink.runs()};
-  const std::string bytes = trace::EncodeTrace(file);
   trace::TraceFile decoded;
-  ASSERT_EQ(trace::DecodeTrace(bytes, &decoded), "");
+  ASSERT_EQ(testing_trace::ReadBack(trace::EncodeTrace(file), &decoded), "");
   EXPECT_EQ(decoded, file);
 
   bool saw_arrive = false, saw_depart = false, saw_detect = false,

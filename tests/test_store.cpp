@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "core/factories.h"
 #include "service/service.h"
 #include "store/crc32.h"
@@ -289,14 +290,8 @@ struct CorruptionCase {
   ~CorruptionCase() { std::remove(path.c_str()); }
 
   std::uint64_t FooterOffset() const {
-    std::uint64_t v = 0;
-    const std::size_t at = bytes.size() - 20;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes[at + i]))
-           << (8 * i);
-    }
-    return v;
+    ser::Reader trailer{std::string_view(bytes).substr(bytes.size() - 20)};
+    return trailer.U64Le();
   }
 };
 
@@ -357,10 +352,7 @@ TEST(StoreContainer, IndexPastEofIsRejected) {
   const std::uint64_t cut = footer / 2;
   std::string bad = c.bytes.substr(0, cut) +
                     c.bytes.substr(footer, c.bytes.size() - 20 - footer);
-  const std::uint64_t new_footer = cut;
-  for (int i = 0; i < 8; ++i) {
-    bad.push_back(static_cast<char>((new_footer >> (8 * i)) & 0xff));
-  }
+  ser::PutU64Le(bad, cut);  // the new footer offset
   bad.append(c.bytes.substr(c.bytes.size() - 12));  // old CRC + end magic
   Spit(c.path, bad);
   StoreReader reader;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "store/container.h"
 #include "store/crc32.h"
 #include "store/lz.h"
@@ -319,7 +320,7 @@ TEST(StoreCodec, RejectsEventCountBeyondPayloadBytes) {
   // varints), so this count is rejected before anything is allocated.
   constexpr std::uint64_t kClaimed = 100000;
   std::string raw;
-  trace::wire::PutVarint(raw, kClaimed);
+  ser::PutVarint(raw, kClaimed);
   raw.append(kClaimed, static_cast<char>(trace::EventKind::kRecordOpen));
   std::vector<trace::TraceEvent> out;
   EXPECT_NE(DecodeBlockPayload(raw, kClaimed, &out), "");

@@ -8,7 +8,9 @@
 
 #include "core/factories.h"
 #include "deploy/deployment.h"
+#include "read_back.h"
 #include "sim/runner.h"
+#include "store/container.h"
 #include "trace/binary.h"
 #include "trace/diff.h"
 #include "trace/jsonl.h"
@@ -43,35 +45,6 @@ TEST(TraceSink, NullContextIsOff) {
   TraceContext context;
   EXPECT_FALSE(context);
   EXPECT_FALSE(context.WithReader(3));
-}
-
-TEST(TraceSink, RingBufferKeepsTailAndCountsDrops) {
-  RingBufferSink sink(3);
-  sink.BeginRun(RunHeader{0, 1, 10, 100, "x"});
-  for (std::uint64_t s = 0; s < 7; ++s) {
-    TraceEvent e;
-    e.kind = EventKind::kSlot;
-    e.slot = s;
-    sink.OnEvent(e);
-  }
-  sink.EndRun();
-  EXPECT_EQ(sink.dropped(), 4u);
-  const auto events = sink.Events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events.front().slot, 4u);
-  EXPECT_EQ(events.back().slot, 6u);
-  // BeginRun resets the window for the next run.
-  sink.BeginRun(RunHeader{1, 1, 10, 100, "x"});
-  EXPECT_EQ(sink.dropped(), 0u);
-  EXPECT_TRUE(sink.Events().empty());
-}
-
-TEST(TraceSink, RingBufferCapacityZeroRejectsEverything) {
-  RingBufferSink sink(0);
-  sink.BeginRun(RunHeader{});
-  sink.OnEvent(TraceEvent{});
-  EXPECT_TRUE(sink.Events().empty());
-  EXPECT_EQ(sink.dropped(), 1u);
 }
 
 TEST(TraceRecorder, TracedRunHasTheExpectedShape) {
@@ -143,20 +116,22 @@ TEST(TraceRecorder, SerializedTraceByteIdenticalAcrossThreadCounts) {
   }
 }
 
+using testing_trace::ReadBack;
+
 TEST(TraceBinary, EncodeDecodeRoundTrip) {
   const TraceFile file = RecordTrace(Fcat2(), 100, 2, 7);
   TraceFile decoded;
-  ASSERT_EQ(DecodeTrace(EncodeTrace(file), &decoded), "");
+  ASSERT_EQ(ReadBack(EncodeTrace(file), &decoded), "");
   EXPECT_EQ(decoded, file);
 }
 
 TEST(TraceBinary, RejectsCorruptInput) {
   TraceFile decoded;
-  EXPECT_NE(DecodeTrace("not a trace", &decoded), "");
+  EXPECT_NE(ReadBack("not a trace", &decoded), "");
   const TraceFile file = RecordTrace(Fcat2(), 50, 1);
   std::string bytes = EncodeTrace(file);
   bytes.resize(bytes.size() / 2);  // truncate mid-stream
-  EXPECT_NE(DecodeTrace(bytes, &decoded), "");
+  EXPECT_NE(ReadBack(bytes, &decoded), "");
 }
 
 TEST(TraceBinary, FileRoundTripAndAppend) {
@@ -167,7 +142,7 @@ TEST(TraceBinary, FileRoundTripAndAppend) {
   ASSERT_EQ(WriteTraceFile(path, a), "");
   ASSERT_EQ(AppendRunsToFile(path, b.runs), "");
   TraceFile read;
-  ASSERT_EQ(ReadTraceFile(path, &read), "");
+  ASSERT_EQ(store::ReadStoreFile(path, &read), "");
   ASSERT_EQ(read.runs.size(), 2u);
   EXPECT_EQ(read.runs[0], a.runs[0]);
   EXPECT_EQ(read.runs[1], b.runs[0]);
@@ -199,31 +174,15 @@ TEST(TraceJsonl, EventShapes) {
   EXPECT_NE(json.find("\"elapsed_us\":91545"), std::string::npos);
 }
 
-TEST(TraceJsonl, FileSinkWritesOneLinePerEvent) {
-  const std::string path = testing::TempDir() + "/anc_trace_sink.jsonl";
-  sim::ExperimentOptions eo;
-  eo.n_tags = 60;
-  eo.runs = 1;
-  std::size_t events = 0;
-  {
-    MultiRunRecorder recorder(1);
-    eo.trace_factory = [&](std::size_t) {
-      return std::make_unique<JsonlFileSink>(path);
-    };
-    sim::RunExperiment(Fcat2(), eo);
-    eo.trace_factory = recorder.Factory();
-    sim::RunExperiment(Fcat2(), eo);
-    events = recorder.runs()[0].events.size();
-  }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::size_t lines = 0;
-  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
-    if (c == '\n') ++lines;
-  }
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(lines, events + 1);  // header line + one line per event
+// The protocol name comes from disk, so `trace_inspect filter
+// --format=jsonl` must escape whatever bytes it holds.
+TEST(TraceJsonl, RunHeaderEscapesQuotesBackslashesAndControlBytes) {
+  const RunHeader header{0, 1, 10, 100, "a\"b\\c\nd\x01" "e"};
+  EXPECT_EQ(RunHeaderToJson(header),
+            "{\"type\":\"run_header\",\"run\":0,\"base_seed\":1,"
+            "\"n_tags\":10,\"max_slots_per_tag\":100,"
+            "\"protocol\":\"a\\\"b\\\\c\\nd\\u0001e\"}");
+  EXPECT_EQ(JsonStr(std::string_view("\0\x1f\t", 3)), "\"\\u0000\\u001f\\t\"");
 }
 
 TEST(TraceDiffTest, DetectsSingleFieldPerturbation) {
