@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "common/file_io.h"
 #include "common/table.h"
 #include "fault/injector.h"
 #include "service/checkpoint.h"
@@ -133,21 +134,9 @@ service::SoakAggregate RunCell(const sim::ProtocolFactory& factory,
 }
 
 bool FilesEqual(const std::string& a, const std::string& b) {
-  const auto slurp = [](const std::string& path, std::string* out) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return false;
-    char buf[1 << 16];
-    for (;;) {
-      const std::size_t n = std::fread(buf, 1, sizeof buf, f);
-      out->append(buf, n);
-      if (n < sizeof buf) break;
-    }
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
-  };
   std::string da, db;
-  return slurp(a, &da) && slurp(b, &db) && da == db;
+  return ReadWholeFile(a, &da).empty() && ReadWholeFile(b, &db).empty() &&
+         da == db;
 }
 
 // --kill-at cell: run FCAT-2 run 0 uninterrupted, then again with a

@@ -33,33 +33,4 @@ std::uint16_t Crc16(std::span<const std::uint8_t> data, std::uint16_t init) {
   return crc;
 }
 
-std::uint16_t Crc16Bits(std::span<const std::uint8_t> bits,
-                        std::uint16_t init) {
-  std::uint16_t crc = init;
-  for (std::uint8_t bit : bits) {
-    const bool msb = (crc & 0x8000) != 0;
-    crc = static_cast<std::uint16_t>(crc << 1);
-    if (msb != (bit != 0)) crc ^= kPoly;
-  }
-  return crc;
-}
-
-bool Crc16BitsValid(std::span<const std::uint8_t> bits) {
-  if (bits.size() < 16) return false;
-  const std::size_t payload_len = bits.size() - 16;
-  const std::uint16_t expected = Crc16Bits(bits.first(payload_len));
-  std::uint16_t got = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    got = static_cast<std::uint16_t>((got << 1) | (bits[payload_len + i] & 1));
-  }
-  return expected == got;
-}
-
-void AppendCrc16Bits(std::vector<std::uint8_t>& payload_bits) {
-  const std::uint16_t crc = Crc16Bits(payload_bits);
-  for (int i = 15; i >= 0; --i) {
-    payload_bits.push_back(static_cast<std::uint8_t>((crc >> i) & 1));
-  }
-}
-
 }  // namespace anc

@@ -1,12 +1,11 @@
 // CRC-16-CCITT (polynomial 0x1021), the checksum family used by ISO 18000-6
 // class tags. The paper's tag IDs are "96 bits (including the 16 bits CRC
-// code)"; this module provides the checksum over both byte spans and raw bit
-// streams (the signal layer demodulates individual bits, not bytes).
+// code)"; TagId computes it over the 10 payload bytes, MSB first, which
+// equals the bit-serial CRC over the 80 transmitted payload bits.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace anc {
 
@@ -14,18 +13,5 @@ namespace anc {
 // preset; ISO 18000-6 uses 0xFFFF.
 std::uint16_t Crc16(std::span<const std::uint8_t> data,
                     std::uint16_t init = 0xFFFF);
-
-// Computes the same CRC over a stream of bits (MSB-first semantics: each
-// entry of `bits` is one bit, processed in order). Used by the demodulator,
-// which recovers one bit at a time.
-std::uint16_t Crc16Bits(std::span<const std::uint8_t> bits,
-                        std::uint16_t init = 0xFFFF);
-
-// Convenience: true when `bits` = payload followed by its 16-bit CRC
-// (MSB-first). `bits.size()` must be >= 16.
-bool Crc16BitsValid(std::span<const std::uint8_t> bits);
-
-// Appends the 16-bit CRC of `payload_bits` (MSB first) to the vector.
-void AppendCrc16Bits(std::vector<std::uint8_t>& payload_bits);
 
 }  // namespace anc

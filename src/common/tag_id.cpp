@@ -30,20 +30,26 @@ TagId TagId::FromPayload(std::uint16_t payload_hi, std::uint64_t payload_lo) {
   TagId id;
   id.payload_hi_ = payload_hi;
   id.payload_lo_ = payload_lo;
-  std::vector<std::uint8_t> payload_bits;
-  payload_bits.reserve(kPayloadBits);
-  AppendBitsMsbFirst(payload_bits, payload_hi, 16);
-  AppendBitsMsbFirst(payload_bits, payload_lo, 64);
-  id.crc_ = Crc16Bits(payload_bits);
+  // The 80 payload bits as 10 bytes, MSB first: the byte-wise CRC over
+  // them equals the bit-serial CRC over the transmitted bit stream.
+  std::array<std::uint8_t, kPayloadBits / 8> bytes;
+  bytes[0] = static_cast<std::uint8_t>(payload_hi >> 8);
+  bytes[1] = static_cast<std::uint8_t>(payload_hi);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[2 + i] = static_cast<std::uint8_t>(payload_lo >> (56 - 8 * i));
+  }
+  id.crc_ = Crc16(bytes);
   return id;
 }
 
 bool TagId::FromBits(std::span<const std::uint8_t> bits, TagId* out) {
   if (bits.size() != static_cast<std::size_t>(kTotalBits)) return false;
-  if (!Crc16BitsValid(bits)) return false;
   const auto hi = static_cast<std::uint16_t>(ReadBitsMsbFirst(bits, 0, 16));
   const std::uint64_t lo = ReadBitsMsbFirst(bits, 16, 64);
-  *out = FromPayload(hi, lo);
+  const auto crc = static_cast<std::uint16_t>(ReadBitsMsbFirst(bits, 80, 16));
+  const TagId id = FromPayload(hi, lo);
+  if (id.crc() != crc) return false;
+  *out = id;
   return true;
 }
 

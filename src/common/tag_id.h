@@ -29,8 +29,9 @@ class TagId {
   // The CRC is computed over the payload.
   static TagId FromPayload(std::uint16_t payload_hi, std::uint64_t payload_lo);
 
-  // Reconstructs a TagId from a 96-bit stream (MSB first). Returns false if
-  // the trailing CRC does not match the payload (channel-corrupted ID).
+  // Reconstructs a TagId from a 96-bit stream (MSB first, one 0/1 entry per
+  // bit). Returns false if the trailing CRC does not match the payload
+  // (channel-corrupted ID).
   static bool FromBits(std::span<const std::uint8_t> bits, TagId* out);
 
   std::uint16_t payload_hi() const { return payload_hi_; }

@@ -22,13 +22,13 @@ CollisionAwareEngine::CollisionAwareEngine(std::string name,
       rng_(rng),
       omega_(config.omega > 0.0 ? config.omega
                                 : analysis::OptimalOmega(config.lambda)),
+      digest_to_index_(IndexByDigest(population)),
       tracker_(population.size()),
       estimator_(config.frame_size, omega_,
                  config.initial_estimate > 0.0
                      ? config.initial_estimate
                      : static_cast<double>(config.frame_size),
                  config.estimator_window) {
-  digest_to_index_.reserve(population.size() * 2);
   active_.resize(population.size());
   pos_in_active_.resize(population.size());
   read_.assign(population.size(), false);
@@ -36,7 +36,6 @@ CollisionAwareEngine::CollisionAwareEngine(std::string name,
   for (std::uint32_t i = 0; i < population.size(); ++i) {
     active_[i] = i;
     pos_in_active_[i] = i;
-    digest_to_index_.emplace(population[i].Digest(), i);
   }
   if (config_.fault.Any()) {
     fault_ = std::make_unique<fault::FaultInjector>(config_.fault,
@@ -126,18 +125,16 @@ void CollisionAwareEngine::PowerCycle() {
 }
 
 bool CollisionAwareEngine::ArriveTag(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return false;
-  const std::uint32_t tag = it->second;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   present_[tag] = true;
   if (!read_[tag]) Activate(tag);
   return true;
 }
 
 bool CollisionAwareEngine::DepartTag(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return false;
-  const std::uint32_t tag = it->second;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   present_[tag] = false;
   // Falls silent immediately. Signals already captured in open collision
   // records stay there — a later resolution of one is a ghost read from
@@ -187,9 +184,8 @@ void CollisionAwareEngine::Activate(std::uint32_t tag) {
 }
 
 void CollisionAwareEngine::LearnId(const TagId& id, bool from_collision) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return;  // CRC-forged decode; discard
-  const std::uint32_t tag = it->second;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return;  // CRC-forged decode; discard
   if (read_[tag]) {
     if (from_collision) {
       ++metrics_.redundant_resolutions;
@@ -348,9 +344,8 @@ void CollisionAwareEngine::DrainCascade() {
 }
 
 std::span<const TagId> CollisionAwareEngine::InjectKnownId(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return {};  // outside this reader's range
-  const std::uint32_t tag = it->second;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return {};  // outside this reader's range
   if (read_[tag]) return {};  // already learned locally
   read_[tag] = true;
   ++metrics_.ids_injected;

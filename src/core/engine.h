@@ -31,10 +31,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/digest_index.h"
 #include "common/fixed_point.h"
 #include "common/rng.h"
 #include "common/serialize.h"
@@ -157,7 +157,7 @@ class CollisionAwareEngine : public sim::Protocol {
   anc::Pcg32 rng_;
   double omega_;
 
-  std::unordered_map<std::uint64_t, std::uint32_t> digest_to_index_;
+  DigestIndex digest_to_index_;
   std::vector<std::uint32_t> active_;          // indices of unread tags
   std::vector<std::uint32_t> pos_in_active_;   // inverse permutation
   std::vector<bool> read_;

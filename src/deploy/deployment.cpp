@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 namespace anc::deploy {
@@ -31,7 +30,7 @@ DeploymentProtocol::DeploymentProtocol(std::span<const TagId> tags,
                                        anc::Pcg32 rng,
                                        const DeploymentConfig& config,
                                        const sim::ProtocolFactory& factory)
-    : tags_(tags), config_(config) {
+    : tags_(tags), config_(config), digest_to_index_(IndexByDigest(tags)) {
   points_ = PlaceTags(config.floor, tags.size(), config.layout, rng);
   const std::vector<Reader> grid = GridReaders(
       config.floor, config.reader_rows, config.reader_cols, config.overlap);
@@ -55,10 +54,6 @@ DeploymentProtocol::DeploymentProtocol(std::span<const TagId> tags,
   if (config.reader_death.enabled) resched_rng_ = rng.Split();
 
   identified_.assign(tags.size(), false);
-  digest_to_index_.reserve(tags.size());
-  for (std::uint32_t i = 0; i < tags.size(); ++i) {
-    digest_to_index_.emplace(tags[i].Digest(), i);
-  }
   pending_.assign(readers_.size(), false);
   name_ = "deploy-" + std::string(SchedulerPolicyName(config.policy));
   if (!readers_.empty()) {
@@ -117,10 +112,10 @@ bool DeploymentProtocol::SupportsChurn() const {
 }
 
 bool DeploymentProtocol::ArriveTag(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   bool accepted = false;
-  for (std::uint32_t r : covered_by_[it->second]) {
+  for (std::uint32_t r : covered_by_[tag]) {
     ReaderState& reader = *readers_[r];
     if (reader.dead) continue;
     if (reader.protocol->ArriveTag(id)) {
@@ -138,10 +133,10 @@ bool DeploymentProtocol::ArriveTag(const TagId& id) {
 }
 
 bool DeploymentProtocol::DepartTag(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   bool accepted = false;
-  for (std::uint32_t r : covered_by_[it->second]) {
+  for (std::uint32_t r : covered_by_[tag]) {
     ReaderState& reader = *readers_[r];
     if (reader.dead) continue;
     accepted |= reader.protocol->DepartTag(id);
@@ -293,10 +288,10 @@ void DeploymentProtocol::Shutdown() {
 }
 
 void DeploymentProtocol::MarkIdentified(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return;
-  if (!identified_[it->second]) {
-    identified_[it->second] = true;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return;
+  if (!identified_[tag]) {
+    identified_[tag] = true;
     ++unique_ids_;
   }
 }

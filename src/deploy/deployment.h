@@ -19,10 +19,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/digest_index.h"
 #include "deploy/geometry.h"
 #include "deploy/scheduler.h"
 #include "sim/metrics.h"
@@ -172,7 +172,7 @@ class DeploymentProtocol final : public sim::Protocol {
 
   trace::TraceContext trace_;
   std::vector<bool> identified_;        // global merged inventory, by index
-  std::unordered_map<std::uint64_t, std::uint32_t> digest_to_index_;
+  DigestIndex digest_to_index_;
   // Churn routing: tag index -> readers covering it (grid order).
   std::vector<std::vector<std::uint32_t>> covered_by_;
   std::vector<TagId> learned_this_step_;

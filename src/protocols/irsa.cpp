@@ -10,8 +10,6 @@ namespace anc::protocols {
 
 namespace {
 
-constexpr std::uint32_t kNoTag = ~std::uint32_t{0};
-
 // Picks `degree` distinct slots from `next_slot()` by rejection (degrees
 // are tiny against the frame), in draw order.
 template <typename NextSlot>
@@ -61,7 +59,8 @@ Irsa::Irsa(std::span<const TagId> population, anc::Pcg32 rng,
                    population, rng, timing),
       config_(config),
       read_(population.size(), false),
-      present_(population.size(), true) {
+      present_(population.size(), true),
+      digest_to_index_(IndexByDigest(population)) {
   if (seeded()) {
     // One salt per run, announced with the reader's frame advertisement;
     // drawn before any other use of the stream so the pattern inputs are
@@ -73,15 +72,6 @@ Irsa::Irsa(std::span<const TagId> population, anc::Pcg32 rng,
     name_storage_ = "CRDSA-" + std::to_string(d);
     name_ = name_storage_;
   }
-  digest_to_index_.reserve(population.size() * 2);
-  for (std::uint32_t i = 0; i < population.size(); ++i) {
-    digest_to_index_.emplace(population[i].Digest(), i);
-  }
-}
-
-std::uint32_t Irsa::IndexOf(const TagId& id) const {
-  const auto it = digest_to_index_.find(id.Digest());
-  return it == digest_to_index_.end() ? kNoTag : it->second;
 }
 
 void Irsa::RebuildUnread() {
@@ -93,15 +83,15 @@ void Irsa::RebuildUnread() {
 }
 
 bool Irsa::ArriveTag(const TagId& id) {
-  const std::uint32_t tag = IndexOf(id);
-  if (tag == kNoTag) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   present_[tag] = true;
   return true;
 }
 
 bool Irsa::DepartTag(const TagId& id) {
-  const std::uint32_t tag = IndexOf(id);
-  if (tag == kNoTag) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   present_[tag] = false;
   // Replicas already on the air (and contributions to stored records)
   // stay buffered at the reader; the ones the tag would have transmitted
@@ -134,7 +124,9 @@ void Irsa::StartFrame() {
 
   slot_cursor_ = 0;
   frame_transmissions_ = 0;
-  slot_tags_.assign(frame_size_, {});
+  // Keep each slot's vector (and its capacity) across frames.
+  slot_tags_.resize(frame_size_);
+  for (auto& tags : slot_tags_) tags.clear();
   const auto frame = static_cast<std::uint32_t>(frame_size_);
   for (std::uint32_t tag : unread_) {
     // Seeded: the pattern the tag's announced seed determines. Otherwise

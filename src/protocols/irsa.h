@@ -56,9 +56,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/digest_index.h"
 #include "protocols/baseline_base.h"
 #include "protocols/degree_dist.h"
 #include "protocols/peeling.h"
@@ -148,7 +148,6 @@ class Irsa final : public BaselineBase {
   // the erase-based maintenance for a closed population, so RNG draw
   // order (and golden traces) are unchanged.
   void RebuildUnread();
-  std::uint32_t IndexOf(const TagId& id) const;
 
   IrsaConfig config_;
   std::string name_storage_;  // "CRDSA-<d>" for a point-mass Λ
@@ -156,7 +155,7 @@ class Irsa final : public BaselineBase {
   std::vector<std::uint32_t> unread_;
   std::vector<bool> read_;
   std::vector<bool> present_;
-  std::unordered_map<std::uint64_t, std::uint32_t> digest_to_index_;
+  DigestIndex digest_to_index_;
 
   // Current frame. The first Step() of each frame builds it (deferred
   // from the previous boundary so churn applied between frames lands

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "common/file_io.h"
 #include "common/serialize.h"
 #include "sim/population.h"
 #include "store/crc32.h"
@@ -104,22 +105,6 @@ void PutCheckpointHead(std::string& out, const ServiceCheckpoint& ckpt) {
   ser::PutVarint(out, ckpt.max_slots);
   ser::PutBytes(out, ckpt.service_name);
   ser::PutVarint(out, ckpt.slot);
-}
-
-std::string ReadWholeFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return "cannot open " + path;
-  out->clear();
-  char buf[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(buf, 1, sizeof buf, f);
-    out->append(buf, n);
-    if (n < sizeof buf) break;
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return "read error on " + path;
-  return "";
 }
 
 constexpr std::string_view kSloMagic = "ANCSLO01";

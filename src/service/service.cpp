@@ -87,13 +87,10 @@ InventoryService::InventoryService(const ServiceConfig& config,
       n_initial_(n_initial < universe.size() ? n_initial : universe.size()),
       events_(schedule.events),
       trace_(trace),
-      snapshot_log_(snapshot_log) {
+      snapshot_log_(snapshot_log),
+      digest_to_index_(IndexByDigest(universe)) {
   report_.suppressed_arrivals = schedule.suppressed_arrivals;
   states_.resize(universe_.size());
-  digest_to_index_.reserve(universe_.size() * 2);
-  for (std::size_t i = 0; i < universe_.size(); ++i) {
-    digest_to_index_.emplace(universe_[i].Digest(), static_cast<std::uint32_t>(i));
-  }
 }
 
 void InventoryService::ApplyChurnDue(std::uint64_t slot) {
@@ -139,9 +136,9 @@ void InventoryService::ApplyChurnDue(std::uint64_t slot) {
 
 void InventoryService::OnDetections(std::uint64_t slot) {
   for (const TagId& id : protocol_.LearnedThisStep()) {
-    const auto it = digest_to_index_.find(id.Digest());
-    if (it == digest_to_index_.end()) continue;
-    TagState& st = states_[it->second];
+    const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+    if (tag == DigestIndex::kNone) continue;
+    TagState& st = states_[tag];
     if (!st.ever_present) continue;  // setup-departed universe remainder
     if (!st.present) {
       // Post-departure resolution (a stored collision record finally

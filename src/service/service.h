@@ -27,9 +27,9 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/digest_index.h"
 #include "common/serialize.h"
 #include "common/stats.h"
 #include "common/tag_id.h"
@@ -225,7 +225,7 @@ class InventoryService {
   store::EpochSnapshotLog* snapshot_log_ = nullptr;
 
   std::vector<TagState> states_;
-  std::unordered_map<std::uint64_t, std::uint32_t> digest_to_index_;
+  DigestIndex digest_to_index_;
   bool resumed_ = false;          // RestoreState succeeded: skip setup
   std::uint64_t resume_slot_ = 0; // slot the resumed loop continues from
   std::size_t next_event_ = 0;

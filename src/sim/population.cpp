@@ -1,20 +1,19 @@
 #include "sim/population.h"
 
-#include <unordered_set>
+#include "common/digest_index.h"
 
 namespace anc::sim {
 
 std::vector<TagId> MakePopulation(std::size_t n, anc::Pcg32& rng) {
   std::vector<TagId> tags;
   tags.reserve(n);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(n * 2);
+  DigestIndex seen(n);
   while (tags.size() < n) {
     const auto hi = static_cast<std::uint16_t>(rng() & 0xFFFF);
     const std::uint64_t lo =
         (static_cast<std::uint64_t>(rng()) << 32) | rng();
     TagId id = TagId::FromPayload(hi, lo);
-    if (seen.insert(id.Digest()).second) {
+    if (seen.Insert(id.Digest(), static_cast<std::uint32_t>(tags.size()))) {
       tags.push_back(id);
     }
   }

@@ -9,6 +9,7 @@
 #include <span>
 #include <type_traits>
 
+#include "common/file_io.h"
 #include "common/serialize.h"
 
 #include "store/crc32.h"
@@ -694,16 +695,22 @@ std::string StoreReader::Open(const std::string& path) {
   }
   char magic[8] = {};
   const std::size_t got = std::fread(magic, 1, sizeof magic, f);
+  if (std::ferror(f)) {
+    std::fclose(f);
+    open_failure_ = OpenFailure::kIo;
+    return "read error on " + path;
+  }
   if (got == sizeof magic &&
       std::string_view(magic, 8) == trace::kTraceMagic) {
     // Legacy v1 uncompressed trace: slurp and index in one pass. Any
     // damage (including truncation) is unrecoverable here — the row
     // format is not self-delimiting.
-    std::string bytes(magic, sizeof magic);
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
     std::fclose(f);
+    std::string bytes;
+    if (std::string err = ReadWholeFile(path, &bytes); !err.empty()) {
+      open_failure_ = OpenFailure::kIo;
+      return err;
+    }
     const std::string err = OpenLegacy(std::move(bytes), path);
     if (!err.empty()) open_failure_ = OpenFailure::kCorrupt;
     return err;
@@ -1020,13 +1027,10 @@ std::string RecoverStoreFile(const std::string& in_path,
   RecoverInfo& ri = info != nullptr ? *info : local;
   ri = RecoverInfo{};
 
-  std::FILE* f = std::fopen(in_path.c_str(), "rb");
-  if (f == nullptr) return "cannot open " + in_path;
   std::string bytes;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
+  if (std::string err = ReadWholeFile(in_path, &bytes); !err.empty()) {
+    return err;
+  }
 
   if (bytes.size() < kStoreMagic.size() ||
       std::string_view(bytes).substr(0, kStoreMagic.size()) != kStoreMagic) {

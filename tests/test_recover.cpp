@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "core/factories.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
@@ -42,13 +44,8 @@ std::string TempPath(const char* name) {
 }
 
 std::string Slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
   std::string bytes;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
+  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
   return bytes;
 }
 
@@ -291,6 +288,22 @@ TEST(Recover, ClassifiesNonStoreInputs) {
   EXPECT_NE(RecoverStoreFile(junk, out, &info), "");
   std::remove(junk.c_str());
   std::remove(out.c_str());
+}
+
+// fopen() of a directory succeeds on Linux and the first fread() fails
+// (EISDIR): that is a read error, not a short or foreign file.
+TEST(Recover, ReadErrorIsNotAShortFile) {
+  const std::string dir = TempPath("recover_dir.ancs");
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string out = TempPath("recover_dir_out.ancs");
+  RecoverInfo info;
+  EXPECT_EQ(RecoverStoreFile(dir, out, &info), "read error on " + dir);
+  EXPECT_FALSE(std::filesystem::exists(out));
+
+  StoreReader reader;
+  EXPECT_EQ(reader.Open(dir), "read error on " + dir);
+  EXPECT_EQ(reader.open_failure(), OpenFailure::kIo);
+  std::filesystem::remove(dir);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
@@ -54,13 +55,8 @@ std::string TempPath(const char* name) {
 }
 
 std::string Slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
   std::string bytes;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
+  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
   return bytes;
 }
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "store/container.h"
@@ -30,14 +31,8 @@ std::string TempPath(const char* name) {
 }
 
 std::string Slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return "";
   std::string bytes;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
+  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
   return bytes;
 }
 

@@ -12,6 +12,7 @@
 
 #include <sys/stat.h>
 
+#include "common/file_io.h"
 #include "core/factories.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
@@ -34,14 +35,8 @@ std::string TempDirFor(const char* name) {
 }
 
 std::string Slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (!f) return {};
   std::string bytes;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
+  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
   return bytes;
 }
 

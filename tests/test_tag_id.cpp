@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/rng.h"
+#include "crc16_reference.h"
 
 namespace anc {
 namespace {
@@ -23,6 +24,27 @@ TEST(TagId, RoundTripThroughBits) {
     ASSERT_TRUE(TagId::FromBits(bits, &decoded));
     EXPECT_EQ(decoded, id);
     EXPECT_EQ(decoded.crc(), id.crc());
+  }
+}
+
+// The byte-wise ID checksum equals the bit-serial CRC over the 80 payload
+// bits as transmitted, MSB first.
+TEST(TagId, CrcMatchesBitSerialReference) {
+  const auto check = [](std::uint16_t hi, std::uint64_t lo) {
+    std::vector<std::uint8_t> bits;
+    testing_ref::AppendBits(bits, hi, 16);
+    testing_ref::AppendBits(bits, lo, 64);
+    ASSERT_EQ(TagId::FromPayload(hi, lo).crc(),
+              testing_ref::BitSerialCrc16(bits))
+        << std::hex << hi << " " << lo;
+  };
+  check(0, 0);
+  check(0xFFFF, ~std::uint64_t{0});
+  Pcg32 rng(23);
+  for (int trial = 0; trial < 100000; ++trial) {
+    const auto hi = static_cast<std::uint16_t>(rng() & 0xFFFF);
+    const std::uint64_t lo = (static_cast<std::uint64_t>(rng()) << 32) | rng();
+    check(hi, lo);
   }
 }
 

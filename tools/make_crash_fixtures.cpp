@@ -56,6 +56,7 @@ bool CopyFile(const std::string& from, const std::string& to) {
       break;
     }
   }
+  if (std::ferror(in)) ok = false;
   std::fclose(in);
   if (std::fclose(out) != 0) ok = false;
   return ok;
