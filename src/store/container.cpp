@@ -1,9 +1,11 @@
 #include "store/container.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -183,43 +185,35 @@ std::vector<std::vector<std::uint64_t>> RunningMaxFrames(
   return out;
 }
 
+// Reads exactly `n` bytes at `offset` of `f` without moving its file
+// position. Returns "" or what went wrong: an I/O error, or a file that
+// ends first.
+std::string ReadAt(std::FILE* f, std::uint64_t offset, char* buf,
+                   std::size_t n) {
+  while (n > 0) {
+    const ssize_t got = pread(fileno(f), buf, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) return std::string("I/O error: ") + std::strerror(errno);
+    if (got == 0) return "short read";
+    buf += got;
+    n -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
+  }
+  return "";
+}
+
 }  // namespace
 
 // ---- Columnar block payload ------------------------------------------------
 
 namespace {
 
-// Event indices grouped by kind, stream order within each kind: built
-// once per block from the kind column, so each (kind, field) column
-// walks only its own kind's events.
-class KindIndex {
- public:
-  explicit KindIndex(std::string_view kinds) : order_(kinds.size()) {
-    for (const char k : kinds) ++start_[static_cast<std::uint8_t>(k) + 1];
-    for (std::size_t k = 1; k < start_.size(); ++k) start_[k] += start_[k - 1];
-    std::array<std::uint32_t, 256> next;
-    std::copy(start_.begin(), start_.end() - 1, next.begin());
-    for (std::size_t i = 0; i < kinds.size(); ++i) {
-      order_[next[static_cast<std::uint8_t>(kinds[i])]++] =
-          static_cast<std::uint32_t>(i);
-    }
-  }
-
-  std::span<const std::uint32_t> Of(std::uint8_t kind) const {
-    return std::span<const std::uint32_t>(order_).subspan(
-        start_[kind], start_[kind + 1] - start_[kind]);
-  }
-
- private:
-  std::array<std::uint32_t, 257> start_{};  // one slot per kind byte
-  std::vector<std::uint32_t> order_;
-};
-
 // Splits the next column of `count` values off `raw` at *pos and moves
 // *pos past it: a reader over exactly the column's bytes, or one with
 // ok == false when the payload ends first. Varint columns end at their
-// count-th final byte, so reading `count` values consumes the reader
-// exactly unless one of them is malformed.
+// count-th final byte (high bit clear), so reading `count` values
+// consumes the reader exactly unless one of them is malformed. Final
+// bytes are counted a word at a time while the column ends past it.
 ser::Reader NextColumn(std::string_view raw, std::size_t* pos,
                        FieldSpec::Type type, std::uint64_t count) {
   std::size_t end = *pos;
@@ -227,6 +221,16 @@ ser::Reader NextColumn(std::string_view raw, std::size_t* pos,
     if (count > raw.size() - end) return ser::Reader{{}, 0, false};
     end += static_cast<std::size_t>(count);
   } else {
+    constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
+    constexpr std::uint64_t kLowBytes = 0x0101010101010101ull;
+    for (; raw.size() - end >= 8; end += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, raw.data() + end, 8);
+      // One 0/1 per byte, summed into the top byte by the multiply.
+      const std::uint64_t finals = ((~word & kHighBits) >> 7) * kLowBytes >> 56;
+      if (finals >= count) break;
+      count -= finals;
+    }
     for (; count > 0; ++end) {
       if (end == raw.size()) return ser::Reader{{}, 0, false};
       count -= static_cast<std::uint8_t>(raw[end]) < 0x80;
@@ -235,6 +239,27 @@ ser::Reader NextColumn(std::string_view raw, std::size_t* pos,
   const ser::Reader column{raw.substr(*pos, end - *pos)};
   *pos = end;
   return column;
+}
+
+// Decodes the `count` varints of a column NextColumn split off, passing
+// each to put(j, v). A one-byte varint, the common case, skips the
+// general decoder. Returns false at the first malformed varint.
+template <typename Put>
+bool DecodeVarints(std::string_view column, std::size_t count, Put put) {
+  const char* p = column.data();
+  const char* const end = p + column.size();
+  for (std::size_t j = 0; j < count; ++j) {
+    if (p != end && static_cast<std::uint8_t>(*p) < 0x80) {
+      put(j, static_cast<std::uint8_t>(*p++));
+      continue;
+    }
+    ser::Reader r{std::string_view(p, static_cast<std::size_t>(end - p))};
+    const std::uint64_t v = r.Varint();
+    if (!r.ok) return false;
+    p += r.pos;
+    put(j, v);
+  }
+  return true;
 }
 
 // Appends bytes and varints through a stack buffer: the bytes of
@@ -274,6 +299,19 @@ class ColumnWriter {
 
 }  // namespace
 
+void KindIndex::Build(std::string_view kinds) {
+  start_.fill(0);
+  order_.resize(kinds.size());
+  for (const char k : kinds) ++start_[static_cast<std::uint8_t>(k) + 1];
+  for (std::size_t k = 1; k < start_.size(); ++k) start_[k] += start_[k - 1];
+  std::array<std::uint32_t, 256> next;
+  std::copy(start_.begin(), start_.end() - 1, next.begin());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    order_[next[static_cast<std::uint8_t>(kinds[i])]++] =
+        static_cast<std::uint32_t>(i);
+  }
+}
+
 std::string EncodeBlockPayload(const std::vector<TraceEvent>& events) {
   ColumnWriter out;
   out.Varint(events.size());
@@ -299,7 +337,8 @@ std::string EncodeBlockPayload(const std::vector<TraceEvent>& events) {
   }
   // One column per (kind, field): values of that field across all events
   // of that kind, stream order. Cumulative clocks delta within the column.
-  const KindIndex index(kinds);
+  KindIndex index;
+  index.Build(kinds);
   for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
     for (const FieldSpec& f : trace::EventFields(static_cast<EventKind>(k))) {
       prev = 0;
@@ -319,11 +358,9 @@ std::string EncodeBlockPayload(const std::vector<TraceEvent>& events) {
   return out.Finish();
 }
 
-namespace {
-
-// DecodeBlockPayload's body: fills *out, or returns an error.
-std::string DecodeColumns(std::string_view raw, std::uint64_t expect_events,
-                          std::vector<TraceEvent>* out) {
+std::string BlockColumns::Decode(std::string_view raw,
+                                 std::uint64_t expect_events) {
+  n_ = 0;  // set again only when every check passed
   ser::Reader head{raw};
   const std::uint64_t n = head.Varint();
   if (!head.ok) return "truncated block payload header";
@@ -333,86 +370,145 @@ std::string DecodeColumns(std::string_view raw, std::uint64_t expect_events,
   }
   // Every event takes a kind byte plus reader, slot and frame varints.
   if (n > raw.size() / 4) return "event count exceeds payload size";
+  const auto count = static_cast<std::size_t>(n);
   std::size_t pos = head.pos;
   const ser::Reader kinds = NextColumn(raw, &pos, FieldSpec::Type::kByte, n);
   if (!kinds.ok) return "truncated kind column";
-  for (const char c : kinds.bytes) {
-    const auto kb = static_cast<std::uint8_t>(c);
-    if (!trace::ValidEventKind(kb)) {
-      return "invalid event kind " + std::to_string(kb) + " in kind column";
+  kinds_.assign(kinds.bytes);
+  index_.Build(kinds_);
+  for (int k = 0; k < 256; ++k) {
+    const auto kb = static_cast<std::uint8_t>(k);
+    if (!index_.Of(kb).empty() && !trace::ValidEventKind(kb)) {
+      return "invalid event kind " + std::to_string(k) + " in kind column";
     }
   }
-  // The kind, reader, slot and frame columns fill each event in one pass.
-  ser::Reader readers = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
-  ser::Reader slots = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
-  ser::Reader frames = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  const ser::Reader readers = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  const ser::Reader slots = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
+  const ser::Reader frames = NextColumn(raw, &pos, FieldSpec::Type::kVarint, n);
   if (!readers.ok || !slots.ok || !frames.ok) {
     return "truncated reader/slot/frame columns";
   }
-  // Reuse the events *out already holds: zeroing them is several times
-  // cheaper than constructing each from its member initializers, and
-  // all-zero bytes are a blank event once the kind column sets `kind`.
-  static_assert(std::is_trivially_copyable_v<TraceEvent>);
-  out->resize(static_cast<std::size_t>(n));
-  if (n > 0) {
-    std::memset(static_cast<void*>(out->data()), 0,
-                out->size() * sizeof(TraceEvent));
+  readers_.resize(count);
+  slots_.resize(count);
+  frames_.resize(count);
+  std::uint64_t widest = 0;
+  const bool readers_ok =
+      DecodeVarints(readers.bytes, count, [&](std::size_t i, std::uint64_t v) {
+        widest = std::max(widest, v);
+        readers_[i] = static_cast<std::uint32_t>(v);
+      });
+  if (widest > std::numeric_limits<std::uint32_t>::max()) {
+    return "reader id " + std::to_string(widest) + " out of range";
   }
+  // Slot and frame are zigzag deltas from the previous event's.
   std::uint64_t slot = 0, frame = 0;
-  for (std::size_t i = 0; i < out->size(); ++i) {
-    TraceEvent& e = (*out)[i];
-    e.kind = static_cast<EventKind>(kinds.bytes[i]);
-    const std::uint64_t reader = readers.Varint();
-    if (reader > std::numeric_limits<std::uint32_t>::max()) {
-      return "reader id " + std::to_string(reader) + " out of range";
-    }
-    e.reader = static_cast<std::uint32_t>(reader);
-    e.slot = slot += UnZigZag(slots.Varint());
-    e.frame = frame += UnZigZag(frames.Varint());
-  }
-  if (!readers.ok || !slots.ok || !frames.ok) {
+  const bool slots_ok =
+      DecodeVarints(slots.bytes, count, [&](std::size_t i, std::uint64_t v) {
+        slots_[i] = slot += UnZigZag(v);
+      });
+  const bool frames_ok =
+      DecodeVarints(frames.bytes, count, [&](std::size_t i, std::uint64_t v) {
+        frames_[i] = frame += UnZigZag(v);
+      });
+  if (!readers_ok || !slots_ok || !frames_ok) {
     return "malformed reader/slot/frame columns";
   }
-  const KindIndex index(kinds.bytes);
+  std::size_t n_values = 0;
+  for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
+    field_base_[k] = n_values;
+    n_values += index_.Of(k).size() *
+                trace::EventFields(static_cast<EventKind>(k)).size();
+  }
+  values_.resize(n_values);
+  std::uint64_t* out = values_.data();
   for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
     const auto kind = static_cast<EventKind>(k);
-    const auto events = index.Of(k);
-    // A local data pointer and a copy of each spec: SetEventField stores
-    // through a char pointer, which would otherwise force the loop to
-    // reload both after every field.
-    TraceEvent* const decoded = out->data();
-    for (const FieldSpec f : trace::EventFields(kind)) {
-      ser::Reader column = NextColumn(raw, &pos, f.type, events.size());
-      const std::uint64_t limit = f.Limit();
-      std::uint64_t clock = 0;
-      for (const std::uint32_t i : events) {
-        std::uint64_t v =
-            f.type == FieldSpec::Type::kByte ? column.Byte() : column.Varint();
-        if (v > limit) {
-          return "field value " + std::to_string(v) + " out of range for " +
-                 trace::KindName(kind);
-        }
-        if (f.cumulative_clock) v = clock += UnZigZag(v);
-        trace::SetEventField(decoded[i], f, v);
-      }
+    const std::size_t events = index_.Of(k).size();
+    for (const FieldSpec& f : trace::EventFields(kind)) {
+      const ser::Reader column = NextColumn(raw, &pos, f.type, events);
       if (!column.ok) return "truncated field columns";
+      std::uint64_t widest_field = 0;  // checked against f.Limit() below
+      bool ok = true;
+      if (f.type == FieldSpec::Type::kByte) {
+        for (std::size_t j = 0; j < events; ++j) {
+          out[j] = static_cast<std::uint8_t>(column.bytes[j]);
+          widest_field = std::max(widest_field, out[j]);
+        }
+      } else {
+        const bool clock_field = f.cumulative_clock;
+        std::uint64_t clock = 0;
+        ok = DecodeVarints(column.bytes, events,
+                           [&](std::size_t j, std::uint64_t v) {
+                             widest_field = std::max(widest_field, v);
+                             out[j] = clock_field ? clock += UnZigZag(v) : v;
+                           });
+      }
+      if (widest_field > f.Limit()) {
+        return "field value " + std::to_string(widest_field) +
+               " out of range for " + trace::KindName(kind);
+      }
+      if (!ok) return "truncated field columns";
+      out += events;
     }
   }
   if (pos != raw.size()) {
     return std::to_string(raw.size() - pos) +
            " trailing bytes after block payload";
   }
+  n_ = count;
   return "";
 }
 
-}  // namespace
+void BlockColumns::Materialize(std::size_t first, std::size_t last,
+                               TraceEvent* dst) const {
+  if (first == last) return;
+  // Zeroing is several times cheaper than constructing each event from
+  // its member initializers, and all-zero bytes are a blank event once
+  // `kind` is set.
+  static_assert(std::is_trivially_copyable_v<TraceEvent>);
+  std::memset(static_cast<void*>(dst), 0, (last - first) * sizeof(TraceEvent));
+  for (std::size_t i = first; i < last; ++i) {
+    TraceEvent& e = dst[i - first];
+    e.kind = static_cast<EventKind>(kinds_[i]);
+    e.reader = readers_[i];
+    e.slot = slots_[i];
+    e.frame = frames_[i];
+  }
+  for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    const std::span<const std::uint32_t> all = index_.Of(k);
+    // This kind's events in [first, last): a run of its index.
+    const std::size_t lo = static_cast<std::size_t>(
+        std::lower_bound(all.begin(), all.end(), first) - all.begin());
+    const std::size_t hi = static_cast<std::size_t>(
+        std::lower_bound(all.begin() + static_cast<std::ptrdiff_t>(lo),
+                         all.end(), last) -
+        all.begin());
+    if (lo == hi) continue;
+    const std::uint64_t* column = values_.data() + field_base_[k];
+    // A copy of each spec: SetEventField stores through a char pointer,
+    // which would otherwise force the loop to reload it after every field.
+    for (const FieldSpec f : trace::EventFields(kind)) {
+      for (std::size_t j = lo; j < hi; ++j) {
+        trace::SetEventField(dst[all[j] - first], f, column[j]);
+      }
+      column += all.size();
+    }
+  }
+}
 
 std::string DecodeBlockPayload(std::string_view raw,
                                std::uint64_t expect_events,
                                std::vector<TraceEvent>* out) {
-  std::string err = DecodeColumns(raw, expect_events, out);
-  if (!err.empty()) out->clear();
-  return err;
+  BlockColumns columns;
+  std::string err = columns.Decode(raw, expect_events);
+  if (!err.empty()) {
+    out->clear();
+    return err;
+  }
+  out->resize(columns.size());
+  columns.Materialize(0, columns.size(), out->data());
+  return "";
 }
 
 // ---- StoreWriter -----------------------------------------------------------
@@ -637,31 +733,33 @@ std::string StoreWriter::RestoreOpen(const std::string& path,
 
   file_ = std::fopen(path.c_str(), "rb+");
   if (file_ == nullptr) return "cannot reopen " + path + " for resume";
+  const auto fail = [&](const std::string& err) {
+    std::fclose(file_);
+    file_ = nullptr;
+    return path + ": " + err;
+  };
   char magic[8] = {};
   if (std::fread(magic, 1, sizeof magic, file_) != sizeof magic ||
       std::string_view(magic, 8) != kStoreMagic) {
-    std::fclose(file_);
-    file_ = nullptr;
-    return path + ": not an ANCSTORE file";
+    return fail("not an ANCSTORE file");
   }
-  std::fseek(file_, 0, SEEK_END);
+  if (std::fseek(file_, 0, SEEK_END) != 0) return fail("cannot seek to end");
   const long end = std::ftell(file_);
-  if (end < 0 || static_cast<std::uint64_t>(end) < offset) {
-    std::fclose(file_);
-    file_ = nullptr;
-    return path + ": shorter than the checkpointed offset (" +
-           std::to_string(end) + " < " + std::to_string(offset) +
-           " bytes) — durable data lost";
+  if (end < 0) return fail("cannot stat");
+  if (static_cast<std::uint64_t>(end) < offset) {
+    return fail("shorter than the checkpointed offset (" +
+                std::to_string(end) + " < " + std::to_string(offset) +
+                " bytes) — durable data lost");
   }
   // Drop the torn tail: everything past the checkpoint offset was
   // written after the checkpoint was cut and will be re-written
   // identically by the resumed run.
   if (ftruncate(fileno(file_), static_cast<off_t>(offset)) != 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    return path + ": cannot truncate to resume offset";
+    return fail("cannot truncate to resume offset");
   }
-  std::fseek(file_, static_cast<long>(offset), SEEK_SET);
+  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
+    return fail("cannot seek to the resume offset");
+  }
 
   offset_ = offset;
   events_in_run_ = events_in_run;
@@ -810,21 +908,31 @@ std::string StoreReader::OpenStore(const std::string& path) {
     open_failure_ = OpenFailure::kIo;
     return "cannot open " + path;
   }
-  std::fseek(file_, 0, SEEK_END);
-  const long end = std::ftell(file_);
-  if (end < 0) {
+  struct stat st {};
+  if (fstat(fileno(file_), &st) != 0) {
     open_failure_ = OpenFailure::kIo;
     return path + ": cannot stat";
   }
-  file_bytes_ = static_cast<std::uint64_t>(end);
+  file_bytes_ = static_cast<std::uint64_t>(st.st_size);
+  const auto read_at = [&](std::uint64_t offset, char* buf, std::size_t n,
+                           const char* what) {
+    std::string err = ReadAt(file_, offset, buf, n);
+    if (!err.empty()) {
+      open_failure_ = OpenFailure::kIo;
+      err = path + ": " + err + " (" + what + ")";
+    }
+    return err;
+  };
 
   // Parse the versioned header: magic + store_version + trace_version.
   // Versions 1 (no inline markers, no per-block CRC head) and 2 are
   // readable; the footer path below is identical for both.
   char head_buf[32];
-  std::fseek(file_, 0, SEEK_SET);
-  const std::size_t n_head =
-      std::fread(head_buf, 1, sizeof head_buf, file_);
+  const auto n_head = static_cast<std::size_t>(
+      std::min<std::uint64_t>(sizeof head_buf, file_bytes_));
+  if (std::string err = read_at(0, head_buf, n_head, "header"); !err.empty()) {
+    return err;
+  }
   ser::Reader hr{std::string_view(head_buf, n_head), kStoreMagic.size()};
   const std::uint64_t store_version = hr.Varint();
   const std::uint64_t trace_version = hr.Varint();
@@ -850,10 +958,10 @@ std::string StoreReader::OpenStore(const std::string& path) {
            "`trace_inspect recover` may salvage it)";
   }
   char tail[kTrailerBytes];
-  std::fseek(file_, end - static_cast<long>(kTrailerBytes), SEEK_SET);
-  if (std::fread(tail, 1, kTrailerBytes, file_) != kTrailerBytes) {
-    open_failure_ = OpenFailure::kIo;
-    return path + ": short read (trailer)";
+  if (std::string err = read_at(file_bytes_ - kTrailerBytes, tail,
+                                kTrailerBytes, "trailer");
+      !err.empty()) {
+    return err;
   }
   if (std::string_view(tail + 12, 8) != kStoreEndMagic) {
     open_failure_ = OpenFailure::kTornTail;
@@ -872,9 +980,10 @@ std::string StoreReader::OpenStore(const std::string& path) {
   std::string footer(
       static_cast<std::size_t>(file_bytes_ - kTrailerBytes - footer_offset),
       '\0');
-  std::fseek(file_, static_cast<long>(footer_offset), SEEK_SET);
-  if (std::fread(footer.data(), 1, footer.size(), file_) != footer.size()) {
-    return path + ": short read (footer)";
+  if (std::string err =
+          read_at(footer_offset, footer.data(), footer.size(), "footer");
+      !err.empty()) {
+    return err;
   }
   if (Crc32(footer) != footer_crc) {
     return path + ": footer CRC mismatch (corrupt index)";
@@ -929,7 +1038,20 @@ std::string StoreReader::OpenStore(const std::string& path) {
 
 std::string StoreReader::ReadBlock(std::size_t index,
                                    std::vector<trace::TraceEvent>* out) {
-  out->clear();
+  const BlockColumns* columns = nullptr;
+  const std::string err = ReadBlockColumns(index, &columns);
+  if (!err.empty()) {
+    out->clear();
+    return err;
+  }
+  out->resize(columns->size());
+  columns->Materialize(0, columns->size(), out->data());
+  return "";
+}
+
+std::string StoreReader::ReadBlockColumns(std::size_t index,
+                                          const BlockColumns** columns) {
+  *columns = nullptr;
   if (index >= blocks_.size()) {
     return "block index " + std::to_string(index) + " out of range";
   }
@@ -944,46 +1066,44 @@ std::string StoreReader::ReadBlock(std::size_t index,
                           static_cast<std::size_t>(meta.comp_len));
   } else {
     payload_.resize(static_cast<std::size_t>(meta.comp_len));
-    std::fseek(file_, static_cast<long>(meta.offset), SEEK_SET);
-    if (std::fread(payload_.data(), 1, payload_.size(), file_) !=
-        payload_.size()) {
-      return tag("short read");
+    if (std::string err = ReadAt(file_, meta.offset, payload_.data(),
+                                 payload_.size());
+        !err.empty()) {
+      return tag(err);
     }
     payload = payload_;
   }
   if (Crc32(payload) != meta.crc32) {
     return tag("payload CRC mismatch (corrupt data)");
   }
+  std::string_view raw = payload;
   if (legacy_) {
-    // Pseudo-block over v1 row-format bytes: decode events directly.
+    // Pseudo-block over v1 row-format bytes: decode its events, then
+    // take them through the columnar codec like any other block.
     ser::Reader r{payload};
-    out->reserve(static_cast<std::size_t>(meta.n_events));
+    std::vector<trace::TraceEvent> events;
+    events.reserve(static_cast<std::size_t>(meta.n_events));
     for (std::uint64_t i = 0; i < meta.n_events; ++i) {
       const std::uint8_t kind = r.Byte();
       trace::TraceEvent e;
       if (!r.ok || !trace::DecodeEvent(r, kind, &e)) {
         return tag("corrupt v1 event");
       }
-      out->push_back(e);
+      events.push_back(e);
     }
     if (!r.AtEnd()) return tag("trailing bytes in v1 block");
-    return "";
-  }
-  std::string_view raw = payload;
-  if (meta.comp_len != meta.raw_len) {
+    raw_ = EncodeBlockPayload(events);
+    raw = raw_;
+  } else if (meta.comp_len != meta.raw_len) {
     const std::string err =
         LzDecompress(payload, static_cast<std::size_t>(meta.raw_len), &raw_);
     if (!err.empty()) return tag(err);
     raw = raw_;
   }
-  const std::string err = DecodeBlockPayload(raw, meta.n_events, out);
-  return err.empty() ? "" : tag(err);
-}
-
-std::string StoreReader::ScanBlock(
-    std::size_t index, const std::vector<trace::TraceEvent>** events) {
-  *events = &scan_;
-  return ReadBlock(index, &scan_);
+  const std::string err = columns_.Decode(raw, meta.n_events);
+  if (!err.empty()) return tag(err);
+  *columns = &columns_;
+  return "";
 }
 
 std::size_t StoreReader::FindBlockForFrame(std::size_t run_ordinal,
@@ -1004,10 +1124,13 @@ std::string StoreReader::ReadAll(trace::TraceFile* out) {
     run.header = runs_[ri].header;
     run.events.reserve(static_cast<std::size_t>(runs_[ri].n_events));
     for (std::size_t b = 0; b < runs_[ri].n_blocks; ++b) {
-      const std::vector<trace::TraceEvent>* events = nullptr;
-      const std::string err = ScanBlock(runs_[ri].first_block + b, &events);
+      const BlockColumns* columns = nullptr;
+      const std::string err =
+          ReadBlockColumns(runs_[ri].first_block + b, &columns);
       if (!err.empty()) return err;
-      run.events.insert(run.events.end(), events->begin(), events->end());
+      const std::size_t at = run.events.size();
+      run.events.resize(at + columns->size());
+      columns->Materialize(0, columns->size(), run.events.data() + at);
     }
     if (run.events.size() != runs_[ri].n_events) {
       return "run " + std::to_string(ri) + " decoded " +

@@ -47,8 +47,10 @@
 // plausible events.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -228,6 +230,57 @@ enum class OpenFailure : std::uint8_t {
   kCorrupt,   // integrity check failed: reject
 };
 
+// Event indices of a block grouped by kind, stream order within each
+// kind: a counting sort of the kind column, so each (kind, field) column
+// walks only its own kind's events. Build reuses its storage.
+class KindIndex {
+ public:
+  void Build(std::string_view kinds);
+
+  std::span<const std::uint32_t> Of(std::uint8_t kind) const {
+    return std::span<const std::uint32_t>(order_).subspan(
+        start_[kind], start_[kind + 1] - start_[kind]);
+  }
+
+ private:
+  std::array<std::uint32_t, 257> start_{};  // one slot per kind byte
+  std::vector<std::uint32_t> order_;
+};
+
+// A block payload decoded column by column: the block decoder's first
+// step. Decode validates every column and keeps its values; Materialize,
+// the second step, builds the events of any index range from them. A
+// caller that wants only some events (a window query) finds them through
+// kind() and frame() and builds just those. Decode reuses its storage.
+class BlockColumns {
+ public:
+  // Validates `raw` (every check DecodeBlockPayload makes) and decodes
+  // all of its columns. Returns "" on success; after an error size() is 0.
+  std::string Decode(std::string_view raw, std::uint64_t expect_events);
+
+  std::size_t size() const { return n_; }
+  trace::EventKind kind(std::size_t i) const {
+    return static_cast<trace::EventKind>(kinds_[i]);
+  }
+  std::uint64_t frame(std::size_t i) const { return frames_[i]; }
+
+  // Writes events [first, last) to dst[0, last - first), setting every
+  // member. Requires first <= last <= size().
+  void Materialize(std::size_t first, std::size_t last,
+                   trace::TraceEvent* dst) const;
+
+ private:
+  std::size_t n_ = 0;
+  std::string kinds_;
+  std::vector<std::uint32_t> readers_;
+  std::vector<std::uint64_t> slots_, frames_;  // absolute, not deltas
+  KindIndex index_;
+  // Every (kind, field) column's values (clocks accumulated) in payload
+  // order; kind k's first column starts at values_[field_base_[k]].
+  std::vector<std::uint64_t> values_;
+  std::array<std::size_t, 256> field_base_{};
+};
+
 // Indexed reader over a store file — or, backward-compatibly, over a v1
 // uncompressed "ANCTRACE" file, which Open() indexes in one streaming
 // pass into the same pseudo-block shape (events are decoded on demand,
@@ -255,15 +308,17 @@ class StoreReader {
   const std::vector<StoredRun>& runs() const { return runs_; }
   const std::vector<BlockMeta>& blocks() const { return blocks_; }
 
-  // Decodes one block (CRC-verified). Returns "" on success.
+  // Decodes one block (CRC-verified). Returns "" on success. Reuses the
+  // events *out already holds; leaves *out empty on error.
   std::string ReadBlock(std::size_t index,
                         std::vector<trace::TraceEvent>* out);
 
-  // ReadBlock into an event buffer the reader owns and reuses, so a scan
-  // over blocks allocates nothing per block. *events stays valid until
-  // the next ScanBlock. Returns "" on success.
-  std::string ScanBlock(std::size_t index,
-                        const std::vector<trace::TraceEvent>** events);
+  // ReadBlock's first step: CRC-checks block `index` and decodes its
+  // columns into scratch the reader owns and reuses. Returns "" and points
+  // *columns at them, valid until the next call; on error *columns is
+  // null.
+  std::string ReadBlockColumns(std::size_t index,
+                               const BlockColumns** columns);
 
   // First block of `run_ordinal` that can contain an event of `frame`
   // (binary search over running-max frame). kNoBlock when the frame is
@@ -280,10 +335,10 @@ class StoreReader {
 
   std::FILE* file_ = nullptr;   // store mode
   std::string legacy_bytes_;    // legacy mode: raw v1 file bytes
-  // ReadBlock's stored and decompressed bytes and ScanBlock's events,
+  // ReadBlockColumns' stored and decompressed bytes and decoded columns,
   // reused across blocks.
   std::string payload_, raw_;
-  std::vector<trace::TraceEvent> scan_;
+  BlockColumns columns_;
   bool legacy_ = false;
   std::vector<StoredRun> runs_;
   std::vector<BlockMeta> blocks_;
@@ -324,7 +379,8 @@ std::string RecoverStoreFile(const std::string& in_path,
 // that exactly `expect_events` events are present and the payload is
 // fully consumed, accepts only bytes Encode could have written (so a
 // decoded block re-encodes to its input), and leaves *out empty on error.
-// It reuses *out's storage, so pass the same vector block after block.
+// It is BlockColumns::Decode then Materialize over [0, n), and reuses
+// *out's events, so pass the same vector block after block.
 std::string EncodeBlockPayload(const std::vector<trace::TraceEvent>& events);
 std::string DecodeBlockPayload(std::string_view raw,
                                std::uint64_t expect_events,

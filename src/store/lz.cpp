@@ -153,6 +153,24 @@ std::string LzCompress(std::string_view raw) {
 
 namespace {
 
+// Room past `raw_len` that Decode's wide copies may write into: a short
+// literal run is copied as 16 bytes and a match as whole 8-byte words,
+// whatever their lengths. An overrun lands only in this slack or on bytes
+// a later token writes, so it never reaches the output.
+constexpr std::size_t kSlack = 16;
+
+// Adds the 255-run extension bytes of a length whose nibble is 15 to *v
+// and moves *i past them. False when the stream ends inside them.
+inline bool ReadLenExt(const unsigned char* src, std::size_t n, std::size_t* i,
+                       std::size_t* v) {
+  for (;;) {
+    if (*i >= n) return false;
+    const unsigned b = src[(*i)++];
+    *v += b;
+    if (b < 255) return true;
+  }
+}
+
 // LzDecompress's body: fills the `raw_len` bytes of *out, or returns an
 // error naming the first malformed token.
 std::string Decode(std::string_view comp, std::size_t raw_len,
@@ -166,61 +184,62 @@ std::string Decode(std::string_view comp, std::size_t raw_len,
     return "declared size " + std::to_string(raw_len) + " exceeds what " +
            std::to_string(comp.size()) + " compressed bytes can encode";
   }
-  out->resize(raw_len);
+  out->resize(raw_len + kSlack);
   char* const dst = out->data();
-  std::size_t o = 0;  // bytes produced
+  const auto* const src = reinterpret_cast<const unsigned char*>(comp.data());
+  const std::size_t n = comp.size();
   const auto err_at = [](const char* what, std::size_t pos) {
     return std::string(what) + " at compressed offset " + std::to_string(pos);
   };
-  std::size_t i = 0;
-  const auto read_len = [&](std::size_t base, std::size_t* v,
-                            std::string* err) {
-    *v = base;
-    if (base < 15) return true;
-    for (;;) {
-      if (i >= comp.size()) {
-        *err = err_at("truncated length extension", i);
-        return false;
-      }
-      const auto b = static_cast<std::uint8_t>(comp[i++]);
-      *v += b;
-      if (b < 255) return true;
+  std::size_t i = 0;  // stream bytes read
+  std::size_t o = 0;  // bytes produced
+  while (i < n) {
+    const unsigned token = src[i++];
+    std::size_t lit = token >> 4;
+    if (lit == 15 && !ReadLenExt(src, n, &i, &lit)) {
+      return err_at("truncated length extension", i);
     }
-  };
-
-  while (i < comp.size()) {
-    const auto token = static_cast<std::uint8_t>(comp[i++]);
-    std::string err;
-    std::size_t lit = 0;
-    if (!read_len(token >> 4, &lit, &err)) return err;
-    if (lit > comp.size() - i) return err_at("truncated literals", i);
+    if (lit > n - i) return err_at("truncated literals", i);
     if (lit > raw_len - o) {
       return err_at("literal run overflows declared size", i);
     }
-    std::memcpy(dst + o, comp.data() + i, lit);
+    if (lit <= 16 && n - i >= 16) {
+      std::memcpy(dst + o, src + i, 16);
+    } else {
+      std::memcpy(dst + o, src + i, lit);
+    }
     o += lit;
     i += lit;
-    if (i == comp.size()) break;  // final sequence: literals end the stream
-    if (comp.size() - i < 2) return err_at("truncated match offset", i);
-    const std::size_t dist = static_cast<std::uint8_t>(comp[i]) |
-                             static_cast<std::size_t>(
-                                 static_cast<std::uint8_t>(comp[i + 1]))
-                                 << 8;
+    if (i == n) break;  // final sequence: literals end the stream
+    if (n - i < 2) return err_at("truncated match offset", i);
+    const std::size_t dist = src[i] | static_cast<std::size_t>(src[i + 1]) << 8;
     i += 2;
     if (dist == 0 || dist > o) {
       return err_at("match offset outside produced output", i - 2);
     }
-    std::size_t match = 0;
-    if (!read_len(token & 0x0F, &match, &err)) return err;
+    std::size_t match = token & 0x0F;
+    if (match == 15 && !ReadLenExt(src, n, &i, &match)) {
+      return err_at("truncated length extension", i);
+    }
     match += kMinMatch;
     if (match > raw_len - o) {
       return err_at("match overflows declared size", i);
     }
-    if (dist >= match) {
-      std::memcpy(dst + o, dst + o - dist, match);
+    char* const to = dst + o;
+    if (dist >= 16) {
+      // Wide copies: each reads bytes at least one copy width behind what
+      // it writes, all produced already, so overlapping matches
+      // replicate too.
+      for (std::size_t k = 0; k < match; k += 16) {
+        std::memcpy(to + k, to + k - dist, 16);
+      }
+    } else if (dist >= 8) {
+      for (std::size_t k = 0; k < match; k += 8) {
+        std::memcpy(to + k, to + k - dist, 8);
+      }
     } else {
-      // Overlapping match (dist < len): byte at a time, so it replicates.
-      for (std::size_t k = 0; k < match; ++k) dst[o + k] = dst[o + k - dist];
+      // Period under 8: byte at a time, so it replicates.
+      for (std::size_t k = 0; k < match; ++k) to[k] = to[k - dist];
     }
     o += match;
   }
@@ -228,6 +247,7 @@ std::string Decode(std::string_view comp, std::size_t raw_len,
     return "decompressed " + std::to_string(o) + " bytes, block declares " +
            std::to_string(raw_len);
   }
+  out->resize(raw_len);
   return "";
 }
 

@@ -96,6 +96,44 @@ bool FrameBearing(EventKind kind) {
   }
 }
 
+// What a window query does with one event, judged from its kind and
+// frame alone.
+enum class Pick : std::uint8_t { kSkip, kKeep, kStop };
+
+// Appends events [first, last) of `block` to *out.
+void AppendRange(const BlockColumns& block, std::size_t first,
+                 std::size_t last, std::vector<TraceEvent>* out) {
+  if (first == last) return;
+  const std::size_t at = out->size();
+  out->resize(at + (last - first));
+  block.Materialize(first, last, out->data() + at);
+}
+
+// Decodes blocks [first_block, end_block) in order and appends the events
+// `pick` keeps until the first it stops at, building only the kept ones.
+// Every scanned block is decoded and checked in full, so a corrupt block
+// fails the query even when the window misses its damage.
+template <typename PickFn>
+std::string AppendPicked(StoreReader& reader, std::size_t first_block,
+                         std::size_t end_block, PickFn pick,
+                         std::vector<TraceEvent>* out) {
+  for (std::size_t b = first_block; b < end_block; ++b) {
+    const BlockColumns* block = nullptr;
+    const std::string err = reader.ReadBlockColumns(b, &block);
+    if (!err.empty()) return err;
+    std::size_t kept = 0;  // first event of the current run of kept events
+    for (std::size_t i = 0; i < block->size(); ++i) {
+      const Pick p = pick(block->kind(i), block->frame(i));
+      if (p == Pick::kKeep) continue;
+      AppendRange(*block, kept, i, out);
+      if (p == Pick::kStop) return "";
+      kept = i + 1;
+    }
+    AppendRange(*block, kept, block->size(), out);
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string QueryFrameWindow(StoreReader& reader, std::size_t run_ordinal,
@@ -111,25 +149,16 @@ std::string QueryFrameWindow(StoreReader& reader, std::size_t run_ordinal,
   const StoredRun& run = reader.runs()[run_ordinal];
   const std::size_t start = reader.FindBlockForFrame(run_ordinal, frame_lo);
   if (start == kNoBlock) return "";  // window beyond the run's last frame
-  const std::size_t start_in_run = start - run.first_block;
-  SeedFromBlock(reader, run_ordinal, start_in_run, seed);
-  for (std::size_t b = start_in_run; b < run.n_blocks; ++b) {
-    const std::vector<TraceEvent>* events = nullptr;
-    const std::string err = reader.ScanBlock(run.first_block + b, &events);
-    if (!err.empty()) return err;
-    bool past_window = false;
-    for (const TraceEvent& e : *events) {
-      if (!FrameBearing(e.kind)) continue;
-      if (e.frame > frame_hi) {
+  SeedFromBlock(reader, run_ordinal, start - run.first_block, seed);
+  return AppendPicked(
+      reader, start, run.first_block + run.n_blocks,
+      [&](EventKind kind, std::uint64_t frame) {
+        if (!FrameBearing(kind)) return Pick::kSkip;
         // Frames are monotone within a run: nothing later can qualify.
-        past_window = true;
-        break;
-      }
-      if (e.frame >= frame_lo) out->push_back(e);
-    }
-    if (past_window) break;
-  }
-  return "";
+        if (frame > frame_hi) return Pick::kStop;
+        return frame >= frame_lo ? Pick::kKeep : Pick::kSkip;
+      },
+      out);
 }
 
 std::string QueryEpochWindow(StoreReader& reader, std::size_t run_ordinal,
@@ -141,17 +170,14 @@ std::string QueryEpochWindow(StoreReader& reader, std::size_t run_ordinal,
            std::to_string(reader.runs().size()) + " runs)";
   }
   const StoredRun& run = reader.runs()[run_ordinal];
-  for (std::size_t b = 0; b < run.n_blocks; ++b) {
-    const std::vector<TraceEvent>* events = nullptr;
-    const std::string err = reader.ScanBlock(run.first_block + b, &events);
-    if (!err.empty()) return err;
-    for (const TraceEvent& e : *events) {
-      if (e.kind != EventKind::kEpoch) continue;
-      if (e.frame > epoch_hi) return "";  // epochs are monotone
-      if (e.frame >= epoch_lo) out->push_back(e);
-    }
-  }
-  return "";
+  return AppendPicked(
+      reader, run.first_block, run.first_block + run.n_blocks,
+      [&](EventKind kind, std::uint64_t epoch) {
+        if (kind != EventKind::kEpoch) return Pick::kSkip;
+        if (epoch > epoch_hi) return Pick::kStop;  // epochs are monotone
+        return epoch >= epoch_lo ? Pick::kKeep : Pick::kSkip;
+      },
+      out);
 }
 
 }  // namespace anc::store

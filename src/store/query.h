@@ -1,10 +1,11 @@
 // Index-backed queries over an opened StoreReader: the `trace_inspect
 // query`/`serve` answer path. Summarize() and BlockTimeseriesCsv() read
 // only the footer index — zero block decodes regardless of trace size.
-// The window queries decode just the blocks that can overlap the request:
-// a frame window starts at FindBlockForFrame (O(log n) seek) and stops at
-// the first frame past the window; an epoch window stops at the first
-// epoch past the window. Both seed their cumulative counters from the
+// The window queries decode just the blocks that can overlap the request,
+// and build only the events they return (picked from the kind and frame
+// columns, see BlockColumns): a frame window starts at FindBlockForFrame
+// (O(log n) seek) and stops at the first frame past the window; an epoch
+// window stops at the first epoch past the window. Both seed their cumulative counters from the
 // preceding block's footer entry instead of replaying the run prefix.
 #pragma once
 

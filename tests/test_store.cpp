@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <unistd.h>
@@ -330,6 +331,21 @@ TEST(StoreContainer, FlippedBlockByteFailsCrc) {
   }
 }
 
+TEST(StoreContainer, BlockCutAfterOpenIsAnIoErrorNotCorruption) {
+  CorruptionCase c;
+  StoreReader reader;
+  ASSERT_EQ(reader.Open(c.path), "");
+  ASSERT_FALSE(reader.blocks().empty());
+  // The file shrinks under an open reader: reading a block past the new
+  // end is a short read, not a payload that fails its CRC.
+  ASSERT_EQ(::truncate(c.path.c_str(), 0), 0);
+  std::vector<trace::TraceEvent> events(3);
+  const std::string err = reader.ReadBlock(0, &events);
+  EXPECT_NE(err.find("short read"), std::string::npos) << err;
+  EXPECT_EQ(err.find("CRC"), std::string::npos) << err;
+  EXPECT_TRUE(events.empty());
+}
+
 TEST(StoreContainer, FlippedFooterByteIsRejected) {
   CorruptionCase c;
   std::string bad = c.bytes;
@@ -458,6 +474,96 @@ TEST(StoreQuery, FrameWindowMatchesFullDecode) {
   }
   EXPECT_EQ(seed.arrives, arrives);
   std::remove(path.c_str());
+}
+
+// QueryFrameWindow's rule applied to whole ReadBlock output: from the
+// seek target on, in block order, skip events that carry no frame (epoch,
+// TDMA slot, run end), stop at the first frame past hi, keep frames from
+// lo on. Churn events count as frame-bearing, as in the query.
+std::string ReferenceFrameWindow(StoreReader& reader, std::size_t run,
+                                 std::uint64_t lo, std::uint64_t hi,
+                                 std::vector<trace::TraceEvent>* out,
+                                 WindowSeed* seed) {
+  out->clear();
+  *seed = WindowSeed{};
+  const StoredRun& r = reader.runs()[run];
+  const std::size_t start = reader.FindBlockForFrame(run, lo);
+  if (start == kNoBlock) return "";
+  if (start > r.first_block) {
+    const BlockMeta& prev = reader.blocks()[start - 1];
+    *seed = {prev.acks_cum, prev.arrives_cum, prev.departs_cum,
+             prev.detects_cum, prev.population_end};
+  }
+  std::vector<trace::TraceEvent> events;
+  for (std::size_t b = start; b < r.first_block + r.n_blocks; ++b) {
+    const std::string err = reader.ReadBlock(b, &events);
+    if (!err.empty()) return err;
+    for (const trace::TraceEvent& e : events) {
+      if (e.kind == trace::EventKind::kEpoch ||
+          e.kind == trace::EventKind::kTdmaSlot ||
+          e.kind == trace::EventKind::kRunEnd) {
+        continue;
+      }
+      if (e.frame > hi) return "";
+      if (e.frame >= lo) out->push_back(e);
+    }
+  }
+  return "";
+}
+
+TEST(StoreQuery, FrameWindowMatchesBlockScan) {
+  const trace::TraceFile file = RecordSoak(2);
+  for (const std::size_t block_events : {1u, 7u, 256u, 4096u}) {
+    const std::string path = TempPath("anc_store_query_scan.ancstore");
+    StoreWriterOptions options;
+    options.block_events = block_events;
+    ASSERT_EQ(WriteStoreFile(path, file, options), "");
+    StoreReader reader;
+    ASSERT_EQ(reader.Open(path), "");
+    Pcg32 rng(41 + block_events);
+    std::size_t nonempty = 0;
+    for (std::size_t q = 0; q < 240; ++q) {
+      const std::size_t run = q % file.runs.size();
+      const StoredRun& r = reader.runs()[run];
+      std::uint64_t max_frame = 0;
+      for (std::size_t b = 0; b < r.n_blocks; ++b) {
+        max_frame =
+            std::max(max_frame, reader.blocks()[r.first_block + b].max_frame);
+      }
+      const auto frames = static_cast<std::uint32_t>(max_frame + 1);
+      std::uint64_t lo = rng.UniformBelow(frames);
+      std::uint64_t hi = lo + rng.UniformBelow(9);
+      if (q % 20 == 1) {  // past the last frame
+        lo = max_frame + 1 + rng.UniformBelow(3);
+        hi = lo + rng.UniformBelow(5);
+      } else if (q % 20 == 2) {  // lo > hi
+        lo = 1 + rng.UniformBelow(frames);
+        hi = lo - 1 - rng.UniformBelow(static_cast<std::uint32_t>(lo));
+      } else if (q % 20 == 3) {  // the whole run
+        lo = 0;
+        hi = max_frame;
+      }
+      std::vector<trace::TraceEvent> got, want;
+      WindowSeed seed, want_seed;
+      ASSERT_EQ(QueryFrameWindow(reader, run, lo, hi, &got, &seed), "");
+      ASSERT_EQ(ReferenceFrameWindow(reader, run, lo, hi, &want, &want_seed),
+                "");
+      const std::string what = "block_events " +
+                               std::to_string(block_events) + " run " +
+                               std::to_string(run) + " [" +
+                               std::to_string(lo) + ", " +
+                               std::to_string(hi) + "]";
+      ASSERT_EQ(got, want) << what;
+      EXPECT_EQ(seed.acks, want_seed.acks) << what;
+      EXPECT_EQ(seed.arrives, want_seed.arrives) << what;
+      EXPECT_EQ(seed.departs, want_seed.departs) << what;
+      EXPECT_EQ(seed.detects, want_seed.detects) << what;
+      EXPECT_EQ(seed.population, want_seed.population) << what;
+      nonempty += !got.empty();
+    }
+    EXPECT_GT(nonempty, 100u) << "block_events " << block_events;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(StoreQuery, EpochWindowMatchesFullDecode) {

@@ -6,6 +6,7 @@
 // that reads from disk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -19,6 +20,7 @@
 #include "store/container.h"
 #include "store/crc32.h"
 #include "store/lz.h"
+#include "store/query.h"
 #include "trace/binary.h"
 
 namespace anc::store {
@@ -441,25 +443,141 @@ TEST(StoreMutation, LzDecompressAgreesWithReferenceOrFails) {
   EXPECT_GT(decoded, 0u);  // some flips land in literals and still decode
 }
 
+// ------------------------------------------------ LZ wide-copy edges --
+
+// One token sequence: `lits` literals, then (when match > 0) a match of
+// `match` bytes at distance `dist`, lengths extended past nibble 15.
+std::string Sequence(std::string_view lits, std::size_t match,
+                     std::size_t dist) {
+  const auto ext = [](std::string& out, std::size_t v) {
+    for (; v >= 255; v -= 255) out.push_back(static_cast<char>(0xFF));
+    out.push_back(static_cast<char>(v));
+  };
+  const std::size_t lit_nibble = std::min<std::size_t>(lits.size(), 15);
+  const std::size_t code = match > 0 ? match - 4 : 0;
+  const std::size_t match_nibble = std::min<std::size_t>(code, 15);
+  std::string out(1, static_cast<char>(lit_nibble << 4 | match_nibble));
+  if (lit_nibble == 15) ext(out, lits.size() - 15);
+  out.append(lits);
+  if (match == 0) return out;
+  out.push_back(static_cast<char>(dist & 0xFF));
+  out.push_back(static_cast<char>(dist >> 8));
+  if (match_nibble == 15) ext(out, code - 15);
+  return out;
+}
+
+// LzDecompress into a buffer that last held a longer block, checked
+// against the reference: same verdict, same bytes, no stale bytes.
+void ExpectAgreesWithReference(const std::string& comp, std::size_t raw_len,
+                               const std::string& what) {
+  std::string out(raw_len + 4096, '\xAA');
+  std::string ref;
+  const std::string err = LzDecompress(comp, raw_len, &out);
+  const std::string ref_err = ReferenceLzDecompress(comp, raw_len, &ref);
+  ASSERT_EQ(err.empty(), ref_err.empty()) << what << ": " << err;
+  if (err.empty()) {
+    ASSERT_EQ(out, ref) << what;
+  } else {
+    ASSERT_TRUE(out.empty()) << what;
+  }
+}
+
+TEST(Lz, WideCopiesAgreeWithReferenceAtTheEdges) {
+  // Every pinned input, decoded over a dirty, longer buffer.
+  for (const LzCase& c : PinnedLzInputs()) {
+    ExpectAgreesWithReference(LzCompress(c.raw), c.raw.size(), c.name);
+  }
+  Pcg32 rng(154);
+  const auto noise = [&](std::size_t n) {
+    std::string s(n, '\0');
+    for (char& ch : s) ch = static_cast<char>(rng());
+    return s;
+  };
+  // A match at each distance 1-20 (overlapping below its length, under
+  // and over both copy widths) of lengths around the 8- and 16-byte
+  // words, ending exactly at raw_len or followed by literal runs on
+  // either side of the 16-byte literal copy; the declared size one short
+  // and one long must fail both decoders alike.
+  for (std::size_t dist = 1; dist <= 20; ++dist) {
+    for (std::size_t match :
+         {4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 18u, 19u, 20u, 24u, 33u, 300u}) {
+      for (std::size_t tail : {0u, 1u, 15u, 16u, 17u, 40u}) {
+        const std::string head = noise(dist + rng.UniformBelow(3));
+        std::string comp = Sequence(head, match, dist);
+        if (tail > 0) comp += Sequence(noise(tail), 0, 0);
+        const std::size_t raw_len = head.size() + match + tail;
+        const std::string what = "dist " + std::to_string(dist) + " match " +
+                                 std::to_string(match) + " tail " +
+                                 std::to_string(tail);
+        ExpectAgreesWithReference(comp, raw_len, what);
+        ExpectAgreesWithReference(comp, raw_len - 1, what + " short");
+        ExpectAgreesWithReference(comp, raw_len + 1, what + " long");
+      }
+    }
+  }
+  // Literal runs of every length 0-40 that end the stream exactly, after
+  // a match, so the last one is copied with fewer than 16 stream bytes
+  // left.
+  for (std::size_t lit = 0; lit <= 40; ++lit) {
+    const std::string comp =
+        Sequence(noise(8), 12, 8) + Sequence(noise(lit), 0, 0);
+    ExpectAgreesWithReference(comp, 8 + 12 + lit,
+                              "final literals " + std::to_string(lit));
+  }
+}
+
+// A payload of more events than any golden block: the golden blocks'
+// events back to back, so a vector that held it is longer than every
+// decode after it.
+struct LargeBlock {
+  std::string raw;
+  std::uint64_t n_events = 0;
+};
+
+LargeBlock LargerThanAnyGolden(const std::vector<GoldenStore>& stores) {
+  std::vector<trace::TraceEvent> all, events;
+  for (const GoldenStore& store : stores) {
+    for (const GoldenBlock& block : store.blocks) {
+      EXPECT_EQ(DecodeBlockPayload(block.raw, block.n_events, &events), "");
+      all.insert(all.end(), events.begin(), events.end());
+    }
+  }
+  return {EncodeBlockPayload(all), all.size()};
+}
+
 TEST(StoreMutation, DecodeBlockPayloadFailsOrReencodes) {
+  const std::vector<GoldenStore> stores = GoldenStores("anc_mut_payload");
   std::vector<std::string> payloads;
   std::vector<std::uint64_t> counts;
-  for (const GoldenStore& store : GoldenStores("anc_mut_payload")) {
+  for (const GoldenStore& store : stores) {
     for (const GoldenBlock& block : store.blocks) {
       payloads.push_back(block.raw);
       counts.push_back(block.n_events);
     }
   }
   ASSERT_FALSE(payloads.empty());
+  const LargeBlock large = LargerThanAnyGolden(stores);
   Pcg32 rng(152);
+  // Its own stream, so the mutations are the same as without the carry.
+  Pcg32 carry_rng(1520);
+  // One vector across all trials, as a reader reuses its events; now and
+  // then it still holds the large block when a decode starts.
+  std::vector<trace::TraceEvent> carried;
   std::size_t decoded = 0;
   for (int trial = 0; trial < 3000; ++trial) {
     const std::size_t pick = Below(rng, payloads.size());
     const std::string bad = Mutate(payloads[pick], payloads, rng);
-    std::vector<trace::TraceEvent> events;
-    if (!DecodeBlockPayload(bad, counts[pick], &events).empty()) continue;
+    if (carry_rng.UniformBelow(4) == 0) {
+      ASSERT_EQ(DecodeBlockPayload(large.raw, large.n_events, &carried), "");
+    }
+    std::vector<trace::TraceEvent> fresh;
+    const std::string err = DecodeBlockPayload(bad, counts[pick], &fresh);
+    ASSERT_EQ(DecodeBlockPayload(bad, counts[pick], &carried), err)
+        << "trial " << trial;
+    ASSERT_EQ(carried, fresh) << "trial " << trial;  // both empty on error
+    if (!err.empty()) continue;
     ++decoded;
-    ASSERT_EQ(EncodeBlockPayload(events), bad) << "trial " << trial;
+    ASSERT_EQ(EncodeBlockPayload(fresh), bad) << "trial " << trial;
   }
   EXPECT_GT(decoded, 0u);  // value flips that keep every column in range
 }
@@ -468,9 +586,12 @@ TEST(StoreMutation, StoreReaderFailsOrReencodes) {
   const std::vector<GoldenStore> stores = GoldenStores("anc_mut_file");
   std::vector<std::string> donors;
   for (const GoldenStore& store : stores) donors.push_back(store.bytes);
+  const LargeBlock large = LargerThanAnyGolden(stores);
   const std::string path = TempPath("anc_mut_file.ancs");
   Pcg32 rng(153);
-  std::size_t opened = 0;
+  Pcg32 carry_rng(1530);  // as in DecodeBlockPayloadFailsOrReencodes
+  std::vector<trace::TraceEvent> carried;
+  std::size_t opened = 0, recovered = 0, windowed = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const GoldenStore& store = stores[Below(rng, stores.size())];
     const std::string bad = Mutate(store.bytes, donors, rng);
@@ -478,20 +599,66 @@ TEST(StoreMutation, StoreReaderFailsOrReencodes) {
     StoreReader reader;
     if (!reader.Open(path).empty()) continue;
     ++opened;
-    std::vector<trace::TraceEvent> events;
-    for (std::size_t b = 0; b < reader.blocks().size(); ++b) {
-      if (!reader.ReadBlock(b, &events).empty()) continue;
+    // Each block through a fresh vector first: the outcome to match.
+    const std::size_t n_blocks = reader.blocks().size();
+    std::vector<std::string> errs(n_blocks);
+    std::vector<std::vector<trace::TraceEvent>> want(n_blocks);
+    std::size_t good = n_blocks;  // a block that reads cleanly, if any
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      errs[b] = reader.ReadBlock(b, &want[b]);
+      if (!errs[b].empty()) continue;
+      if (good == n_blocks) good = b;
       // A block the reader accepts is exactly what the writer would
       // store for its events, at the place the index points to.
       const BlockMeta& meta = reader.blocks()[b];
-      ASSERT_EQ(StoredPayload(events),
+      ASSERT_EQ(StoredPayload(want[b]),
                 bad.substr(static_cast<std::size_t>(meta.offset),
                            static_cast<std::size_t>(meta.comp_len)))
           << "trial " << trial << " block " << b;
     }
+    // Then through the carried vector, which may still hold a larger
+    // block; a failed read must leave nothing that spoils the next one.
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      if (carry_rng.UniformBelow(4) == 0) {
+        ASSERT_EQ(DecodeBlockPayload(large.raw, large.n_events, &carried),
+                  "");
+      }
+      ASSERT_EQ(reader.ReadBlock(b, &carried), errs[b])
+          << "trial " << trial << " block " << b;
+      ASSERT_EQ(carried, want[b]) << "trial " << trial << " block " << b;
+      if (errs[b].empty() || good == n_blocks) continue;
+      ASSERT_EQ(reader.ReadBlock(good, &carried), "") << "trial " << trial;
+      ASSERT_EQ(carried, want[good]) << "trial " << trial;
+      ++recovered;
+    }
+    // A window query fails exactly when a block it scans fails, however
+    // few events it returns: with no upper bound it scans from the seek
+    // target to the end of the run.
+    for (std::size_t run = 0; run < reader.runs().size(); ++run) {
+      const StoredRun& r = reader.runs()[run];
+      if (r.n_blocks == 0) continue;
+      const std::uint64_t lo =
+          reader.blocks()[r.first_block + Below(carry_rng, r.n_blocks)]
+              .min_frame;
+      const std::size_t start = reader.FindBlockForFrame(run, lo);
+      bool scans_bad_block = false;
+      if (start != kNoBlock) {
+        for (std::size_t b = start; b < r.first_block + r.n_blocks; ++b) {
+          scans_bad_block |= !errs[b].empty();
+        }
+      }
+      WindowSeed seed;
+      const std::string err = QueryFrameWindow(
+          reader, run, lo, ~std::uint64_t{0}, &carried, &seed);
+      ASSERT_EQ(err.empty(), !scans_bad_block)
+          << "trial " << trial << " run " << run << ": " << err;
+      windowed += scans_bad_block;
+    }
   }
   std::remove(path.c_str());
-  EXPECT_GT(opened, 0u);  // flips in block heads the footer never reads
+  EXPECT_GT(opened, 0u);     // flips in block heads the footer never reads
+  EXPECT_GT(recovered, 0u);  // a clean read right after a failed one
+  EXPECT_GT(windowed, 0u);   // queries that had to fail
 }
 
 }  // namespace
