@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
                   20.0 * static_cast<double>(config.reader_rows)};
   config.layout.placement = deploy::TagPlacement::kClustered;
   const auto n_tags = static_cast<std::size_t>(args.GetInt("tags", 600));
-  const std::size_t n_readers = config.reader_rows * config.reader_cols;
 
   bench::PrintHeader("Warehouse floor plan (2D multi-reader deployment)",
                      "deployment extension of ICDCS'10 Section I", opts);

@@ -97,8 +97,7 @@ bool Irsa::DepartTag(const TagId& id) {
   // stay buffered at the reader; the ones the tag would have transmitted
   // in the remainder of the frame vanish.
   for (std::uint64_t s = slot_cursor_; s < frame_size_; ++s) {
-    auto& tags = slot_tags_[s];
-    tags.erase(std::remove(tags.begin(), tags.end(), tag), tags.end());
+    slot_tags_.Remove(s, tag);
   }
   return true;
 }
@@ -124,9 +123,7 @@ void Irsa::StartFrame() {
 
   slot_cursor_ = 0;
   frame_transmissions_ = 0;
-  // Keep each slot's vector (and its capacity) across frames.
-  slot_tags_.resize(frame_size_);
-  for (auto& tags : slot_tags_) tags.clear();
+  slot_tags_.Reset(frame_size_);
   const auto frame = static_cast<std::uint32_t>(frame_size_);
   for (std::uint32_t tag : unread_) {
     // Seeded: the pattern the tag's announced seed determines. Otherwise
@@ -139,12 +136,11 @@ void Irsa::StartFrame() {
             : PickSlots(std::min(config_.degrees.Sample(rng_),
                                  MaxDegree(frame_size_)),
                         [&] { return rng_.UniformBelow(frame); });
-    for (int i = 0; i < p.degree; ++i) {
-      slot_tags_[p.slots[i]].push_back(tag);
-      ++metrics_.tag_transmissions;
-    }
+    for (int i = 0; i < p.degree; ++i) slot_tags_.Push(p.slots[i], tag);
+    metrics_.tag_transmissions += static_cast<std::uint64_t>(p.degree);
     ++frame_transmissions_;
   }
+  slot_tags_.Build();
 }
 
 void Irsa::DecodeFrame() {
@@ -158,13 +154,15 @@ void Irsa::DecodeFrame() {
   // cancellation attribute their ID to ids_from_singletons; the rest were
   // recovered from collisions.
   peeler_.Reset(static_cast<std::uint32_t>(read_.size()));
-  for (const auto& tags : slot_tags_) peeler_.AddEquation(tags);
+  for (std::uint64_t s = 0; s < frame_size_; ++s) {
+    peeler_.AddEquation(slot_tags_[s]);
+  }
   for (const StoredRecord& r : records_) peeler_.AddEquation(r.constituents);
   peeler_.Decode();
 
   for (const auto& [tag, equation] : peeler_.reads()) {
     const bool stored = equation >= frame_size_;
-    const bool singleton = !stored && slot_tags_[equation].size() == 1;
+    const bool singleton = !stored && slot_tags_.Occupancy(equation) == 1;
     read_[tag] = true;
     learned_this_step_.push_back(population_[tag]);
     ++metrics_.tags_read;
@@ -221,7 +219,8 @@ void Irsa::DecodeFrame() {
       // record_open; the slot's own kSlot event has the occupancy.
       trace_.Emit(e);
     }
-    StoredRecord record{next_record_id_++, slot_tags_[s]};
+    const std::span<const std::uint32_t> tags = slot_tags_[s];
+    StoredRecord record{next_record_id_++, {tags.begin(), tags.end()}};
     std::erase_if(record.constituents, decoded);
     records_.push_back(std::move(record));
   }
@@ -244,7 +243,7 @@ void Irsa::Step() {
     needs_frame_ = false;
   }
 
-  const std::size_t occupancy = slot_tags_[slot_cursor_].size();
+  const std::size_t occupancy = slot_tags_.Occupancy(slot_cursor_);
   if (occupancy == 0) {
     ++metrics_.empty_slots;
     metrics_.elapsed_seconds += timing_.SlotSeconds();
@@ -266,7 +265,9 @@ void Irsa::Step() {
   if (frame_transmissions_ > 0) DecodeFrame();
   if (trace_) {
     std::uint64_t n_c = 0;
-    for (const auto& tags : slot_tags_) n_c += tags.size() >= 2 ? 1 : 0;
+    for (std::uint64_t s = 0; s < frame_size_; ++s) {
+      n_c += slot_tags_.Occupancy(s) >= 2 ? 1 : 0;
+    }
     trace::TraceEvent e;
     e.kind = trace::EventKind::kFrame;
     e.slot = slot_index_;
@@ -302,10 +303,11 @@ void Irsa::SaveState(std::string* out) const {
   ser::PutVarint(*out, frame_size_);
   ser::PutVarint(*out, slot_cursor_);
   ser::PutVarint(*out, frame_transmissions_);
-  ser::PutVarint(*out, slot_tags_.size());
-  for (const auto& slot : slot_tags_) {
-    ser::PutVarint(*out, slot.size());
-    for (std::uint32_t tag : slot) ser::PutVarint(*out, tag);
+  ser::PutVarint(*out, slot_tags_.num_slots());
+  for (std::size_t s = 0; s < slot_tags_.num_slots(); ++s) {
+    const std::span<const std::uint32_t> tags = slot_tags_[s];
+    ser::PutVarint(*out, tags.size());
+    for (std::uint32_t tag : tags) ser::PutVarint(*out, tag);
   }
   ser::PutBool(*out, needs_frame_);
   ser::PutBool(*out, finished_);
@@ -355,10 +357,20 @@ bool Irsa::RestoreState(std::string_view bytes) {
       r.Varint() != frame_size_) {
     return false;
   }
-  slot_tags_.assign(static_cast<std::size_t>(frame_size_), {});
-  for (auto& slot : slot_tags_) {
-    if (!read_tags(slot)) return false;
+  // Each slot list is checked like any other, then queued in slot order,
+  // so Build() lays the rows out exactly as they were saved.
+  slot_tags_.Reset(static_cast<std::size_t>(frame_size_));
+  std::vector<std::uint32_t> tags;
+  std::uint64_t replicas = 0;
+  for (std::uint64_t s = 0; s < frame_size_; ++s) {
+    if (!read_tags(tags)) return false;
+    replicas += tags.size();
+    if (replicas > UINT32_MAX) return false;  // past a 32-bit row offset
+    for (std::uint32_t tag : tags) {
+      slot_tags_.Push(static_cast<std::uint32_t>(s), tag);
+    }
   }
+  slot_tags_.Build();
   needs_frame_ = r.Bool();
   finished_ = r.Bool();
   // A frame in progress has a slot left to air.

@@ -61,6 +61,7 @@
 #include "common/digest_index.h"
 #include "protocols/baseline_base.h"
 #include "protocols/degree_dist.h"
+#include "protocols/frame_slots.h"
 #include "protocols/peeling.h"
 
 namespace anc::protocols {
@@ -163,7 +164,7 @@ class Irsa final : public BaselineBase {
   std::uint64_t frame_size_ = 0;
   std::uint64_t slot_cursor_ = 0;
   std::uint64_t frame_transmissions_ = 0;
-  std::vector<std::vector<std::uint32_t>> slot_tags_;  // on-air occupancy
+  FrameSlots slot_tags_;  // on-air occupancy
   bool needs_frame_ = true;
   bool finished_ = false;
 

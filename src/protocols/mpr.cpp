@@ -55,20 +55,20 @@ void Mpr::StartFrame() {
 
   slot_cursor_ = 0;
   frame_transmissions_ = 0;
-  slot_tags_.assign(frame_size_, {});
+  slot_tags_.Reset(frame_size_);
   for (std::uint32_t tag : unread_) {
-    const auto slot =
-        rng_.UniformBelow(static_cast<std::uint32_t>(frame_size_));
-    slot_tags_[slot].push_back(tag);
+    slot_tags_.Push(
+        rng_.UniformBelow(static_cast<std::uint32_t>(frame_size_)), tag);
     ++frame_transmissions_;
     ++metrics_.tag_transmissions;
   }
+  slot_tags_.Build();
 }
 
 void Mpr::Step() {
   if (finished_) return;
 
-  auto& tags = slot_tags_[slot_cursor_];
+  const std::span<const std::uint32_t> tags = slot_tags_[slot_cursor_];
   const std::size_t occupancy = tags.size();
   if (occupancy == 0) {
     ChargeEmptySlot();

@@ -35,6 +35,7 @@
 #include <string>
 
 #include "protocols/baseline_base.h"
+#include "protocols/frame_slots.h"
 
 namespace anc::protocols {
 
@@ -71,7 +72,7 @@ class Mpr final : public BaselineBase {
   std::uint64_t frame_size_ = 0;
   std::uint64_t slot_cursor_ = 0;
   std::uint64_t frame_transmissions_ = 0;
-  std::vector<std::vector<std::uint32_t>> slot_tags_;
+  FrameSlots slot_tags_;
   bool finished_ = false;
 };
 

@@ -277,7 +277,7 @@ SupervisorResult SoakSupervisor::Run() {
   const Clock::duration hb_timeout = FromSeconds(sup_.heartbeat_timeout_s);
   const std::size_t max_workers = std::max<std::size_t>(sup_.workers, 1);
 
-  const auto fail_run = [&](std::size_t run, const std::string& why) {
+  const auto fail_run = [&](const std::string& why) {
     ++failed;
     if (result.error.empty()) result.error = why;
   };
@@ -302,8 +302,7 @@ SupervisorResult SoakSupervisor::Run() {
         pick = next_run++;
       }
       if (!Spawn(pick, attempt)) {
-        fail_run(pick, "supervisor: fork failed for run " +
-                           std::to_string(pick));
+        fail_run("supervisor: fork failed for run " + std::to_string(pick));
         continue;
       }
       ++outcomes_[pick].attempts;
@@ -413,8 +412,8 @@ SupervisorResult SoakSupervisor::Run() {
           retries.push_back(
               Retry{run, attempt + 1, Clock::now() + FromSeconds(backoff)});
         } else {
-          fail_run(run, "supervisor: run " + std::to_string(run) +
-                            " exhausted its crash budget");
+          fail_run("supervisor: run " + std::to_string(run) +
+                   " exhausted its crash budget");
         }
       }
     }

@@ -499,14 +499,23 @@ struct BoundaryCrc {
 
 // Forwards every call to the wrapped protocol and folds its SaveState
 // bytes into *out at each frame boundary: before every Step() that opens
-// a frame, and once the run finishes.
+// a frame, and once the run finishes. With `every_step` it folds after
+// every Step() instead, mid-frame states included.
 class FrameBoundaryCrc final : public sim::Protocol {
  public:
-  FrameBoundaryCrc(std::unique_ptr<sim::Protocol> inner, BoundaryCrc* out)
-      : inner_(std::move(inner)), out_(out) {}
+  FrameBoundaryCrc(std::unique_ptr<sim::Protocol> inner, BoundaryCrc* out,
+                   bool every_step = false)
+      : inner_(std::move(inner)), out_(out), every_step_(every_step) {}
 
   std::string_view name() const override { return inner_->name(); }
   void Step() override {
+    if (every_step_) {
+      inner_->Step();
+      std::string after;
+      inner_->SaveState(&after);
+      Fold(after);
+      return;
+    }
     std::string before;
     inner_->SaveState(&before);
     const std::uint64_t frames = inner_->metrics().frames;
@@ -557,7 +566,30 @@ class FrameBoundaryCrc final : public sim::Protocol {
 
   std::unique_ptr<sim::Protocol> inner_;
   BoundaryCrc* out_;
+  bool every_step_;
 };
+
+// Runs a churning smoke soak of `factory` and folds its SaveState bytes
+// at every frame boundary, or after every Step() with `every_step`.
+BoundaryCrc CodedSmokeSoakCrc(const sim::ProtocolFactory& factory,
+                              bool every_step) {
+  ServiceConfig config;
+  EXPECT_TRUE(LookupServiceProfile("smoke", &config));
+  SoakOptions options;
+  options.n_initial = 60;
+  options.runs = 1;
+  options.base_seed = 5;
+  BoundaryCrc got;
+  const sim::ProtocolFactory wrapped =
+      [&](std::span<const TagId> population, Pcg32 rng) {
+        return std::unique_ptr<sim::Protocol>(
+            std::make_unique<FrameBoundaryCrc>(factory(population, rng),
+                                               &got, every_step));
+      };
+  const SloReport report = RunSoakSingle(wrapped, config, options, 0);
+  EXPECT_TRUE(report.churn_supported);
+  return got;
+}
 
 // The coded-ALOHA family's checkpoint bytes at every frame boundary of a
 // churning smoke soak, pinned. The stored records' constituent order is
@@ -575,24 +607,33 @@ TEST(GoldenCheckpoint, CodedFamilyFrameBoundaryBytesPinned) {
       {"crdsa2", core::MakeCrdsaFactory(), 152, 0x7481960bu},
       {"seeded", core::MakeSeededFactory(), 160, 0x1f30104au},
   };
-  ServiceConfig config;
-  ASSERT_TRUE(LookupServiceProfile("smoke", &config));
-  SoakOptions options;
-  options.n_initial = 60;
-  options.runs = 1;
-  options.base_seed = 5;
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.label);
-    BoundaryCrc got;
-    const sim::ProtocolFactory wrapped =
-        [&](std::span<const TagId> population, Pcg32 rng) {
-          return std::unique_ptr<sim::Protocol>(
-              std::make_unique<FrameBoundaryCrc>(
-                  pin.factory(population, rng), &got));
-        };
-    const SloReport report = RunSoakSingle(wrapped, config, options, 0);
-    EXPECT_TRUE(report.churn_supported);
+    const BoundaryCrc got = CodedSmokeSoakCrc(pin.factory, false);
     EXPECT_EQ(got.boundaries, pin.boundaries);
+    EXPECT_EQ(got.crc, pin.crc);
+  }
+}
+
+// The same soak's checkpoint bytes after every Step(). The boundary pin
+// sees only finished frames; this one also sees each frame in progress,
+// with the slots DepartTag() shortened ahead of the cursor.
+TEST(GoldenCheckpoint, CodedFamilyMidFrameBytesPinned) {
+  struct Pin {
+    const char* label;
+    sim::ProtocolFactory factory;
+    std::uint64_t steps;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {"irsa", core::MakeIrsaFactory(), 2500, 0x5b05b9f8u},
+      {"crdsa2", core::MakeCrdsaFactory(), 2500, 0x8594441eu},
+      {"seeded", core::MakeSeededFactory(), 2500, 0x8ed94df7u},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.label);
+    const BoundaryCrc got = CodedSmokeSoakCrc(pin.factory, true);
+    EXPECT_EQ(got.boundaries, pin.steps);
     EXPECT_EQ(got.crc, pin.crc);
   }
 }

@@ -4,8 +4,11 @@
 
 #include "common/rng.h"
 #include "core/factories.h"
+#include "sim/metrics.h"
 #include "sim/population.h"
 #include "sim/runner.h"
+#include "store/crc32.h"
+#include "trace/binary.h"
 #include "trace/recorder.h"
 #include "trace/replay.h"
 
@@ -78,6 +81,37 @@ TEST(Mpr, ReplayRoundTrips) {
   const trace::ReplayReport report =
       trace::VerifyReplay(recorder.File(), factory);
   EXPECT_TRUE(report.ok) << report.message;
+}
+
+// MPR has no golden trace, so small runs are pinned by CRC instead: the
+// run metrics and the recorded trace (every slot, ack and frame event)
+// over seeds 1-3 and capacities 1-4. A frame buffer that moves a tag to
+// another slot, or reorders a slot's tags, changes the acks' order.
+TEST(Mpr, PinnedRunsAreByteIdentical) {
+  std::uint32_t metrics_crc = 0;
+  std::uint32_t trace_crc = 0;
+  for (int capacity = 1; capacity <= 4; ++capacity) {
+    MprConfig config;
+    config.capacity = capacity;
+    const auto factory = core::MakeMprFactory({}, config);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::string metrics;
+      sim::PutRunMetrics(metrics, sim::RunOnce(factory, 500, seed));
+      metrics_crc = store::Crc32(metrics, metrics_crc);
+
+      sim::ExperimentOptions eo;
+      eo.n_tags = 500;
+      eo.runs = 1;
+      eo.base_seed = seed;
+      trace::MultiRunRecorder recorder(eo.runs);
+      eo.trace_factory = recorder.Factory();
+      sim::RunExperiment(factory, eo);
+      trace_crc =
+          store::Crc32(trace::EncodeTrace(recorder.File()), trace_crc);
+    }
+  }
+  EXPECT_EQ(metrics_crc, 0x36088c69u);
+  EXPECT_EQ(trace_crc, 0x628fbb91u);
 }
 
 TEST(PerfectIdentification, UsesExactlyCeilNOverMSlots) {
