@@ -99,19 +99,34 @@ inline void FlushJson() {
   std::fclose(f);
 }
 
+// A kernel's per-op time over its timed blocks: the median and the
+// spread around it.
+struct KernelTiming {
+  double us_per_op = 0.0;  // median block
+  double us_per_op_min = 0.0;
+  double us_per_op_max = 0.0;
+  int blocks = 0;
+};
+
 // One data point for a raw signal-chain kernel: how many samples per
 // second the kernel sustains (throughput of the inner loop, not of the
-// protocol). bench_signal emits these next to its end-to-end point so one
-// JSONL line captures both views of a build's speed.
+// protocol), from the median block. bench_signal emits these next to its
+// end-to-end point so one JSONL line captures both views of a build's
+// speed.
 inline void RecordKernelJsonPoint(const std::string& label,
                                   double samples_per_sec,
-                                  double wall_seconds) {
+                                  double wall_seconds,
+                                  const KernelTiming& timing) {
   JsonState& j = Json();
   if (j.path.empty()) return;
   j.points.push_back("{\"label\":" + JsonStr(label) +
                      ",\"kind\":\"kernel\",\"samples_per_sec\":" +
                      JsonNum(samples_per_sec) +
-                     ",\"wall_seconds\":" + JsonNum(wall_seconds) + "}");
+                     ",\"wall_seconds\":" + JsonNum(wall_seconds) +
+                     ",\"us_per_op\":" + JsonNum(timing.us_per_op) +
+                     ",\"us_per_op_min\":" + JsonNum(timing.us_per_op_min) +
+                     ",\"us_per_op_max\":" + JsonNum(timing.us_per_op_max) +
+                     ",\"blocks\":" + std::to_string(timing.blocks) + "}");
 }
 
 // `fault_metrics` appends the fault-layer aggregates (evictions,

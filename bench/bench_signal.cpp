@@ -4,11 +4,16 @@
 // full ANC resolution — plus the end-to-end rate of FCAT-2 over the
 // waveform phy. Kernel rows report samples/second of the inner loop;
 // the end-to-end row reports simulated slots per wall second, the number
-// the batched-phy redesign is accountable for. With --json each kernel
-// becomes a {"kind":"kernel","samples_per_sec":...} point and the
-// end-to-end point carries "slots_per_sec", which CI schema-checks.
+// the batched-phy redesign is accountable for. Each kernel row is the
+// median of several timed blocks, with the blocks' min-max. With --json
+// each kernel becomes a {"kind":"kernel","samples_per_sec":...} point
+// (plus "us_per_op" and its "us_per_op_min"/"us_per_op_max" over
+// "blocks") and the end-to-end point carries "slots_per_sec", which CI
+// schema-checks.
 #include "bench_common.h"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "common/table.h"
@@ -34,29 +39,44 @@ TagId RandomId(Pcg32& rng) {
                             (std::uint64_t(rng()) << 32) | rng());
 }
 
-// Runs `body` with doubling iteration counts until one timed block takes
-// at least 50 ms, then reports that block. `samples_per_op` converts the
-// per-op time into kernel throughput.
+// Runs `body` with doubling iteration counts until one block takes at
+// least 20 ms, then times kBlocks blocks of that many iterations and
+// reports the median us/op with its min-max: a single block swings with
+// the host (mix_2 read 0.83-2.45 us between runs of one binary).
+// `samples_per_op` converts the median into kernel throughput.
 template <typename F>
 void TimeKernel(const char* label, std::size_t samples_per_op,
                 TextTable* table, F&& body) {
   using clock = std::chrono::steady_clock;
-  body();  // warm-up: touch caches, fill scratch capacity
-  double seconds = 0.0;
-  std::size_t iters = 1;
-  for (;; iters *= 2) {
+  constexpr int kBlocks = 9;
+  const auto time_block = [&](std::size_t iters) {
     const auto start = clock::now();
     for (std::size_t i = 0; i < iters; ++i) body();
-    seconds = std::chrono::duration<double>(clock::now() - start).count();
-    if (seconds >= 0.05 || iters >= (std::size_t{1} << 24)) break;
+    return std::chrono::duration<double>(clock::now() - start).count();
+  };
+  body();  // warm-up: touch caches, fill scratch capacity
+  std::size_t iters = 1;
+  while (time_block(iters) < 0.02 && iters < (std::size_t{1} << 24)) {
+    iters *= 2;
   }
-  const double us_per_op = seconds * 1e6 / static_cast<double>(iters);
+  std::array<double, kBlocks> us_per_op{};
+  double seconds = 0.0;
+  for (double& us : us_per_op) {
+    const double block = time_block(iters);
+    seconds += block;
+    us = block * 1e6 / static_cast<double>(iters);
+  }
+  std::sort(us_per_op.begin(), us_per_op.end());
+  const double median = us_per_op[kBlocks / 2];
   const double samples_per_sec =
-      static_cast<double>(iters) * static_cast<double>(samples_per_op) /
-      seconds;
-  table->AddRow({label, TextTable::Num(us_per_op, 2),
+      static_cast<double>(samples_per_op) * 1e6 / median;
+  table->AddRow({label, TextTable::Num(median, 2),
+                 TextTable::Num(us_per_op.front(), 2) + "-" +
+                     TextTable::Num(us_per_op.back(), 2),
                  TextTable::Num(samples_per_sec / 1e6, 1)});
-  bench::detail::RecordKernelJsonPoint(label, samples_per_sec, seconds);
+  bench::detail::RecordKernelJsonPoint(
+      label, samples_per_sec, seconds,
+      {median, us_per_op.front(), us_per_op.back(), kBlocks});
 }
 
 }  // namespace
@@ -97,7 +117,7 @@ int main(int argc, char** argv) {
 
   std::printf("Kernels (one %zu-sample report frame per op):\n\n",
               frame_samples);
-  TextTable kernels({"kernel", "us/op", "Msamples/s"});
+  TextTable kernels({"kernel", "us/op", "min-max", "Msamples/s"});
   signal::Buffer scratch(frame_samples);
   std::vector<std::uint8_t> bits_scratch;
   // SignalPhy's synthesis path: one phase-walk table reused across frames.

@@ -7,6 +7,8 @@
 // phy and engine configurations.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -19,6 +21,13 @@
 
 namespace anc::core {
 
+// Builds a layer between the engine and its phy that watches the phy
+// calls (a test counting resolve requests, say). The layer must forward
+// every call to `inner`, which outlives it. An empty decorator leaves the
+// engine talking to the phy itself.
+using PhyDecorator = std::function<std::unique_ptr<phy::PhyInterface>(
+    phy::PhyInterface& inner)>;
+
 template <class Phy>
 class EngineProtocol : public sim::Protocol {
  public:
@@ -27,9 +36,11 @@ class EngineProtocol : public sim::Protocol {
   // The phy takes rng.Split() first; the engine runs on the rest.
   EngineProtocol(std::string name, std::span<const TagId> population,
                  anc::Pcg32 rng, const PhyConfig& phy_config,
-                 const CollisionAwareConfig& config)
+                 const CollisionAwareConfig& config,
+                 const PhyDecorator& decorate = {})
       : phy_(population, phy_config, rng.Split()),
-        engine_(std::move(name), population, phy_, config, rng) {}
+        decorated_(decorate ? decorate(phy_) : nullptr),
+        engine_(std::move(name), population, EnginePhy(), config, rng) {}
 
   void Step() override { engine_.Step(); }
   bool Finished() const override { return engine_.Finished(); }
@@ -103,12 +114,20 @@ class EngineProtocol : public sim::Protocol {
   EngineProtocol(std::string name, std::span<const TagId> population,
                  anc::Pcg32 phy_rng, anc::Pcg32 engine_rng,
                  const PhyConfig& phy_config,
-                 const CollisionAwareConfig& config)
+                 const CollisionAwareConfig& config,
+                 const PhyDecorator& decorate)
       : phy_(population, phy_config, phy_rng),
-        engine_(std::move(name), population, phy_, config, engine_rng) {}
+        decorated_(decorate ? decorate(phy_) : nullptr),
+        engine_(std::move(name), population, EnginePhy(), config,
+                engine_rng) {}
 
  private:
+  phy::PhyInterface& EnginePhy() {
+    return decorated_ ? *decorated_ : static_cast<phy::PhyInterface&>(phy_);
+  }
+
   Phy phy_;
+  std::unique_ptr<phy::PhyInterface> decorated_;  // over phy_, if any
   CollisionAwareEngine engine_;
 };
 

@@ -74,8 +74,9 @@ std::string FaultSuffix(const fault::FaultConfig& f) {
 class Scat final : public EngineProtocol<phy::IdealPhy> {
  public:
   Scat(std::span<const TagId> population, anc::Pcg32 rng,
-       const ScatOptions& options)
-      : Scat(population, options, Assemble(population, rng, options)) {}
+       const ScatOptions& options, const PhyDecorator& decorate)
+      : Scat(population, options, Assemble(population, rng, options),
+             decorate) {}
 
   const sim::RunMetrics& metrics() const override {
     merged_ = EngineProtocol::metrics();
@@ -120,13 +121,13 @@ class Scat final : public EngineProtocol<phy::IdealPhy> {
   }
 
   Scat(std::span<const TagId> population, const ScatOptions& options,
-       const Assembly& a)
+       const Assembly& a, const PhyDecorator& decorate)
       : EngineProtocol("SCAT-" + std::to_string(options.lambda) +
                            FaultSuffix(options.fault),
                        population, a.phy_rng, a.engine_rng,
                        {options.lambda, options.resolution_success_prob,
                         options.singleton_corrupt_prob},
-                       a.config),
+                       a.config, decorate),
         prestep_(a.prestep) {}
 
   sim::RunMetrics prestep_;
@@ -137,41 +138,47 @@ class Scat final : public EngineProtocol<phy::IdealPhy> {
 
 std::unique_ptr<EngineProtocol<phy::IdealPhy>> MakeFcat(
     std::span<const TagId> population, anc::Pcg32 rng,
-    const FcatOptions& options) {
+    const FcatOptions& options, const PhyDecorator& decorate) {
   return std::make_unique<EngineProtocol<phy::IdealPhy>>(
       "FCAT-" + std::to_string(options.lambda) + FaultSuffix(options.fault),
       population, rng,
       phy::IdealPhyConfig{options.lambda, options.resolution_success_prob,
                           options.singleton_corrupt_prob},
-      EngineConfig(options));
+      EngineConfig(options), decorate);
 }
 
 std::unique_ptr<EngineProtocol<phy::SignalPhy>> MakeFcatSignal(
     std::span<const TagId> population, anc::Pcg32 rng,
-    const FcatSignalOptions& options) {
+    const FcatSignalOptions& options, const PhyDecorator& decorate) {
   phy::SignalPhyConfig signal = options.signal;
   if (signal.max_mixture == 0) signal.max_mixture = options.lambda;
   return std::make_unique<EngineProtocol<phy::SignalPhy>>(
       "FCAT-" + std::to_string(options.lambda) + "-signal" +
           FaultSuffix(options.fault),
-      population, rng, signal, EngineConfig(options));
+      population, rng, signal, EngineConfig(options), decorate);
 }
 
-sim::ProtocolFactory MakeFcatFactory(FcatOptions options) {
-  return [options](std::span<const TagId> population, anc::Pcg32 rng) {
-    return MakeFcat(population, rng, options);
+sim::ProtocolFactory MakeFcatFactory(FcatOptions options,
+                                     PhyDecorator decorate) {
+  return [options, decorate](std::span<const TagId> population,
+                             anc::Pcg32 rng) {
+    return MakeFcat(population, rng, options, decorate);
   };
 }
 
-sim::ProtocolFactory MakeScatFactory(ScatOptions options) {
-  return [options](std::span<const TagId> population, anc::Pcg32 rng) {
-    return std::make_unique<Scat>(population, rng, options);
+sim::ProtocolFactory MakeScatFactory(ScatOptions options,
+                                     PhyDecorator decorate) {
+  return [options, decorate](std::span<const TagId> population,
+                             anc::Pcg32 rng) {
+    return std::make_unique<Scat>(population, rng, options, decorate);
   };
 }
 
-sim::ProtocolFactory MakeFcatSignalFactory(FcatSignalOptions options) {
-  return [options](std::span<const TagId> population, anc::Pcg32 rng) {
-    return MakeFcatSignal(population, rng, options);
+sim::ProtocolFactory MakeFcatSignalFactory(FcatSignalOptions options,
+                                           PhyDecorator decorate) {
+  return [options, decorate](std::span<const TagId> population,
+                             anc::Pcg32 rng) {
+    return MakeFcatSignal(population, rng, options, decorate);
   };
 }
 

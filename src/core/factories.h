@@ -99,17 +99,21 @@ struct FcatSignalOptions {
 };
 
 // Single FCAT instances, for callers that drive one run by hand and
-// inspect the engine or the phy afterwards.
+// inspect the engine or the phy afterwards. A decorator, if given, sits
+// between the engine and the phy (core/engine_protocol.h).
 std::unique_ptr<EngineProtocol<phy::IdealPhy>> MakeFcat(
     std::span<const TagId> population, anc::Pcg32 rng,
-    const FcatOptions& options);
+    const FcatOptions& options, const PhyDecorator& decorate = {});
 std::unique_ptr<EngineProtocol<phy::SignalPhy>> MakeFcatSignal(
     std::span<const TagId> population, anc::Pcg32 rng,
-    const FcatSignalOptions& options);
+    const FcatSignalOptions& options, const PhyDecorator& decorate = {});
 
-sim::ProtocolFactory MakeFcatFactory(FcatOptions options);
-sim::ProtocolFactory MakeScatFactory(ScatOptions options);
-sim::ProtocolFactory MakeFcatSignalFactory(FcatSignalOptions options);
+sim::ProtocolFactory MakeFcatFactory(FcatOptions options,
+                                     PhyDecorator decorate = {});
+sim::ProtocolFactory MakeScatFactory(ScatOptions options,
+                                     PhyDecorator decorate = {});
+sim::ProtocolFactory MakeFcatSignalFactory(FcatSignalOptions options,
+                                           PhyDecorator decorate = {});
 
 sim::ProtocolFactory MakeDfsaFactory(phy::TimingModel timing = {},
                                      protocols::DfsaConfig config = {});

@@ -64,6 +64,15 @@ void RecordTracker::CloseResolved(phy::RecordHandle handle,
   }
 }
 
+bool RecordTracker::SkipsPhy(phy::RecordHandle handle,
+                             const RecordState& state,
+                             const phy::PhyInterface& phy) const {
+  // A bit-rotted record fails its CRC check at resolve time regardless of
+  // how many constituents are known.
+  return (ledger_ != nullptr && ledger_->IsCorrupt(handle)) ||
+         phy.RejectsResolve(handle, state.knowns_len);
+}
+
 void RecordTracker::OnResolveMiss(phy::RecordHandle handle,
                                   RecordState& state,
                                   phy::PhyInterface& phy) {
@@ -87,9 +96,7 @@ std::optional<RecordTracker::Resolution> RecordTracker::AddKnownParticipant(
   PushKnown(state, tag);
   if (ledger_ != nullptr) ledger_->OnProgress(handle);
   std::optional<TagId> id;
-  if (ledger_ == nullptr || !ledger_->IsCorrupt(handle)) {
-    // A bit-rotted record fails its CRC check at resolve time regardless
-    // of how many constituents are known, so it never reaches the phy.
+  if (!SkipsPhy(handle, state, phy)) {
     const phy::ResolveRequest request{handle, KnownsOf(state)};
     std::optional<TagId> result;
     phy.TryResolveBatch({&request, 1}, {&result, 1});
@@ -109,14 +116,15 @@ void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
   requests_scratch_.clear();
   pending_scratch_.clear();
   // Pass 1: feed the known into every open record the tag transmitted in
-  // and collect the resolve attempts. Records the ledger marked corrupt
-  // still count the miss against their retry budget but never reach the
-  // phy. The known slices live in knowns_arena_, which cannot reallocate
-  // here (every record's capacity was reserved at Register), so the
-  // request spans stay valid across the batch call. The walk starts at
-  // the tag's live cursor, first moved past the closed prefix of its
-  // chain; closed records further on are skipped as before, so the visit
-  // order is the full chain's.
+  // and collect the resolve attempts. Records the ledger marked corrupt,
+  // and requests the phy says it would reject, still count the miss
+  // against their retry budget but never reach the phy. The known slices
+  // live in knowns_arena_, which cannot reallocate here (every record's
+  // capacity was reserved at Register), so the request spans stay valid
+  // across the batch call. The walk starts at the tag's live cursor,
+  // first moved past the closed prefix of its chain; closed records
+  // further on are skipped as before, so the visit order is the full
+  // chain's.
   std::uint32_t& live = chain_live_[tag];
   while (live != kNil && !records_[chain_nodes_[live].record.index()].open) {
     live = chain_nodes_[live].next;
@@ -128,9 +136,9 @@ void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
     if (!state.open) continue;
     PushKnown(state, tag);
     if (ledger_ != nullptr) ledger_->OnProgress(handle);
-    const bool corrupt = ledger_ != nullptr && ledger_->IsCorrupt(handle);
-    pending_scratch_.push_back({handle, corrupt});
-    if (!corrupt) {
+    const bool skip = SkipsPhy(handle, state, phy);
+    pending_scratch_.push_back({handle, skip});
+    if (!skip) {
       requests_scratch_.push_back({handle, KnownsOf(state)});
     }
   }
@@ -146,7 +154,7 @@ void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
   std::size_t ri = 0;
   for (const Pending& pending : pending_scratch_) {
     std::optional<TagId> id;
-    if (!pending.corrupt) id = results_scratch_[ri++];
+    if (!pending.skip) id = results_scratch_[ri++];
     RecordState& state = records_[pending.handle.index()];
     if (id) {
       CloseResolved(pending.handle, state, phy);

@@ -12,7 +12,10 @@
 // identical information; the log is just O(1) per lookup). The tag's
 // signal is added to each record's known set and the resolutions are
 // attempted as one phy batch; successes are returned so the engine can
-// cascade.
+// cascade. A request the phy says it would reject before any side effect
+// (PhyInterface::RejectsResolve: on IdealPhy a k > lambda record, or one
+// still missing more than one constituent) is not built at all; its miss
+// is booked exactly as a rejected request's would be.
 //
 // Storage is arena-backed throughout: record metadata is a flat vector
 // indexed by handle, known sets are fixed-capacity slices of one shared
@@ -147,7 +150,7 @@ class RecordTracker {
 
   struct Pending {
     phy::RecordHandle handle;
-    bool corrupt = false;  // ledger says CRC is gone: no phy attempt
+    bool skip = false;  // no phy attempt: a miss either way (SkipsPhy)
   };
 
   void EnsureSlot(std::uint32_t index);
@@ -159,6 +162,12 @@ class RecordTracker {
   }
   void CloseResolved(phy::RecordHandle handle, RecordState& state,
                      phy::PhyInterface& phy);
+  // True when a resolve attempt can only miss, so it need not reach the
+  // phy: the ledger marked the record corrupt, or the phy would reject the
+  // request (PhyInterface::RejectsResolve). The miss is booked as usual.
+  [[nodiscard]] bool SkipsPhy(phy::RecordHandle handle,
+                              const RecordState& state,
+                              const phy::PhyInterface& phy) const;
   // Failure bookkeeping shared by both resolve paths: counts the failure
   // against the ledger budget and abandons the record when it is spent.
   void OnResolveMiss(phy::RecordHandle handle, RecordState& state,

@@ -47,14 +47,18 @@ void IdealPhy::ObserveBatch(const SlotBatch& batch,
   }
 }
 
-std::optional<TagId> IdealPhy::ResolveOne(const ResolveRequest& request) {
-  if (request.record.index() >= records_.size()) return std::nullopt;
-  Record& record = records_[request.record.index()];
-  if (!record.open || record.doomed) return std::nullopt;
-  const std::size_t k = record.count;
-  if (k > config_.lambda) return std::nullopt;
-  if (request.known_participants.size() + 1 != k) return std::nullopt;
+bool IdealPhy::RejectsResolve(RecordHandle handle, std::size_t knowns) const {
+  if (handle.index() >= records_.size()) return true;
+  const Record& record = records_[handle.index()];
+  return !record.open || record.doomed || record.count > config_.lambda ||
+         knowns + 1 != record.count;
+}
 
+std::optional<TagId> IdealPhy::ResolveOne(const ResolveRequest& request) {
+  if (RejectsResolve(request.record, request.known_participants.size())) {
+    return std::nullopt;
+  }
+  Record& record = records_[request.record.index()];
   if (rng_.UniformDouble() >= config_.resolution_success_prob) {
     // A noise-corrupted record never becomes resolvable (Section IV-E):
     // the slot is wasted, but the missing tag keeps transmitting and will

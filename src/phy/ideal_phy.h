@@ -50,6 +50,11 @@ class IdealPhy final : public PhyInterface {
   void TryResolveBatch(std::span<const ResolveRequest> requests,
                        std::span<std::optional<TagId>> out) override;
 
+  // Closed or doomed records, k > lambda and knowns + 1 != k: the checks
+  // ResolveOne makes before its success draw.
+  [[nodiscard]] bool RejectsResolve(RecordHandle record,
+                                    std::size_t knowns) const override;
+
   void ReleaseRecord(RecordHandle record) override;
 
   [[nodiscard]] std::size_t OpenRecords() const override {

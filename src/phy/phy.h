@@ -77,6 +77,18 @@ class PhyInterface {
   virtual void TryResolveBatch(std::span<const ResolveRequest> requests,
                                std::span<std::optional<TagId>> out) = 0;
 
+  // True when a request for `record` with `knowns` known constituents
+  // would recover no ID before any side effect (no RNG draw, no stored
+  // reference, no record change), judged from the phy's configuration
+  // and record state alone. Callers may then leave the request out of
+  // their batch and book the miss themselves: the outcome is the same.
+  // The default, false, keeps every request; a phy (or a wrapper over
+  // one) that does not answer is sent everything.
+  [[nodiscard]] virtual bool RejectsResolve(RecordHandle /*record*/,
+                                            std::size_t /*knowns*/) const {
+    return false;
+  }
+
   // Frees the stored mixed signal of a resolved or abandoned record.
   virtual void ReleaseRecord(RecordHandle record) = 0;
 

@@ -99,6 +99,7 @@ class SignalPhy::DemodPool {
 SignalPhy::SignalPhy(std::span<const TagId> population,
                      SignalPhyConfig config, anc::Pcg32 rng)
     : population_(population),
+      digest_to_index_(IndexByDigest(population)),
       config_(config),
       rng_(rng),
       codec_(config.samples_per_bit, config.preamble_bits),
@@ -221,13 +222,15 @@ void SignalPhy::ObserveOne(std::uint64_t slot_index,
   }
 
   Record record;
-  record.slab = AcquireSlab();
   record.length = static_cast<std::uint32_t>(mix_scratch_.size());
   record.mixture_order = static_cast<std::uint32_t>(participants.size());
   record.open = true;
-  std::copy(mix_scratch_.begin(), mix_scratch_.end(),
-            slab_pool_.data() +
-                static_cast<std::size_t>(record.slab) * slab_samples_);
+  if (WithinCap(record.mixture_order)) {
+    record.slab = AcquireSlab();
+    std::copy(mix_scratch_.begin(), mix_scratch_.end(),
+              slab_pool_.data() +
+                  static_cast<std::size_t>(record.slab) * slab_samples_);
+  }
   records_.push_back(record);
   ++open_records_;
   obs->record =
@@ -244,18 +247,23 @@ void SignalPhy::ObserveBatch(const SlotBatch& batch,
   }
 }
 
+bool SignalPhy::RejectsResolve(RecordHandle handle, std::size_t) const {
+  if (handle.index() >= records_.size()) return true;
+  const Record& record = records_[handle.index()];
+  // Above the cap is beyond the modeled ANC decoder capability (and the
+  // record holds no samples).
+  return !record.open || !WithinCap(record.mixture_order);
+}
+
 void SignalPhy::ComputeResolve(
     const ResolveRequest& request, ResolveOutcome* outcome,
     std::vector<std::span<const Sample>>* ref_scratch) const {
   outcome->attempted = false;
   outcome->result = anc::signal::ResolveResult{};
-  if (request.record.index() >= records_.size()) return;
-  const Record& record = records_[request.record.index()];
-  if (!record.open) return;
-  if (config_.max_mixture != 0 &&
-      record.mixture_order > config_.max_mixture) {
-    return;  // beyond the modeled ANC decoder capability
+  if (RejectsResolve(request.record, request.known_participants.size())) {
+    return;
   }
+  const Record& record = records_[request.record.index()];
 
   ref_scratch->clear();
   for (std::uint32_t tag : request.known_participants) {
@@ -319,11 +327,12 @@ void SignalPhy::TryResolveBatch(std::span<const ResolveRequest> requests,
     if (known_constituent) continue;
 
     // Locate the resolved tag and keep its extracted signal as a
-    // reference for further cascade resolution.
-    const auto it = std::find(population_.begin(), population_.end(), *id);
-    if (it == population_.end()) continue;  // noise forged a CRC
-    const auto index =
-        static_cast<std::uint32_t>(std::distance(population_.begin(), it));
+    // reference for further cascade resolution. Population digests are
+    // distinct, so a hit naming another ID means *id is not a tag.
+    const std::uint32_t index = digest_to_index_.Find(id->Digest());
+    if (index == DigestIndex::kNone || population_[index] != *id) {
+      continue;  // noise forged a CRC
+    }
     if (references_[index].empty()) {
       references_[index] = std::move(outcome.result.residual);
     }
@@ -336,7 +345,7 @@ void SignalPhy::ReleaseRecord(RecordHandle handle) {
   Record& record = records_[handle.index()];
   if (record.open) {
     record.open = false;
-    free_slabs_.push_back(record.slab);
+    if (record.slab != kNoSlab) free_slabs_.push_back(record.slab);
     record.slab = kNoSlab;
     --open_records_;
   }

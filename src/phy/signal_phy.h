@@ -26,6 +26,10 @@
 //     flat buffer, recycled through a free list on release. Record
 //     metadata is a flat vector indexed by handle (handles are never
 //     reused within a run — the tracker and fault ledger key on them).
+//     Only a mixture the decoder may resolve (order <= max_mixture)
+//     takes a slab: a larger one is still synthesized and noised, so the
+//     RNG stream is unchanged, but no request for it can ever succeed,
+//     so its samples are not kept.
 //   * Mixing, noise and demodulation run over reusable scratch buffers;
 //     after warm-up an observed slot performs no heap allocation.
 //   * TryResolveBatch optionally fans requests out to a persistent worker
@@ -46,6 +50,7 @@
 #include <span>
 #include <vector>
 
+#include "common/digest_index.h"
 #include "common/rng.h"
 #include "phy/phy.h"
 #include "signal/anc_resolver.h"
@@ -99,10 +104,21 @@ class SignalPhy final : public PhyInterface {
   void TryResolveBatch(std::span<const ResolveRequest> requests,
                        std::span<std::optional<TagId>> out) override;
 
+  // Closed records and mixtures above max_mixture. A request whose known
+  // count leaves more than one constituent is still sent: capture can
+  // pull the dominant one out of the residual.
+  [[nodiscard]] bool RejectsResolve(RecordHandle record,
+                                    std::size_t knowns) const override;
+
   void ReleaseRecord(RecordHandle record) override;
 
   [[nodiscard]] std::size_t OpenRecords() const override {
     return open_records_;
+  }
+
+  // Test hook: slabs held by open records.
+  [[nodiscard]] std::size_t SlabsInUse() const {
+    return slab_count_ - free_slabs_.size();
   }
 
   // Test hook: the reference waveform currently held for a tag (empty if
@@ -116,7 +132,7 @@ class SignalPhy final : public PhyInterface {
   static constexpr std::uint32_t kNoSlab = ~std::uint32_t{0};
 
   struct Record {
-    std::uint32_t slab = kNoSlab;       // slice of slab_pool_
+    std::uint32_t slab = kNoSlab;       // slice of slab_pool_, if kept
     std::uint32_t length = 0;           // valid samples in the slab
     std::uint32_t mixture_order = 0;    // ground truth, only for the cap
     bool open = false;
@@ -148,6 +164,10 @@ class SignalPhy final : public PhyInterface {
                       std::vector<std::span<const anc::signal::Sample>>*
                           ref_scratch) const;
 
+  // Whether the modeled decoder may resolve a mixture of this order.
+  [[nodiscard]] bool WithinCap(std::uint32_t mixture_order) const {
+    return config_.max_mixture == 0 || mixture_order <= config_.max_mixture;
+  }
   std::uint32_t AcquireSlab();
   [[nodiscard]] std::span<const anc::signal::Sample> MixedOf(
       const Record& record) const {
@@ -158,6 +178,7 @@ class SignalPhy final : public PhyInterface {
   }
 
   std::span<const TagId> population_;
+  DigestIndex digest_to_index_;  // resolved ID -> tag
   SignalPhyConfig config_;
   anc::Pcg32 rng_;
   anc::signal::WaveformCodec codec_;

@@ -18,12 +18,11 @@
 #include <gtest/gtest.h>
 
 #include "blob_patch.h"
+#include "checkpointable_factories.h"
 #include "common/chunk_cache.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
-#include "deploy/deployment.h"
-#include "fault/injector.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
 #include "sim/population.h"
@@ -236,43 +235,8 @@ TEST(SloReportFile, RoundTripAndRejectsCorruption) {
   std::remove(path.c_str());
 }
 
-struct ResumeCase {
-  const char* label;
-  sim::ProtocolFactory factory;
-  bool evicts = false;  // its bounded record store overflows in the soak
-};
-
-std::vector<ResumeCase> CheckpointableFactories() {
-  core::FcatOptions fcat;
-  fcat.lambda = 2;
-  // Bounded store, retry and TTL budgets, bit rot, lossy channels and a
-  // crash: the fault injector and its record ledger travel in the blob.
-  core::FcatOptions chaos = fcat;
-  chaos.fault = *fault::FaultProfile("chaos");
-  core::ScatOptions scat;
-  scat.lambda = 2;
-  scat.estimation_prestep = true;
-  // A 2x2 reader grid over a 40 m room: the blob nests every reader's
-  // FCAT state, the scheduler cursor and the merged inventory.
-  deploy::DeploymentConfig sequential;
-  sequential.policy = deploy::SchedulerPolicy::kSequential;
-  deploy::DeploymentConfig coloring;
-  coloring.policy = deploy::SchedulerPolicy::kColoring;
-  coloring.share_records = true;
-  return {{"fcat2", core::MakeFcatFactory(fcat)},
-          {"fcat2_chaos", core::MakeFcatFactory(chaos), true},
-          {"scat2", core::MakeScatFactory(scat)},
-          {"irsa", core::MakeIrsaFactory()},
-          {"crdsa2", core::MakeCrdsaFactory()},
-          {"seeded", core::MakeSeededFactory()},
-          {"seeded_cap2", core::MakeSeededFactory({}, 2), true},
-          {"deploy_sequential_fcat2",
-           deploy::MakeDeploymentFactory(sequential,
-                                         core::MakeFcatFactory(fcat))},
-          {"deploy_coloring_fcat2",
-           deploy::MakeDeploymentFactory(coloring,
-                                         core::MakeFcatFactory(fcat))}};
-}
+using testing_rows::CheckpointableFactories;
+using testing_rows::ResumeCase;
 
 // The waveform phy keeps no savable record store, so FCAT over it opts
 // out of checkpointing instead of writing a blob it could not restore.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "core/factories.h"
 #include "phy_test_util.h"
 #include "sim/population.h"
 
@@ -80,6 +85,9 @@ TEST(SignalPhy, PrematureResolveIsRejectedOrCaptures) {
   const std::uint32_t one[] = {1};
   phy_test::Observe(phy, 1, one);
   const std::uint32_t known[] = {1};
+  // Capture may recover one, so the phy may not rule the request out
+  // before trying it.
+  EXPECT_FALSE(phy.RejectsResolve(collision.record, 1));
   const auto resolved = phy_test::Resolve(phy, collision.record, known);
   if (resolved.has_value()) {
     EXPECT_TRUE(*resolved == pop[3] || *resolved == pop[5]);
@@ -121,8 +129,63 @@ TEST(SignalPhy, MixtureCapEnforced) {
   const std::uint32_t threes[] = {3};
   phy_test::Observe(phy, 2, threes);
   const std::uint32_t known[] = {1, 3};
-  // Signal-wise resolvable, but the modeled decoder tops out at lambda=2.
+  // Signal-wise resolvable, but the modeled decoder tops out at lambda=2:
+  // the phy says so up front and keeps no samples for the record.
+  EXPECT_TRUE(phy.RejectsResolve(rec.record, 2));
+  EXPECT_EQ(phy.OpenRecords(), 1u);
+  EXPECT_EQ(phy.SlabsInUse(), 0u);
   EXPECT_FALSE(phy_test::Resolve(phy, rec.record, known).has_value());
+  phy.ReleaseRecord(rec.record);
+  EXPECT_EQ(phy.OpenRecords(), 0u);
+  EXPECT_EQ(phy.SlabsInUse(), 0u);
+}
+
+TEST(SignalPhy, SlabsOnlyForResolvableMixtures) {
+  // A lambda = 2 waveform smoke run: after every slot, slabs are held by
+  // exactly the open records of order <= max_mixture.
+  phy_test::PhyLog log;
+  core::FcatSignalOptions o;
+  o.lambda = 2;
+  o.signal.snr_db = 25.0;
+  const auto population = Pop(60, 11);
+  const auto protocol = core::MakeFcatSignal(
+      population, anc::Pcg32(7), o, [&log](PhyInterface& inner) {
+        return std::make_unique<phy_test::WatchedPhy>(inner, true, &log);
+      });
+  bool saw_above_cap = false;
+  std::size_t max_slabs = 0;
+  for (int step = 0; step < 600 * 60 && !protocol->Finished(); ++step) {
+    protocol->Step();
+    std::size_t resolvable = 0;
+    for (const std::uint32_t order : log.open_orders) {
+      saw_above_cap = saw_above_cap || order > 2;
+      if (order > 0 && order <= 2) ++resolvable;
+    }
+    ASSERT_EQ(protocol->phy().SlabsInUse(), resolvable) << "step " << step;
+    max_slabs = std::max(max_slabs, resolvable);
+  }
+  ASSERT_TRUE(protocol->Finished());
+  EXPECT_TRUE(saw_above_cap);
+  EXPECT_GT(max_slabs, 0u);
+  EXPECT_EQ(protocol->phy().SlabsInUse(), 0u);
+
+  // Without a cap the signal decides, so every record keeps its samples.
+  SignalPhyConfig uncapped = GoodChannel();
+  uncapped.max_mixture = 0;
+  const auto pop = Pop(8);
+  SignalPhy phy(pop, uncapped, anc::Pcg32(6));
+  const std::uint32_t two[] = {0, 1};
+  const std::uint32_t three[] = {2, 3, 4};
+  const std::uint32_t four[] = {4, 5, 6, 7};
+  phy_test::Observe(phy, 0, two);
+  const auto rec3 = phy_test::Observe(phy, 1, three);
+  phy_test::Observe(phy, 2, four);
+  EXPECT_EQ(phy.OpenRecords(), 3u);
+  EXPECT_EQ(phy.SlabsInUse(), 3u);
+  EXPECT_FALSE(phy.RejectsResolve(rec3.record, 0));
+  phy.ReleaseRecord(rec3.record);
+  EXPECT_EQ(phy.SlabsInUse(), 2u);
+  EXPECT_TRUE(phy.RejectsResolve(rec3.record, 2));
 }
 
 TEST(SignalPhy, LowSnrSingletonMayCorrupt) {
