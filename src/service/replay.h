@@ -1,11 +1,15 @@
-// Replay verification for service-mode soak traces.
+// Replay verification: re-drives a protocol from a trace's recorded
+// seeding (RunHeader) and asserts the regenerated event stream is
+// identical, event for event, to the recorded one — the determinism
+// contract that makes a trace a debugging artifact rather than a log.
+// A divergence means either the build changed behaviour since the trace
+// was recorded (a regression, localized to the first divergent slot) or
+// the supplied factory does not match the recorded protocol.
 //
-// A soak run's header carries everything needed to regenerate it: the
-// (base_seed, run_index) pair seeds the population / protocol / churn
-// streams, n_tags is the initial population, and the protocol name's
-// "~<label>" suffix names the canned service profile (the churn model and
-// budgets). Re-driving RunSoakSingle from those inputs must reproduce the
-// interleaved protocol + churn event stream bit-for-bit.
+// The header picks the driver: sim::RunSingle, or for a service-mode soak
+// RunSoakSingle under the service profile its protocol name's "~<label>"
+// suffix names. Either pushes straight into a trace::DiffSink, so neither
+// the recorded nor the regenerated run is ever resident.
 #pragma once
 
 #include <string>
@@ -24,16 +28,24 @@ inline bool IsServiceRun(const trace::RunHeader& header) {
   return header.protocol.find('~') != std::string::npos;
 }
 
-struct ServiceReplayReport {
+struct ReplayReport {
   bool ok = false;
+  // When !ok: the first divergence (see TraceDiff).
   trace::TraceDiff diff;
   std::string message;  // verdict summary, always set
 };
 
-// Re-runs the recorded soak run through `base_factory` (which must build
-// the protocol the base name denotes) under the profile named in the
-// header, and compares event-for-event.
-ServiceReplayReport VerifyServiceReplay(const trace::RunTrace& recorded,
-                                        const sim::ProtocolFactory& base_factory);
+// Re-runs the run `header` describes through `factory` (which must build
+// the protocol of the header's base name) against the events `recorded`
+// pulls. An unknown service profile fails at header level.
+ReplayReport VerifyReplay(const trace::RunHeader& header,
+                          trace::EventSource recorded,
+                          const sim::ProtocolFactory& factory);
+ReplayReport VerifyReplay(const trace::RunTrace& recorded,
+                          const sim::ProtocolFactory& factory);
+
+// Verifies every run of a trace file; stops at the first failure.
+ReplayReport VerifyReplay(const trace::TraceFile& recorded,
+                          const sim::ProtocolFactory& factory);
 
 }  // namespace anc::service

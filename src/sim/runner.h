@@ -94,8 +94,8 @@ struct SingleRunResult {
 // Executes run `run_index` of the (factory, options) experiment exactly as
 // RunExperiment would — same seed derivation, same cap, same trace framing
 // (BeginRun / events / terminal RunEnd event / EndRun) when `sink` is
-// non-null. Exposed so the trace replay verifier can re-drive one recorded
-// run and compare streams event-for-event.
+// non-null. Exposed so the replay verifier (service/replay.h) can
+// re-drive one recorded run and compare streams event-for-event.
 SingleRunResult RunSingle(const ProtocolFactory& factory,
                           const ExperimentOptions& options,
                           std::size_t run_index,

@@ -1142,6 +1142,31 @@ std::string StoreReader::ReadAll(trace::TraceFile* out) {
   return "";
 }
 
+const trace::TraceEvent* RunCursor::Next() {
+  while (pos_ == events_.size()) {
+    if (!error_.empty()) return nullptr;
+    if (next_block_ == run_.n_blocks) {
+      if (decoded_ != run_.n_events) {
+        error_ = "run " + std::to_string(run_.header.run_index) +
+                 " decoded " + std::to_string(decoded_) +
+                 " events, index says " + std::to_string(run_.n_events);
+      }
+      return nullptr;
+    }
+    error_ = reader_.ReadBlock(run_.first_block + next_block_++, &events_);
+    decoded_ += events_.size();
+    pos_ = 0;
+  }
+  return &events_[pos_++];
+}
+
+std::string RunCursor::PushTo(trace::TraceSink* sink) {
+  sink->BeginRun(run_.header);
+  while (const trace::TraceEvent* e = Next()) sink->OnEvent(*e);
+  sink->EndRun();
+  return error_;
+}
+
 // ---- Tail recovery ---------------------------------------------------------
 
 std::string RecoverStoreFile(const std::string& in_path,

@@ -349,6 +349,37 @@ class StoreReader {
   OpenFailure open_failure_ = OpenFailure::kNone;
 };
 
+// The streaming read path: walks one run of an open reader one block at a
+// time through ReadBlock into one reused vector, so a scan holds O(block)
+// events however long the run is. The reader must outlive the cursor.
+class RunCursor {
+ public:
+  RunCursor(StoreReader& reader, std::size_t run_ordinal)
+      : reader_(reader), run_(reader.runs()[run_ordinal]) {}
+
+  const trace::RunHeader& header() const { return run_.header; }
+
+  // The next event, valid until the following call; null at the end of
+  // the run or on error, which error() tells apart. A run whose blocks
+  // hold another event count than the index says ends in an error.
+  const trace::TraceEvent* Next();
+
+  // Pushes the header and every remaining event into `sink`, BeginRun to
+  // EndRun. Returns error().
+  std::string PushTo(trace::TraceSink* sink);
+
+  const std::string& error() const { return error_; }
+
+ private:
+  StoreReader& reader_;
+  const StoredRun& run_;
+  std::vector<trace::TraceEvent> events_;
+  std::size_t pos_ = 0;
+  std::size_t next_block_ = 0;
+  std::uint64_t decoded_ = 0;
+  std::string error_;
+};
+
 // ---- Tail recovery ---------------------------------------------------------
 
 // What RecoverStoreFile salvaged (and dropped) from a torn store.

@@ -5,7 +5,7 @@
 // Design constraints, in priority order:
 //   1. Determinism. A trace is a replay artifact: re-driving a protocol
 //      from the recorded (base_seed, run_index) pair must reproduce the
-//      event stream bit-for-bit (trace/replay.h asserts exactly that), and
+//      event stream bit-for-bit (service/replay.h asserts exactly that), and
 //      the same experiment traced under --threads 1/4/8 must serialize to
 //      identical bytes. All event payloads are therefore integers — the
 //      two time-like quantities (estimator value, elapsed air time) are

@@ -3,11 +3,11 @@
 // written by store::StoreFileSink and the v1 writer (trace/binary.h).
 //
 // Header-only on purpose: sim::Protocol carries a TraceContext and the
-// experiment runner drives sinks through this interface, but anc_sim must
-// not link against anc_trace (anc_trace's replay verifier depends on
-// anc_sim). Everything that needs a .cpp — the binary codec, JSONL
-// rendering, the multi-run recorder, diff, time series, replay — lives in
-// the anc_trace library proper.
+// experiment runner drives sinks through this interface without linking
+// anc_trace. Everything that needs a .cpp — the binary codec, JSONL
+// rendering, the multi-run recorder, diff, time series — lives in the
+// anc_trace library proper; the replay verifier, which re-drives
+// protocols, lives in the service layer (service/replay.h).
 #pragma once
 
 #include <cstddef>
@@ -83,7 +83,7 @@ struct TraceFile {
 };
 
 // Unbounded in-memory sink: collects complete RunTraces. Used by the
-// replay verifier and tests.
+// benchmark corpora and tests.
 class MemorySink final : public TraceSink {
  public:
   void BeginRun(const RunHeader& header) override {

@@ -4,9 +4,11 @@
 // convergence toward the true population (the Eq. 12/16/25 quantities).
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "trace/sink.h"
 
 namespace anc::trace {
@@ -36,8 +38,38 @@ struct FramePoint {
   double ghost_rate = 0.0;   // mean per-epoch ghosts / reported so far
 };
 
-// Extracts the series for one reader (0 = a single-reader run; deployment
-// traces carry readers 1..R).
+// The streaming fold behind the series: push one run (BeginRun, events,
+// EndRun), then read series(). Besides one row per frame it holds only
+// the open records.
+class FrameSeriesSink final : public TraceSink {
+ public:
+  // Folds the events of one reader (0 = a single-reader run; deployment
+  // traces carry readers 1..R).
+  explicit FrameSeriesSink(std::uint32_t reader = 0) : reader_(reader) {}
+
+  void BeginRun(const RunHeader& header) override { n_tags_ = header.n_tags; }
+  void OnEvent(const TraceEvent& e) override;
+  void EndRun() override {}
+
+  const std::vector<FramePoint>& series() const { return series_; }
+  // Records the fold holds open (their birth slots give the age column).
+  std::size_t open_records() const { return open_since_.size(); }
+
+ private:
+  std::uint32_t reader_;
+  std::uint64_t n_tags_ = 0;
+  std::vector<FramePoint> series_;
+  // Columns carried between frames: reads so far and the latest churn
+  // state. The SLO columns keep their running state (mirroring
+  // service::SloReport's definitions) apart.
+  FramePoint running_;
+  P2Quantile detect_p99_{0.99};
+  std::uint64_t arrived_ = 0, missed_ = 0;
+  RunningStats ghost_rate_;
+  std::map<std::uint64_t, std::uint64_t> open_since_;  // handle -> birth slot
+};
+
+// The series of one in-memory run (FrameSeriesSink over its events).
 std::vector<FramePoint> ExtractFrameSeries(const RunTrace& run,
                                            std::uint32_t reader = 0);
 

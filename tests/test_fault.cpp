@@ -13,11 +13,11 @@
 #include "fault/gilbert_elliott.h"
 #include "fault/injector.h"
 #include "fault/record_ledger.h"
+#include "service/replay.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
 #include "trace/recorder.h"
-#include "trace/replay.h"
 
 namespace anc {
 namespace {
@@ -355,7 +355,7 @@ TEST(FaultTrace, FaultedRunEmitsFaultEventsAndReplays) {
     fault_events += e.kind == trace::EventKind::kFault ? 1 : 0;
   }
   EXPECT_GT(fault_events, 0u);
-  const trace::ReplayReport report = trace::VerifyReplay(file, factory);
+  const service::ReplayReport report = service::VerifyReplay(file, factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 

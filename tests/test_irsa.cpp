@@ -10,12 +10,12 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
+#include "service/replay.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
 #include "trace/recorder.h"
-#include "trace/replay.h"
 
 namespace anc::protocols {
 namespace {
@@ -107,7 +107,7 @@ TEST(Irsa, TraceByteIdenticalAcrossThreadCounts) {
 TEST(Irsa, ReplayRoundTrips) {
   const auto factory = core::MakeIrsaFactory();
   const trace::TraceFile file = RecordTrace(factory, 150, 2);
-  const trace::ReplayReport report = trace::VerifyReplay(file, factory);
+  const service::ReplayReport report = service::VerifyReplay(file, factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 

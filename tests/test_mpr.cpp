@@ -4,13 +4,13 @@
 
 #include "common/rng.h"
 #include "core/factories.h"
+#include "service/replay.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "store/crc32.h"
 #include "trace/binary.h"
 #include "trace/recorder.h"
-#include "trace/replay.h"
 
 namespace anc::protocols {
 namespace {
@@ -78,8 +78,8 @@ TEST(Mpr, ReplayRoundTrips) {
   trace::MultiRunRecorder recorder(eo.runs);
   eo.trace_factory = recorder.Factory();
   sim::RunExperiment(factory, eo);
-  const trace::ReplayReport report =
-      trace::VerifyReplay(recorder.File(), factory);
+  const service::ReplayReport report =
+      service::VerifyReplay(recorder.File(), factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 

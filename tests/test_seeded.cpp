@@ -4,12 +4,12 @@
 
 #include "common/rng.h"
 #include "core/factories.h"
+#include "service/replay.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
-#include "trace/replay.h"
 
 namespace anc::protocols {
 namespace {
@@ -168,7 +168,7 @@ TEST(SeededAloha, TraceByteIdenticalAcrossThreadCounts) {
 TEST(SeededAloha, ReplayRoundTrips) {
   const auto factory = core::MakeSeededFactory();
   const trace::TraceFile file = RecordTrace(factory, 150, 2);
-  const trace::ReplayReport report = trace::VerifyReplay(file, factory);
+  const service::ReplayReport report = service::VerifyReplay(file, factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 

@@ -14,7 +14,7 @@
 #include "sim/population.h"
 #include "trace/binary.h"
 #include "trace/recorder.h"
-#include "trace/replay.h"
+#include "trace/timeseries.h"
 
 namespace anc::service {
 namespace {
@@ -284,19 +284,46 @@ TEST(ServiceReplay, SoakRunReplaysEventForEvent) {
   EXPECT_EQ(ServiceBaseName(run.header.protocol), "FCAT-2");
   EXPECT_EQ(ServiceLabel(run.header.protocol), "smoke");
 
-  const ServiceReplayReport report = VerifyServiceReplay(run, factory);
+  const ReplayReport report = VerifyReplay(run, factory);
   EXPECT_TRUE(report.ok) << report.message;
 
   // A divergent recording must be caught.
   trace::RunTrace tampered = run;
   ASSERT_FALSE(tampered.events.empty());
   tampered.events[tampered.events.size() / 2].slot += 1;
-  EXPECT_FALSE(VerifyServiceReplay(tampered, factory).ok);
+  EXPECT_FALSE(VerifyReplay(tampered, factory).ok);
 
   // Unknown profile labels are an error, not a crash.
   trace::RunTrace unknown = run;
   unknown.header.protocol = "FCAT-2~nope";
-  EXPECT_FALSE(VerifyServiceReplay(unknown, factory).ok);
+  EXPECT_FALSE(VerifyReplay(unknown, factory).ok);
+}
+
+// Every inventory round ends by releasing its open records without a
+// trace event; the time-series fold must drop exactly those at the next
+// frame, so at every frame it holds the open records the frame reports.
+TEST(TraceTimeSeries, SoakFoldHoldsExactlyTheReportedOpenRecords) {
+  SoakOptions options;
+  options.n_initial = 60;
+  options.base_seed = 5;
+  trace::MemorySink sink;
+  const SloReport report = RunSoakSingle(core::MakeFcatFactory({}),
+                                         Profile("smoke"), options, 0, &sink);
+  ASSERT_GE(report.rounds, 2u);
+  ASSERT_EQ(sink.runs().size(), 1u);
+  trace::FrameSeriesSink series;
+  series.BeginRun(sink.runs()[0].header);
+  std::size_t frames = 0;
+  for (const trace::TraceEvent& e : sink.runs()[0].events) {
+    series.OnEvent(e);
+    if (e.kind != trace::EventKind::kFrame) continue;
+    ++frames;
+    EXPECT_EQ(series.open_records(), e.record)
+        << "frame " << e.frame << " at slot " << e.slot;
+  }
+  series.EndRun();
+  EXPECT_GT(frames, 0u);
+  EXPECT_EQ(series.series().size(), frames);
 }
 
 TEST(ServiceReplay, ChurnEventsSurviveTheBinaryCodec) {
@@ -335,8 +362,8 @@ TEST(ServiceReplay, NonChurnProtocolsStillReplayUnchanged) {
   sim::RunSingle(core::MakeIrsaFactory(), eo, /*run=*/0, &sink);
   ASSERT_EQ(sink.runs().size(), 1u);
   EXPECT_FALSE(IsServiceRun(sink.runs()[0].header));
-  const trace::ReplayReport report =
-      trace::VerifyReplay(sink.runs()[0], core::MakeIrsaFactory());
+  const service::ReplayReport report =
+      service::VerifyReplay(sink.runs()[0], core::MakeIrsaFactory());
   EXPECT_TRUE(report.ok) << report.message;
 }
 

@@ -13,18 +13,21 @@
 #include <unistd.h>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
+#include "service/replay.h"
 #include "service/service.h"
 #include "store/crc32.h"
 #include "store/lz.h"
 #include "store/query.h"
 #include "store/snapshot.h"
 #include "trace/binary.h"
+#include "trace/diff.h"
 #include "trace/recorder.h"
 
 namespace anc::store {
@@ -590,6 +593,241 @@ TEST(StoreQuery, EpochWindowMatchesFullDecode) {
     EXPECT_EQ(got[i], epochs[i + 1]);
   }
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------ streaming read path --
+
+// Every event of run `ri` through a RunCursor; *error gets its error().
+std::vector<trace::TraceEvent> WalkRun(StoreReader& reader, std::size_t ri,
+                                       std::string* error) {
+  RunCursor cursor(reader, ri);
+  std::vector<trace::TraceEvent> events;
+  while (const trace::TraceEvent* e = cursor.Next()) events.push_back(*e);
+  EXPECT_EQ(cursor.Next(), nullptr);  // the end stays the end
+  *error = cursor.error();
+  return events;
+}
+
+// Writes `file` as a store of `block_events`-event blocks at `path`.
+void WriteBlocks(const std::string& path, const trace::TraceFile& file,
+                 std::size_t block_events) {
+  StoreWriterOptions options;
+  options.block_events = block_events;
+  ASSERT_EQ(WriteStoreFile(path, file, options), "");
+}
+
+// Flips one stored byte of the second-to-last block (which must exist).
+// Returns that block's first event index within its run.
+std::uint64_t CorruptLateBlock(const std::string& path) {
+  StoreReader clean;
+  EXPECT_EQ(clean.Open(path), "");
+  EXPECT_GE(clean.blocks().size(), 4u);
+  const BlockMeta& late = clean.blocks()[clean.blocks().size() - 2];
+  std::string bytes = Slurp(path);
+  bytes[late.offset + late.comp_len / 2] ^= 0x01;
+  Spit(path, bytes);
+  return late.first_event;
+}
+
+TEST(RunCursor, EventsEqualReadAllOnV1AndEveryBlockSize) {
+  const trace::TraceFile file = RecordSoak(2);
+  const std::string v1 = TempPath("anc_cursor_v1.trace");
+  const std::string store = TempPath("anc_cursor_blocks.ancstore");
+  ASSERT_EQ(trace::WriteTraceFile(v1, file), "");
+  for (const std::size_t block_events : {0u, 1u, 7u, 4096u}) {
+    SCOPED_TRACE(block_events == 0 ? std::string("v1")
+                                   : std::to_string(block_events));
+    if (block_events > 0) WriteBlocks(store, file, block_events);
+    StoreReader reader;
+    ASSERT_EQ(reader.Open(block_events == 0 ? v1 : store), "");
+    trace::TraceFile all;
+    ASSERT_EQ(reader.ReadAll(&all), "");
+    ASSERT_EQ(all, file);
+    for (std::size_t ri = 0; ri < all.runs.size(); ++ri) {
+      EXPECT_EQ(RunCursor(reader, ri).header(), all.runs[ri].header);
+      std::string error;
+      EXPECT_EQ(WalkRun(reader, ri, &error), all.runs[ri].events);
+      EXPECT_EQ(error, "");
+    }
+  }
+  std::remove(v1.c_str());
+  std::remove(store.c_str());
+}
+
+TEST(RunCursor, CorruptLateBlockIsAnErrorNotEndOfRun) {
+  const trace::TraceFile file = RecordSoak(1);
+  const std::string path = TempPath("anc_cursor_corrupt.ancstore");
+  WriteBlocks(path, file, 256);
+  const std::uint64_t good_events = CorruptLateBlock(path);
+  StoreReader reader;
+  ASSERT_EQ(reader.Open(path), "");
+  std::string error;
+  const auto events = WalkRun(reader, 0, &error);
+  EXPECT_NE(error.find("CRC"), std::string::npos) << error;
+  EXPECT_EQ(events.size(), good_events);  // stops at the damaged block
+  RunCursor cursor(reader, 0);
+  trace::NullSink sink;
+  EXPECT_EQ(cursor.PushTo(&sink), error);
+  std::remove(path.c_str());
+}
+
+// What `trace_inspect diff` does for one run: run `ri` of b pushed
+// through a DiffSink against run `ri` of a, both walked by cursors.
+struct StoredDiff {
+  trace::TraceDiff diff;
+  std::string error;
+};
+
+StoredDiff DiffStoredRun(const std::string& a_path, const std::string& b_path,
+                         std::size_t ri) {
+  StoreReader a, b;
+  StoredDiff r;
+  r.error = a.Open(a_path) + b.Open(b_path);
+  if (!r.error.empty()) return r;
+  RunCursor ca(a, ri), cb(b, ri);
+  trace::DiffSink sink(ca.header(), [&ca] { return ca.Next(); }, ri);
+  r.error = cb.PushTo(&sink) + ca.error();
+  r.diff = sink.diff();
+  return r;
+}
+
+constexpr std::size_t kHeaderLevel = static_cast<std::size_t>(-1);
+
+// Writes a and b as 64-event-block stores and checks that the streamed
+// comparison of run `ri` and the in-memory DiffRuns both find the first
+// divergence at (ri, event_index) with the same report.
+void ExpectDivergence(const trace::TraceFile& a, const trace::TraceFile& b,
+                      std::size_t ri, std::size_t event_index) {
+  // Per-test names: ctest runs the callers in parallel.
+  const std::string test =
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string a_path = TempPath(("anc_diff_a_" + test).c_str());
+  const std::string b_path = TempPath(("anc_diff_b_" + test).c_str());
+  WriteBlocks(a_path, a, 64);
+  WriteBlocks(b_path, b, 64);
+  const StoredDiff stored = DiffStoredRun(a_path, b_path, ri);
+  ASSERT_EQ(stored.error, "");
+  const trace::TraceDiff in_memory = trace::DiffRuns(a.runs[ri], b.runs[ri], ri);
+  for (const trace::TraceDiff* d : {&stored.diff, &in_memory}) {
+    EXPECT_FALSE(d->identical);
+    EXPECT_EQ(d->run_index, ri);
+    EXPECT_EQ(d->event_index, event_index);
+  }
+  EXPECT_EQ(stored.diff.message, in_memory.message);
+  EXPECT_EQ(stored.diff.a, in_memory.a);
+  EXPECT_EQ(stored.diff.b, in_memory.b);
+  EXPECT_EQ(trace::DiffTraces(a, b).event_index, event_index);
+  if (ri > 0) {
+    EXPECT_TRUE(DiffStoredRun(a_path, b_path, 0).diff.identical);
+  }
+  std::remove(a_path.c_str());
+  std::remove(b_path.c_str());
+}
+
+TEST(RunDiff, DivergenceInTheLastBlock) {
+  const trace::TraceFile a = RecordSoak(2);
+  trace::TraceFile b = a;
+  std::vector<trace::TraceEvent>& events = b.runs[1].events;
+  ASSERT_GT(events.size(), 4 * 64u);
+  const std::size_t victim = events.size() - 2;
+  events[victim].slot += 1;
+  ExpectDivergence(a, b, 1, victim);
+  const trace::TraceDiff diff = trace::DiffRuns(a.runs[1], b.runs[1], 1);
+  ASSERT_TRUE(diff.a && diff.b);
+  EXPECT_EQ(diff.b->slot, diff.a->slot + 1);
+}
+
+TEST(RunDiff, LengthMismatchesEitherWay) {
+  const trace::TraceFile a = RecordSoak(2);
+  const std::size_t n = a.runs[1].events.size();
+  trace::TraceFile shorter = a;
+  shorter.runs[1].events.pop_back();
+  ExpectDivergence(a, shorter, 1, n - 1);
+  trace::TraceDiff diff = trace::DiffRuns(a.runs[1], shorter.runs[1], 1);
+  EXPECT_TRUE(diff.a && !diff.b);
+  EXPECT_NE(diff.message.find("then a continues"), std::string::npos);
+  EXPECT_NE(diff.message.find("(a has " + std::to_string(n) +
+                              " events, b has " + std::to_string(n - 1) +
+                              " events)"),
+            std::string::npos)
+      << diff.message;
+
+  trace::TraceFile longer = a;
+  longer.runs[1].events.push_back(longer.runs[1].events.back());
+  longer.runs[1].events.push_back(longer.runs[1].events.back());
+  ExpectDivergence(a, longer, 1, n);
+  diff = trace::DiffRuns(a.runs[1], longer.runs[1], 1);
+  EXPECT_TRUE(!diff.a && diff.b);
+  EXPECT_NE(diff.message.find("(a has " + std::to_string(n) +
+                              " events, b has " + std::to_string(n + 2) +
+                              " events)"),
+            std::string::npos)
+      << diff.message;
+}
+
+TEST(RunDiff, HeaderMismatch) {
+  const trace::TraceFile a = RecordSoak(1);
+  trace::TraceFile b = a;
+  b.runs[0].header.base_seed += 1;
+  ExpectDivergence(a, b, 0, kHeaderLevel);
+  const trace::TraceDiff diff = trace::DiffRuns(a.runs[0], b.runs[0], 0);
+  EXPECT_TRUE(!diff.a && !diff.b);
+  EXPECT_NE(diff.message.find("headers differ"), std::string::npos);
+}
+
+TEST(RunDiff, ReadErrorOnEitherSideIsAnErrorNotAVerdict) {
+  const trace::TraceFile file = RecordSoak(1);
+  const std::string good = TempPath("anc_diff_good.ancstore");
+  const std::string bad = TempPath("anc_diff_bad.ancstore");
+  WriteBlocks(good, file, 256);
+  WriteBlocks(bad, file, 256);
+  CorruptLateBlock(bad);
+  EXPECT_NE(DiffStoredRun(good, bad, 0).error, "");
+  EXPECT_NE(DiffStoredRun(bad, good, 0).error, "");
+  EXPECT_EQ(DiffStoredRun(good, good, 0).error, "");
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
+TEST(RunDiff, ReplayStreamsAStoredSoak) {
+  const trace::TraceFile file = RecordSoak(2);
+  trace::TraceFile tampered = file;
+  const std::size_t victim = tampered.runs[1].events.size() / 2;
+  tampered.runs[1].events[victim].slot += 1;
+  const std::string path = TempPath("anc_replay_stream.ancstore");
+  const auto factory = core::MakeFcatFactory({});
+  for (const trace::TraceFile* f : {&file, &std::as_const(tampered)}) {
+    WriteBlocks(path, *f, 64);
+    StoreReader reader;
+    ASSERT_EQ(reader.Open(path), "");
+    for (std::size_t ri = 0; ri < 2; ++ri) {
+      RunCursor cursor(reader, ri);
+      const service::ReplayReport report = service::VerifyReplay(
+          cursor.header(), [&cursor] { return cursor.Next(); }, factory);
+      EXPECT_EQ(cursor.error(), "");
+      const bool diverges = f == &tampered && ri == 1;
+      EXPECT_EQ(report.ok, !diverges) << report.message;
+      if (diverges) {
+        EXPECT_EQ(report.diff.run_index, 1u);
+        EXPECT_EQ(report.diff.event_index, victim);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RunDiff, UnknownServiceProfileIsAHeaderLevelFailure) {
+  trace::RunTrace run = RecordSoak(1).runs[0];
+  run.header.protocol = "FCAT-2~nope";
+  const service::ReplayReport report =
+      service::VerifyReplay(run, core::MakeFcatFactory({}));
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(report.diff.identical);
+  EXPECT_EQ(report.diff.run_index, run.header.run_index);
+  EXPECT_EQ(report.diff.event_index, kHeaderLevel);
+  EXPECT_NE(report.message.find("unknown service profile 'nope'"),
+            std::string::npos)
+      << report.message;
 }
 
 // --------------------------------------------------------- snapshot --

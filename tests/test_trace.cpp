@@ -9,13 +9,13 @@
 #include "core/factories.h"
 #include "deploy/deployment.h"
 #include "read_back.h"
+#include "service/replay.h"
 #include "sim/runner.h"
 #include "store/container.h"
 #include "trace/binary.h"
 #include "trace/diff.h"
 #include "trace/jsonl.h"
 #include "trace/recorder.h"
-#include "trace/replay.h"
 #include "trace/timeseries.h"
 
 namespace anc::trace {
@@ -214,7 +214,7 @@ TEST(TraceDiffTest, DetectsHeaderAndLengthDivergence) {
 
 TEST(TraceReplay, FcatRoundTrips) {
   const TraceFile file = RecordTrace(Fcat2(), 150, 2);
-  const ReplayReport report = VerifyReplay(file, Fcat2());
+  const service::ReplayReport report = service::VerifyReplay(file, Fcat2());
   EXPECT_TRUE(report.ok) << report.message;
 }
 
@@ -223,14 +223,14 @@ TEST(TraceReplay, ScatRoundTrips) {
   options.lambda = 2;
   const auto factory = core::MakeScatFactory(options);
   const TraceFile file = RecordTrace(factory, 120, 2);
-  const ReplayReport report = VerifyReplay(file, factory);
+  const service::ReplayReport report = service::VerifyReplay(file, factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 
 TEST(TraceReplay, DfsaRoundTrips) {
   const auto factory = core::MakeDfsaFactory();
   const TraceFile file = RecordTrace(factory, 200, 2);
-  const ReplayReport report = VerifyReplay(file, factory);
+  const service::ReplayReport report = service::VerifyReplay(file, factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 
@@ -249,7 +249,7 @@ TEST(TraceReplay, FourReaderDeploymentRoundTrips) {
   }
   EXPECT_TRUE(saw_tdma);
   EXPECT_EQ(max_reader, 4u);
-  const ReplayReport report = VerifyReplay(file, factory);
+  const service::ReplayReport report = service::VerifyReplay(file, factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 
@@ -257,8 +257,8 @@ TEST(TraceReplay, DivergentFactoryIsReported) {
   const TraceFile file = RecordTrace(Fcat2(), 100, 1);
   core::FcatOptions other;
   other.lambda = 3;  // not the recorded protocol
-  const ReplayReport report =
-      VerifyReplay(file, core::MakeFcatFactory(other));
+  const service::ReplayReport report =
+      service::VerifyReplay(file, core::MakeFcatFactory(other));
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.diff.identical);
 }

@@ -18,23 +18,25 @@
 //
 // Every reading command accepts both v1 "ANCTRACE" files and block-
 // compressed "ANCSTORE" containers (src/store): files are opened through
-// the store reader, which indexes either format. filter and diff stream
-// block-by-block — memory stays O(block) no matter how large the soak
-// trace is — and query/serve answer summarize/blocks/frames/epochs
-// requests from the footer index, decoding only the blocks a window
-// touches (frame windows start at an O(log n) seek).
+// the store reader, which indexes either format. summarize, filter,
+// diff, timeseries, replay and compress stream each run through
+// store::RunCursor — memory stays O(block) no matter how large the soak
+// trace is; decompress and recover load the whole file. query/serve
+// answer summarize/blocks/frames/epochs requests from the footer index,
+// decoding only the blocks a window touches (an O(log n) frame seek).
 //
 // `record` produces the small golden traces CI diffs against; `replay`
-// re-drives each run from its recorded (base_seed, run_index) header and
-// asserts event-for-event identity. Factories are reconstructed from the
-// recorded protocol name (FCAT-<lambda> / SCAT-<lambda>, plus DFSA and
-// the coded-ALOHA family CRDSA-<d> / IRSA / SEEDED / MPR-<capacity> /
-// PERFECT at default options); traces of other protocols summarize and
-// diff fine but cannot be replayed here.
+// re-drives each run from its recorded header straight into a comparison
+// with the recorded events (service/replay.h). Both build their factory
+// from the protocol name (FactoryFor); traces of other protocols
+// summarize and diff fine but cannot be replayed here.
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.h"
@@ -46,8 +48,8 @@
 #include "store/query.h"
 #include "trace/binary.h"
 #include "trace/jsonl.h"
+#include "trace/diff.h"
 #include "trace/recorder.h"
-#include "trace/replay.h"
 #include "trace/timeseries.h"
 
 namespace {
@@ -92,168 +94,127 @@ int Usage() {
   return 2;
 }
 
-// Full-file load via the store reader, so every command reads both v1
-// traces and ANCSTORE containers.
-trace::TraceFile Load(const std::string& path) {
-  trace::TraceFile file;
-  const std::string err = store::ReadStoreFile(path, &file);
-  if (!err.empty()) {
-    std::fprintf(stderr, "trace_inspect: %s: %s\n", path.c_str(),
-                 err.c_str());
-    std::exit(2);
-  }
-  return file;
+// Prints `error`; returns the exit code of a command that fails with it.
+int Fail(const std::string& error) {
+  std::fprintf(stderr, "trace_inspect: %s\n", error.c_str());
+  return 2;
 }
 
-store::StoreReader& OpenReader(store::StoreReader& reader,
-                               const std::string& path) {
+void OpenReader(store::StoreReader& reader, const std::string& path) {
   const std::string err = reader.Open(path);
-  if (!err.empty()) {
-    std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-    std::exit(2);
-  }
-  return reader;
+  if (!err.empty()) std::exit(Fail(err));
 }
 
-// Sequential event cursor over one run of an opened reader: pulls one
-// block at a time, so scans stay O(block) in memory.
-class RunCursor {
- public:
-  RunCursor(store::StoreReader& reader, std::size_t run_ordinal)
-      : reader_(reader), run_(reader.runs()[run_ordinal]) {}
-
-  // Advances to the next event. Returns false at end-of-run or on error
-  // (error() distinguishes the two).
-  bool Next(trace::TraceEvent* out) {
-    while (pos_ >= events_.size()) {
-      if (!error_.empty() || next_block_ >= run_.n_blocks) return false;
-      error_ = reader_.ReadBlock(run_.first_block + next_block_, &events_);
-      if (!error_.empty()) return false;
-      ++next_block_;
-      pos_ = 0;
-    }
-    *out = events_[pos_++];
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  store::StoreReader& reader_;
-  const store::StoredRun& run_;
-  std::vector<trace::TraceEvent> events_;
-  std::size_t pos_ = 0;
-  std::size_t next_block_ = 0;
-  std::string error_;
-};
-
-// Rebuilds the factory a recorded run used from its header's protocol
-// name. Returns a null factory (and sets *error) for names this tool
-// cannot reconstruct.
+// The one protocol-name -> factory map, for replay and record alike. The
+// demodulation pool is not part of a -signal name (any pool records the
+// same bytes). Returns a null factory (and sets *error) for other names.
 sim::ProtocolFactory FactoryFor(const std::string& protocol,
-                                std::string* error) {
-  if (protocol == "DFSA") return core::MakeDfsaFactory();
-  // The coded-ALOHA family records at default options; like DFSA these
-  // names carry no parameters beyond the CRDSA degree and MPR capacity.
-  if (protocol == "IRSA") return core::MakeIrsaFactory();
-  if (protocol == "SEEDED") return core::MakeSeededFactory();
-  if (protocol == "PERFECT") return core::MakePerfectFactory();
-  if (protocol.rfind("CRDSA-", 0) == 0) {
-    // CRDSA-<d>: IRSA with Λ(x) = x^d at CRDSA's design load G = 0.65.
-    const int degree = std::atoi(protocol.c_str() + 6);
-    if (degree >= 1 && degree <= 16) {
-      std::vector<double> weights(static_cast<std::size_t>(degree), 0.0);
+                                unsigned demod_pool, std::string* error) {
+  // An "@label" suffix marks a faulted run; the label names the fault
+  // profile the recording used, which (plus the run seed) is the entire
+  // fault schedule — replay just reapplies the same profile.
+  std::string base = protocol;
+  std::optional<fault::FaultConfig> fault_config;
+  if (const auto at = protocol.find('@'); at != std::string::npos) {
+    base = protocol.substr(0, at);
+    const std::string label = protocol.substr(at + 1);
+    fault_config = fault::FaultProfile(label);
+    if (!fault_config) {
+      *error = "unknown fault profile '" + label + "' in protocol '" +
+               protocol + "' (known: " + fault::FaultProfileList() + ")";
+      return {};
+    }
+  }
+  // The number after `prefix` in the base name (0 without that prefix).
+  // A name that parses loosely still fails replay's header comparison.
+  const auto number = [&base](std::string_view prefix) {
+    return base.starts_with(prefix)
+               ? static_cast<unsigned>(std::atoi(base.c_str() + prefix.size()))
+               : 0u;
+  };
+  // The baselines and the coded-ALOHA family run at default options and
+  // take no faults; their names carry at most the CRDSA degree or the MPR
+  // capacity.
+  if (!fault_config) {
+    if (base == "DFSA") return core::MakeDfsaFactory();
+    if (base == "IRSA") return core::MakeIrsaFactory();
+    if (base == "SEEDED") return core::MakeSeededFactory();
+    if (base == "PERFECT") return core::MakePerfectFactory();
+    if (const unsigned degree = number("CRDSA-");
+        degree >= 1 && degree <= 16) {
+      // CRDSA-<d>: IRSA with Λ(x) = x^d at CRDSA's design load G = 0.65.
+      std::vector<double> weights(degree, 0.0);
       weights.back() = 1.0;
       protocols::IrsaConfig c;
       c.degrees = protocols::DegreeDistribution(weights);
       c.target_load = 0.65;
       return core::MakeIrsaFactory({}, c);
     }
-  }
-  if (protocol.rfind("MPR-", 0) == 0) {
-    const int capacity = std::atoi(protocol.c_str() + 4);
-    if (capacity >= 1 && capacity <= 64) {
+    if (const unsigned capacity = number("MPR-");
+        capacity >= 1 && capacity <= 64) {
       protocols::MprConfig c;
-      c.capacity = capacity;
+      c.capacity = static_cast<int>(capacity);
       return core::MakeMprFactory({}, c);
     }
   }
-  // An "@label" suffix marks a faulted run; the label names the fault
-  // profile the recording used, which (plus the run seed) is the entire
-  // fault schedule — replay just reapplies the same profile.
-  std::string base = protocol;
-  fault::FaultConfig fault_config;
-  if (const auto at = protocol.find('@'); at != std::string::npos) {
-    base = protocol.substr(0, at);
-    const std::string label = protocol.substr(at + 1);
-    const auto profile = fault::FaultProfile(label);
-    if (!profile) {
-      *error = "unknown fault profile '" + label + "' in protocol '" +
-               protocol + "' (known: " + fault::FaultProfileList() + ")";
-      return {};
-    }
-    fault_config = *profile;
-  }
-  const auto lambda_of = [](const std::string& name) {
-    return static_cast<unsigned>(std::atoi(name.c_str() + 5));
-  };
+  const fault::FaultConfig faults = fault_config.value_or(fault::FaultConfig{});
   // "FCAT-<lambda>-signal": the waveform phy at default signal options.
-  // The demodulation pool is deliberately NOT part of the name — any pool
-  // size replays byte-identically, so replay always uses the serial path.
-  // Checked before plain FCAT, whose prefix it shares.
-  if (base.rfind("FCAT-", 0) == 0 && base.ends_with("-signal") &&
-      lambda_of(base) >= 2) {
+  if (base.ends_with("-signal") && number("FCAT-") >= 2) {
     core::FcatSignalOptions o;
-    o.lambda = lambda_of(base);
-    o.fault = fault_config;
+    o.lambda = number("FCAT-");
+    o.fault = faults;
+    o.signal.demod_pool_threads = demod_pool;
     return core::MakeFcatSignalFactory(o);
   }
-  if (base.rfind("FCAT-", 0) == 0 && lambda_of(base) >= 2) {
+  if (const unsigned lambda = number("FCAT-"); lambda >= 2) {
     core::FcatOptions o;
-    o.lambda = lambda_of(base);
-    o.fault = fault_config;
+    o.lambda = lambda;
+    o.fault = faults;
     return core::MakeFcatFactory(o);
   }
-  if (base.rfind("SCAT-", 0) == 0 && lambda_of(base) >= 2) {
+  if (const unsigned lambda = number("SCAT-"); lambda >= 2) {
     core::ScatOptions o;
-    o.lambda = lambda_of(base);
-    o.fault = fault_config;
+    o.lambda = lambda;
+    o.fault = faults;
     return core::MakeScatFactory(o);
   }
-  *error = "cannot reconstruct a factory for protocol '" + protocol +
+  *error = "cannot build a factory for protocol '" + protocol +
            "' (supported: FCAT-<lambda>, FCAT-<lambda>-signal, "
-           "SCAT-<lambda> each optionally @<fault-profile>; DFSA, "
-           "CRDSA-<d>, IRSA, SEEDED, MPR-<capacity>, PERFECT at default "
-           "options)";
+           "SCAT-<lambda> with lambda >= 2, each optionally "
+           "@<fault-profile>; DFSA, CRDSA-<d>, IRSA, SEEDED, "
+           "MPR-<capacity>, PERFECT at default options)";
   return {};
 }
 
 int Summarize(const CliArgs& args) {
   DieOnUnknownFlags(args, "trace_inspect summarize", std::vector<FlagSpec>{});
   if (args.positional().size() != 2) return Usage();
-  const trace::TraceFile file = Load(args.positional()[1]);
+  store::StoreReader reader;
+  OpenReader(reader, args.positional()[1]);
   std::printf("%s: %zu run%s\n", args.positional()[1].c_str(),
-              file.runs.size(), file.runs.size() == 1 ? "" : "s");
-  for (const trace::RunTrace& run : file.runs) {
+              reader.runs().size(), reader.runs().size() == 1 ? "" : "s");
+  for (std::size_t ri = 0; ri < reader.runs().size(); ++ri) {
+    store::RunCursor cursor(reader, ri);
     std::uint64_t counts[16] = {};
     std::uint64_t missed = 0, ghosts = 0;
-    const trace::TraceEvent* end = nullptr;
-    const trace::TraceEvent* last_epoch = nullptr;
-    for (const trace::TraceEvent& e : run.events) {
-      const auto k = static_cast<std::size_t>(e.kind);
+    std::optional<trace::TraceEvent> end, last_epoch;
+    while (const trace::TraceEvent* e = cursor.Next()) {
+      const auto k = static_cast<std::size_t>(e->kind);
       if (k < 16) ++counts[k];
-      if (e.kind == trace::EventKind::kRunEnd) end = &e;
-      if (e.kind == trace::EventKind::kDepart && e.estimate_q8) ++missed;
-      if (e.kind == trace::EventKind::kDetect && e.cascade) ++ghosts;
-      if (e.kind == trace::EventKind::kEpoch) last_epoch = &e;
+      if (e->kind == trace::EventKind::kRunEnd) end = *e;
+      if (e->kind == trace::EventKind::kDepart && e->estimate_q8) ++missed;
+      if (e->kind == trace::EventKind::kDetect && e->cascade) ++ghosts;
+      if (e->kind == trace::EventKind::kEpoch) last_epoch = *e;
     }
+    if (!cursor.error().empty()) return Fail(cursor.error());
+    const trace::RunHeader& header = cursor.header();
     std::printf(
-        "run %llu: protocol=%s n_tags=%llu base_seed=%llu events=%zu\n",
-        static_cast<unsigned long long>(run.header.run_index),
-        run.header.protocol.c_str(),
-        static_cast<unsigned long long>(run.header.n_tags),
-        static_cast<unsigned long long>(run.header.base_seed),
-        run.events.size());
+        "run %llu: protocol=%s n_tags=%llu base_seed=%llu events=%llu\n",
+        static_cast<unsigned long long>(header.run_index),
+        header.protocol.c_str(),
+        static_cast<unsigned long long>(header.n_tags),
+        static_cast<unsigned long long>(header.base_seed),
+        static_cast<unsigned long long>(reader.runs()[ri].n_events));
     std::printf("  ");
     bool first = true;
     for (std::size_t k = 1; k < 14; ++k) {
@@ -276,7 +237,7 @@ int Summarize(const CliArgs& args) {
                   static_cast<unsigned long long>(counts[detect] - ghosts),
                   static_cast<unsigned long long>(missed),
                   static_cast<unsigned long long>(ghosts));
-      if (last_epoch != nullptr) {
+      if (last_epoch) {
         std::printf(" final_population=%llu staleness_p99=%.3f",
                     static_cast<unsigned long long>(last_epoch->n_c),
                     static_cast<double>(last_epoch->estimate_q8) /
@@ -284,9 +245,7 @@ int Summarize(const CliArgs& args) {
       }
       std::printf("\n");
     }
-    if (end != nullptr) {
-      std::printf("  %s\n", trace::Describe(*end).c_str());
-    }
+    if (end) std::printf("  %s\n", trace::Describe(*end).c_str());
   }
   return 0;
 }
@@ -313,8 +272,7 @@ int Filter(const CliArgs& args) {
   const std::int64_t limit = args.GetInt("limit", 100);
   const std::string format = args.GetString("format", "text");
   if (format != "text" && format != "jsonl") {
-    std::fprintf(stderr, "trace_inspect: bad --format=%s\n", format.c_str());
-    return 2;
+    return Fail("bad --format=" + format);
   }
 
   std::int64_t printed = 0;
@@ -332,18 +290,17 @@ int Filter(const CliArgs& args) {
                   header.protocol.c_str(),
                   static_cast<unsigned long long>(header.n_tags));
     }
-    RunCursor cursor(reader, ri);
-    trace::TraceEvent e;
-    while (cursor.Next(&e)) {
-      if (!want_kind.empty() && want_kind != trace::KindName(e.kind)) continue;
+    store::RunCursor cursor(reader, ri);
+    while (const trace::TraceEvent* e = cursor.Next()) {
+      if (!want_kind.empty() && want_kind != trace::KindName(e->kind)) continue;
       if (want_reader >= 0 &&
-          e.reader != static_cast<std::uint32_t>(want_reader)) {
+          e->reader != static_cast<std::uint32_t>(want_reader)) {
         continue;
       }
       if (format == "jsonl") {
-        std::printf("%s\n", trace::EventToJson(e).c_str());
+        std::printf("%s\n", trace::EventToJson(*e).c_str());
       } else {
-        std::printf("%s\n", trace::Describe(e).c_str());
+        std::printf("%s\n", trace::Describe(*e).c_str());
       }
       if (limit > 0 && ++printed >= limit) {
         std::printf("... (--limit=%lld reached)\n",
@@ -351,17 +308,16 @@ int Filter(const CliArgs& args) {
         return 0;
       }
     }
-    if (!cursor.error().empty()) {
-      std::fprintf(stderr, "trace_inspect: %s\n", cursor.error().c_str());
-      return 2;
-    }
+    if (!cursor.error().empty()) return Fail(cursor.error());
   }
   return 0;
 }
 
-// Streaming diff: both inputs are walked block-by-block through their
-// store indexes (never fully resident), and the first divergence is
-// reported with its (run, frame, slot) coordinates.
+// Streaming diff: each run of b is pushed through a trace::DiffSink
+// against the same run of a, both walked block by block (never fully
+// resident), and the first divergence is reported with its (run, frame,
+// slot) coordinates. A read error in either file is an error (exit 2),
+// never a verdict.
 int Diff(const CliArgs& args) {
   DieOnUnknownFlags(args, "trace_inspect diff", std::vector<FlagSpec>{});
   if (args.positional().size() != 3) return Usage();
@@ -374,52 +330,36 @@ int Diff(const CliArgs& args) {
     return 1;
   }
   for (std::size_t ri = 0; ri < a.runs().size(); ++ri) {
-    const trace::RunHeader& ha = a.runs()[ri].header;
-    const trace::RunHeader& hb = b.runs()[ri].header;
-    if (!(ha == hb)) {
+    store::RunCursor ca(a, ri), cb(b, ri);
+    trace::DiffSink sink(ca.header(), [&ca] { return ca.Next(); }, ri);
+    if (!cb.PushTo(&sink).empty()) return Fail(cb.error());
+    if (!ca.error().empty()) return Fail(ca.error());
+    const trace::TraceDiff& diff = sink.diff();
+    if (diff.identical) continue;
+    if (diff.a && diff.b) {
       std::printf(
-          "divergent at run %zu: headers differ\n"
-          "  a: protocol=%s run_index=%llu base_seed=%llu n_tags=%llu\n"
-          "  b: protocol=%s run_index=%llu base_seed=%llu n_tags=%llu\n",
-          ri, ha.protocol.c_str(),
-          static_cast<unsigned long long>(ha.run_index),
-          static_cast<unsigned long long>(ha.base_seed),
-          static_cast<unsigned long long>(ha.n_tags), hb.protocol.c_str(),
-          static_cast<unsigned long long>(hb.run_index),
-          static_cast<unsigned long long>(hb.base_seed),
-          static_cast<unsigned long long>(hb.n_tags));
-      return 1;
-    }
-    RunCursor ca(a, ri), cb(b, ri);
-    std::uint64_t index = 0;
-    for (;; ++index) {
-      trace::TraceEvent ea, eb;
-      const bool more_a = ca.Next(&ea);
-      const bool more_b = cb.Next(&eb);
-      for (const RunCursor* c : {&ca, &cb}) {
-        if (!c->error().empty()) {
-          std::fprintf(stderr, "trace_inspect: %s\n", c->error().c_str());
-          return 2;
-        }
-      }
-      if (!more_a && !more_b) break;
-      if (more_a != more_b) {
-        std::printf("divergent at run %zu, event %llu: %s ends early\n", ri,
-                    static_cast<unsigned long long>(index),
-                    more_a ? "b" : "a");
-        return 1;
-      }
-      if (!(ea == eb)) {
-        std::printf(
-            "divergent at run %zu, event %llu (frame %llu, slot %llu):\n"
-            "  a: %s\n  b: %s\n",
-            ri, static_cast<unsigned long long>(index),
-            static_cast<unsigned long long>(ea.frame),
-            static_cast<unsigned long long>(ea.slot),
-            trace::Describe(ea).c_str(), trace::Describe(eb).c_str());
-        return 1;
+          "divergent at run %zu, event %zu (frame %llu, slot %llu):\n"
+          "  a: %s\n  b: %s\n",
+          ri, diff.event_index,
+          static_cast<unsigned long long>(diff.a->frame),
+          static_cast<unsigned long long>(diff.a->slot),
+          trace::Describe(*diff.a).c_str(), trace::Describe(*diff.b).c_str());
+    } else if (diff.a || diff.b) {
+      std::printf("divergent at run %zu, event %zu: %s ends early\n", ri,
+                  diff.event_index, diff.a ? "b" : "a");
+    } else {
+      std::printf("divergent at run %zu: headers differ\n", ri);
+      for (const store::RunCursor* c : {&ca, &cb}) {
+        const trace::RunHeader& h = c->header();
+        std::printf("  %s: protocol=%s run_index=%llu base_seed=%llu "
+                    "n_tags=%llu\n",
+                    c == &ca ? "a" : "b", h.protocol.c_str(),
+                    static_cast<unsigned long long>(h.run_index),
+                    static_cast<unsigned long long>(h.base_seed),
+                    static_cast<unsigned long long>(h.n_tags));
       }
     }
+    return 1;
   }
   std::printf("identical: %zu runs\n", a.runs().size());
   return 0;
@@ -433,61 +373,53 @@ int TimeSeries(const CliArgs& args) {
                         {"csv", "write CSV here instead of stdout"},
                     });
   if (args.positional().size() != 2) return Usage();
-  const trace::TraceFile file = Load(args.positional()[1]);
+  store::StoreReader reader;
+  OpenReader(reader, args.positional()[1]);
   const auto want_run = static_cast<std::uint64_t>(args.GetInt("run", 0));
-  const auto reader = static_cast<std::uint32_t>(args.GetInt("reader", 0));
-  for (const trace::RunTrace& run : file.runs) {
-    if (run.header.run_index != want_run) continue;
-    const auto series = trace::ExtractFrameSeries(run, reader);
+  for (std::size_t ri = 0; ri < reader.runs().size(); ++ri) {
+    if (reader.runs()[ri].header.run_index != want_run) continue;
+    store::RunCursor cursor(reader, ri);
+    trace::FrameSeriesSink sink(
+        static_cast<std::uint32_t>(args.GetInt("reader", 0)));
+    if (!cursor.PushTo(&sink).empty()) return Fail(cursor.error());
     const std::string csv_path = args.GetString("csv", "");
     if (csv_path.empty()) {
-      std::fputs(trace::FrameSeriesCsv(series).c_str(), stdout);
+      std::fputs(trace::FrameSeriesCsv(sink.series()).c_str(), stdout);
       return 0;
     }
-    const std::string err = trace::WriteFrameSeriesCsv(series, csv_path);
-    if (!err.empty()) {
-      std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-      return 2;
-    }
-    std::printf("wrote %zu frames to %s\n", series.size(), csv_path.c_str());
+    const std::string err = trace::WriteFrameSeriesCsv(sink.series(), csv_path);
+    if (!err.empty()) return Fail(err);
+    std::printf("wrote %zu frames to %s\n", sink.series().size(),
+                csv_path.c_str());
     return 0;
   }
-  std::fprintf(stderr, "trace_inspect: no run %llu in %s\n",
-               static_cast<unsigned long long>(want_run),
-               args.positional()[1].c_str());
-  return 2;
+  return Fail("no run " + std::to_string(want_run) + " in " +
+              args.positional()[1]);
 }
 
+// Re-drives each recorded run straight into a comparison with its
+// recorded events: neither run is ever resident.
 int Replay(const CliArgs& args) {
   DieOnUnknownFlags(args, "trace_inspect replay", std::vector<FlagSpec>{});
   if (args.positional().size() != 2) return Usage();
-  const trace::TraceFile file = Load(args.positional()[1]);
-  for (const trace::RunTrace& run : file.runs) {
+  store::StoreReader reader;
+  OpenReader(reader, args.positional()[1]);
+  for (std::size_t ri = 0; ri < reader.runs().size(); ++ri) {
+    store::RunCursor cursor(reader, ri);
+    const trace::RunHeader& header = cursor.header();
     std::string err;
     // Service-mode runs carry a "~<profile>" suffix; the base name still
-    // selects the factory, the service layer re-drives the soak.
-    const sim::ProtocolFactory factory =
-        FactoryFor(service::ServiceBaseName(run.header.protocol), &err);
-    if (!factory) {
-      std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-      return 2;
-    }
-    std::string message;
-    bool ok = false;
-    if (service::IsServiceRun(run.header)) {
-      const service::ServiceReplayReport report =
-          service::VerifyServiceReplay(run, factory);
-      ok = report.ok;
-      message = report.message;
-    } else {
-      const trace::ReplayReport report = trace::VerifyReplay(run, factory);
-      ok = report.ok;
-      message = report.message;
-    }
+    // selects the factory, the verifier picks the soak driver.
+    const sim::ProtocolFactory factory = FactoryFor(
+        service::ServiceBaseName(header.protocol), /*demod_pool=*/0, &err);
+    if (!factory) return Fail(err);
+    const service::ReplayReport report = service::VerifyReplay(
+        header, [&cursor] { return cursor.Next(); }, factory);
+    if (!cursor.error().empty()) return Fail(cursor.error());
     std::printf("run %llu: %s\n",
-                static_cast<unsigned long long>(run.header.run_index),
-                message.c_str());
-    if (!ok) return 1;
+                static_cast<unsigned long long>(header.run_index),
+                report.message.c_str());
+    if (!report.ok) return 1;
   }
   return 0;
 }
@@ -557,10 +489,7 @@ int RunQuery(store::StoreReader& reader, const std::string& path,
     } else {
       err = store::QueryEpochWindow(reader, run, lo, hi, &events);
     }
-    if (!err.empty()) {
-      std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-      return 2;
-    }
+    if (!err.empty()) return Fail(err);
     std::int64_t printed = 0;
     for (const trace::TraceEvent& e : events) {
       std::printf("%s\n", trace::Describe(e).c_str());
@@ -572,11 +501,7 @@ int RunQuery(store::StoreReader& reader, const std::string& path,
     }
     return 0;
   }
-  std::fprintf(stderr,
-               "trace_inspect: bad op '%s' (summarize, blocks, frames, "
-               "epochs)\n",
-               op.c_str());
-  return 2;
+  return Fail("bad op '" + op + "' (summarize, blocks, frames, epochs)");
 }
 
 int Query(const CliArgs& args) {
@@ -648,43 +573,33 @@ int Compress(const CliArgs& args) {
   options.block_events =
       static_cast<std::size_t>(args.GetInt("block-events", 4096));
   options.compress = !args.GetBool("raw");
-  store::StoreWriter writer;
-  std::string err = writer.Open(args.positional()[2], options);
-  // Stream block-by-block: neither file is ever fully resident.
-  std::vector<trace::TraceEvent> events;
+  // Stream block by block: neither file is ever fully resident.
+  store::StoreFileSink sink(args.positional()[2], options);
+  std::string err = sink.error();
   for (std::size_t ri = 0; err.empty() && ri < reader.runs().size(); ++ri) {
-    writer.BeginRun(reader.runs()[ri].header);
-    const store::StoredRun& run = reader.runs()[ri];
-    for (std::size_t b = 0; err.empty() && b < run.n_blocks; ++b) {
-      err = reader.ReadBlock(run.first_block + b, &events);
-      for (const trace::TraceEvent& e : events) writer.Add(e);
-    }
-    if (err.empty()) err = writer.EndRun();
+    err = store::RunCursor(reader, ri).PushTo(&sink);
   }
-  if (err.empty()) err = writer.Finish();
-  if (!err.empty()) {
-    std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-    return 2;
-  }
+  if (err.empty()) err = sink.Finish();
+  if (!err.empty()) return Fail(err);
   std::printf("%s: %llu bytes -> %s: %llu bytes (%.2fx)\n",
               args.positional()[1].c_str(),
               static_cast<unsigned long long>(reader.file_bytes()),
               args.positional()[2].c_str(),
-              static_cast<unsigned long long>(writer.bytes_written()),
+              static_cast<unsigned long long>(sink.writer().bytes_written()),
               static_cast<double>(reader.file_bytes()) /
-                  static_cast<double>(writer.bytes_written()));
+                  static_cast<double>(sink.writer().bytes_written()));
   return 0;
 }
 
 int Decompress(const CliArgs& args) {
   DieOnUnknownFlags(args, "trace_inspect decompress", std::vector<FlagSpec>{});
   if (args.positional().size() != 3) return Usage();
-  const trace::TraceFile file = Load(args.positional()[1]);
-  const std::string err = trace::WriteTraceFile(args.positional()[2], file);
-  if (!err.empty()) {
-    std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-    return 2;
-  }
+  // The v1 writer encodes whole runs, so this one command loads the file.
+  trace::TraceFile file;
+  std::string err = store::ReadStoreFile(args.positional()[1], &file);
+  if (!err.empty()) err = args.positional()[1] + ": " + err;
+  if (err.empty()) err = trace::WriteTraceFile(args.positional()[2], file);
+  if (!err.empty()) return Fail(err);
   std::printf("wrote %zu run%s to %s\n", file.runs.size(),
               file.runs.size() == 1 ? "" : "s", args.positional()[2].c_str());
   return 0;
@@ -697,10 +612,7 @@ int Recover(const CliArgs& args) {
   const std::string& out = args.positional()[2];
   store::RecoverInfo info;
   const std::string err = store::RecoverStoreFile(in, out, &info);
-  if (!err.empty()) {
-    std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-    return 2;
-  }
+  if (!err.empty()) return Fail(err);
   std::printf("%s: %s%s\n", in.c_str(),
               info.tail_torn ? "torn tail" : "clean boundary",
               info.had_footer ? ", footer present" : ", no footer");
@@ -731,7 +643,7 @@ int Record(const CliArgs& args) {
                         {"n", "population size (default 200)"},
                         {"runs", "runs to record (default 1)"},
                         {"seed", "base seed (default 1)"},
-                        {"faults", "fault profile to inject (fcat/scat)"},
+                        {"faults", "fault profile to inject (fcat, fcat-signal, scat)"},
                         {"demod-pool",
                          "fcat-signal: demod worker threads (default 0; "
                          "any value records the same bytes)"},
@@ -742,110 +654,63 @@ int Record(const CliArgs& args) {
                     });
   const std::string out = args.GetString("out", "");
   if (out.empty() || args.positional().size() != 1) return Usage();
+  // Name the run as the protocol will record it, then build the factory
+  // from that name exactly as replay will.
   const std::string protocol = args.GetString("protocol", "fcat");
-  const auto lambda = static_cast<unsigned>(args.GetInt("lambda", 2));
+  const std::string lambda = std::to_string(args.GetInt("lambda", 2));
+  const std::map<std::string, std::string> names = {
+      {"fcat", "FCAT-" + lambda},
+      {"fcat-signal", "FCAT-" + lambda + "-signal"},
+      {"scat", "SCAT-" + lambda},
+      {"dfsa", "DFSA"},
+      {"crdsa", "CRDSA-2"},
+      {"irsa", "IRSA"},
+      {"seeded", "SEEDED"},
+      {"mpr", "MPR-" + std::to_string(args.GetInt(
+                           "capacity", protocols::MprConfig{}.capacity))},
+      {"perfect", "PERFECT"},
+  };
+  const auto name = names.find(protocol);
+  if (name == names.end()) return Fail("bad --protocol=" + protocol);
   const std::string faults = args.GetString("faults", "");
-  fault::FaultConfig fault_config;
-  if (!faults.empty()) {
-    const auto profile = fault::FaultProfile(faults);
-    if (!profile) {
-      std::fprintf(stderr,
-                   "trace_inspect: unknown --faults=%s (known: %s)\n",
-                   faults.c_str(), fault::FaultProfileList().c_str());
-      return 2;
-    }
-    fault_config = *profile;
-  }
-
-  sim::ProtocolFactory factory;
-  if (protocol == "fcat") {
-    core::FcatOptions o;
-    o.lambda = lambda;
-    o.fault = fault_config;
-    factory = core::MakeFcatFactory(o);
-  } else if (protocol == "scat") {
-    core::ScatOptions o;
-    o.lambda = lambda;
-    o.fault = fault_config;
-    factory = core::MakeScatFactory(o);
-  } else if (protocol == "fcat-signal") {
-    core::FcatSignalOptions o;
-    o.lambda = lambda;
-    o.fault = fault_config;
-    o.signal.demod_pool_threads =
-        static_cast<unsigned>(args.GetInt("demod-pool", 0));
-    factory = core::MakeFcatSignalFactory(o);
-  } else if (protocol == "dfsa") {
-    factory = core::MakeDfsaFactory();
-  } else if (protocol == "crdsa") {
-    factory = core::MakeCrdsaFactory();  // CRDSA-2
-  } else if (protocol == "irsa") {
-    factory = core::MakeIrsaFactory();
-  } else if (protocol == "seeded") {
-    factory = core::MakeSeededFactory();
-  } else if (protocol == "perfect") {
-    factory = core::MakePerfectFactory();
-  } else if (protocol == "mpr") {
-    protocols::MprConfig c;
-    const auto capacity = args.GetInt("capacity", c.capacity);
-    if (capacity < 1 || capacity > 64) {
-      std::fprintf(stderr, "trace_inspect: bad --capacity=%lld\n",
-                   static_cast<long long>(capacity));
-      return 2;
-    }
-    c.capacity = static_cast<int>(capacity);
-    factory = core::MakeMprFactory({}, c);
-  } else {
-    std::fprintf(stderr, "trace_inspect: bad --protocol=%s\n",
-                 protocol.c_str());
-    return 2;
-  }
+  std::string err;
+  const sim::ProtocolFactory factory =
+      FactoryFor(faults.empty() ? name->second : name->second + "@" + faults,
+                 static_cast<unsigned>(args.GetInt("demod-pool", 0)), &err);
+  if (!factory) return Fail(err);
 
   const std::string service = args.GetString("service", "");
+  const auto runs = static_cast<std::size_t>(args.GetInt("runs", 1));
+  const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  trace::MultiRunRecorder recorder(runs);
   if (!service.empty()) {
     service::ServiceConfig config;
     if (!service::LookupServiceProfile(service, &config)) {
-      std::fprintf(stderr,
-                   "trace_inspect: unknown --service=%s (known: %s)\n",
-                   service.c_str(), service::ServiceProfileList().c_str());
-      return 2;
+      return Fail("unknown --service=" + service +
+                  " (known: " + service::ServiceProfileList() + ")");
     }
     service::SoakOptions so;
     so.n_initial = static_cast<std::size_t>(args.GetInt("n", 60));
-    so.runs = static_cast<std::size_t>(args.GetInt("runs", 1));
-    so.base_seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-    trace::MultiRunRecorder recorder(so.runs);
+    so.runs = runs;
+    so.base_seed = seed;
     so.trace_factory = recorder.Factory();
     service::RunSoakExperiment(factory, config, so);
-    const std::string err = trace::WriteTraceFile(out, recorder.File());
-    if (!err.empty()) {
-      std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-      return 2;
-    }
-    std::size_t events = 0;
-    for (const auto& run : recorder.runs()) events += run.events.size();
-    std::printf("recorded %zu service run%s (%zu events) to %s\n", so.runs,
-                so.runs == 1 ? "" : "s", events, out.c_str());
-    return 0;
+  } else {
+    sim::ExperimentOptions eo;
+    eo.n_tags = static_cast<std::size_t>(args.GetInt("n", 200));
+    eo.runs = runs;
+    eo.base_seed = seed;
+    eo.trace_factory = recorder.Factory();
+    sim::RunExperiment(factory, eo);
   }
 
-  sim::ExperimentOptions eo;
-  eo.n_tags = static_cast<std::size_t>(args.GetInt("n", 200));
-  eo.runs = static_cast<std::size_t>(args.GetInt("runs", 1));
-  eo.base_seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  trace::MultiRunRecorder recorder(eo.runs);
-  eo.trace_factory = recorder.Factory();
-  sim::RunExperiment(factory, eo);
-
-  const std::string err = trace::WriteTraceFile(out, recorder.File());
-  if (!err.empty()) {
-    std::fprintf(stderr, "trace_inspect: %s\n", err.c_str());
-    return 2;
-  }
+  err = trace::WriteTraceFile(out, recorder.File());
+  if (!err.empty()) return Fail(err);
   std::size_t events = 0;
   for (const auto& run : recorder.runs()) events += run.events.size();
-  std::printf("recorded %zu run%s (%zu events) to %s\n", eo.runs,
-              eo.runs == 1 ? "" : "s", events, out.c_str());
+  std::printf("recorded %zu %srun%s (%zu events) to %s\n", runs,
+              service.empty() ? "" : "service ", runs == 1 ? "" : "s",
+              events, out.c_str());
   return 0;
 }
 
