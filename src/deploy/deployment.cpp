@@ -456,8 +456,7 @@ DeploymentResult RunDeployment(std::span<const TagId> tags,
                                const DeploymentConfig& config,
                                const sim::ProtocolFactory& factory,
                                std::uint64_t seed) {
-  anc::Pcg32 rng(seed, 0x9E3779B97F4A7C15ULL + seed);
-  DeploymentProtocol deployment(tags, rng, config, factory);
+  DeploymentProtocol deployment(tags, sim::RunRng(0, seed), config, factory);
   while (!deployment.Finished()) deployment.Step();
   return deployment.Result();
 }

@@ -192,8 +192,8 @@ class DeploymentProtocol final : public sim::Protocol {
 };
 
 // Runs one deployment to completion and returns the deployment-level
-// result. Seeding follows the RunOnce convention so a (seed, config)
-// pair is fully reproducible.
+// result. Seeding follows the RunOnce convention (sim::RunRng(0, seed))
+// so a (seed, config) pair is fully reproducible.
 DeploymentResult RunDeployment(std::span<const TagId> tags,
                                const DeploymentConfig& config,
                                const sim::ProtocolFactory& factory,

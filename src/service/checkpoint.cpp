@@ -8,50 +8,10 @@
 
 #include "common/file_io.h"
 #include "common/serialize.h"
-#include "sim/population.h"
 #include "store/crc32.h"
-#include "trace/event.h"
 
 namespace anc::service {
 namespace {
-
-// Fingerprint fields shared by the checkpoint cutter and the resume
-// validator, so the two can never drift apart.
-struct Fingerprint {
-  std::uint64_t run_index = 0;
-  std::uint64_t base_seed = 0;
-  std::uint64_t n_initial = 0;
-  std::uint64_t max_slots = 0;
-  std::string service_name;
-};
-
-// Fills `ckpt` (reused across cuts, so its blobs keep their capacity)
-// and writes it. Durability order: the store is synced before the writer
-// snapshot is taken, and the snapshot before the file is renamed in.
-std::string CutCheckpoint(const std::string& path, const Fingerprint& fp,
-                          std::uint64_t slot, const InventoryService& service,
-                          const sim::Protocol& protocol,
-                          store::StoreFileSink* sink, ServiceCheckpoint* ckpt) {
-  ckpt->run_index = fp.run_index;
-  ckpt->base_seed = fp.base_seed;
-  ckpt->n_initial = fp.n_initial;
-  ckpt->max_slots = fp.max_slots;
-  ckpt->service_name = fp.service_name;
-  ckpt->slot = slot;
-  ckpt->service_blob.clear();
-  ckpt->protocol_blob.clear();
-  ckpt->writer_blob.clear();
-  service.SaveState(&ckpt->service_blob, slot);
-  protocol.SaveState(&ckpt->protocol_blob);
-  if (sink != nullptr) {
-    // Durability first: the writer snapshot's saved offset must be
-    // backed by bytes that survive a kill the instant after rename.
-    const std::string sync_err = sink->writer().SyncNow();
-    if (!sync_err.empty()) return sync_err;
-    sink->writer().SaveState(&ckpt->writer_blob);
-  }
-  return WriteCheckpointFile(path, *ckpt);
-}
 
 // Atomic durable write shared by checkpoint and .slo result files: the
 // pieces land in "<path>.tmp" in order, are fsynced, then renamed.
@@ -198,181 +158,6 @@ std::string ReadSloReportFile(const std::string& path, SloReport* out) {
   SloReport report;
   if (!ReadSloReport(r, report) || !r.AtEnd()) return "slo: truncated body";
   if (out != nullptr) *out = report;
-  return "";
-}
-
-SloReport RunSoakResumable(const sim::ProtocolFactory& factory,
-                           const ServiceConfig& config,
-                           const SoakOptions& options, std::size_t run_index,
-                           store::StoreFileSink* sink,
-                           const ResumableOptions& resumable, bool* aborted) {
-  // Identical derivation to RunSoakSingle: run i replays from its seed.
-  anc::Pcg32 master(options.base_seed + run_index,
-                    0x9E3779B97F4A7C15ULL + run_index);
-  anc::Pcg32 pop_rng = master.Split();
-  anc::Pcg32 proto_rng = master.Split();
-  anc::Pcg32 churn_rng = master.Split();
-
-  const std::size_t universe_size =
-      UniverseSizeFor(config.churn, options.n_initial, config.churn_stop_slot);
-  const auto universe = sim::MakePopulation(universe_size, pop_rng);
-  const ChurnSchedule schedule =
-      BuildChurnSchedule(config.churn, universe_size, options.n_initial,
-                         config.churn_stop_slot, churn_rng);
-
-  auto protocol = factory(universe, proto_rng);
-  const std::string service_name =
-      std::string(protocol->name()) + "~" +
-      (config.label.empty() ? "custom" : config.label);
-  if (sink != nullptr) {
-    sink->BeginRun(trace::RunHeader{run_index, options.base_seed,
-                                    options.n_initial, config.max_slots,
-                                    service_name});
-    protocol->AttachTrace(trace::TraceContext{sink, 0});
-  }
-
-  InventoryService service(config, *protocol, universe, options.n_initial,
-                           schedule, trace::TraceContext{sink, 0},
-                           options.snapshot_log);
-
-  const Fingerprint fp{run_index, options.base_seed, options.n_initial,
-                       config.max_slots, service_name};
-  ServiceCheckpoint cut;  // reused by every cut of this run
-  InventoryService::RunHooks hooks;
-  hooks.abort_before_slot = resumable.abort_before_slot;
-  hooks.aborted = aborted;
-  hooks.on_epoch = resumable.on_epoch;
-  if (resumable.checkpoint_every_epochs > 0 &&
-      !resumable.checkpoint_path.empty() && protocol->SupportsCheckpoint()) {
-    hooks.checkpoint_every_epochs = resumable.checkpoint_every_epochs;
-    hooks.on_checkpoint = [&](std::uint64_t slot) {
-      // Best-effort: a failed checkpoint write must not kill the run —
-      // the previous checkpoint (if any) stays valid on disk.
-      const std::string err =
-          CutCheckpoint(resumable.checkpoint_path, fp, slot, service,
-                        *protocol, sink, &cut);
-      if (!err.empty()) {
-        std::fprintf(stderr, "anc: checkpoint skipped: %s\n", err.c_str());
-      }
-    };
-  }
-
-  bool was_aborted = false;
-  if (hooks.aborted == nullptr) hooks.aborted = &was_aborted;
-  SloReport report = service.Run(hooks);
-  if (*hooks.aborted) return report;  // crash emulation: no end framing
-
-  if (sink != nullptr) {
-    const sim::RunMetrics& m = report.metrics;
-    sink->OnEvent(trace::RunEndEvent(m.tags_read, m.TotalSlots(),
-                                     m.unresolved_records, m.elapsed_seconds,
-                                     /*capped=*/false));
-    sink->EndRun();
-  }
-  return report;
-}
-
-std::string ResumeSoak(const sim::ProtocolFactory& factory,
-                       const ServiceConfig& config, const SoakOptions& options,
-                       std::size_t run_index,
-                       const std::string& checkpoint_path,
-                       const std::string& trace_path,
-                       const store::StoreWriterOptions& store_options,
-                       const ResumableOptions& resumable, SloReport* report,
-                       std::unique_ptr<store::StoreFileSink>* sink_out,
-                       bool* aborted) {
-  ServiceCheckpoint ckpt;
-  const std::string read_err = ReadCheckpointFile(checkpoint_path, &ckpt);
-  if (!read_err.empty()) return read_err;
-
-  // Re-derive the run exactly as RunSoakResumable would have.
-  anc::Pcg32 master(options.base_seed + run_index,
-                    0x9E3779B97F4A7C15ULL + run_index);
-  anc::Pcg32 pop_rng = master.Split();
-  anc::Pcg32 proto_rng = master.Split();
-  anc::Pcg32 churn_rng = master.Split();
-
-  const std::size_t universe_size =
-      UniverseSizeFor(config.churn, options.n_initial, config.churn_stop_slot);
-  const auto universe = sim::MakePopulation(universe_size, pop_rng);
-  const ChurnSchedule schedule =
-      BuildChurnSchedule(config.churn, universe_size, options.n_initial,
-                         config.churn_stop_slot, churn_rng);
-
-  auto protocol = factory(universe, proto_rng);
-  const std::string service_name =
-      std::string(protocol->name()) + "~" +
-      (config.label.empty() ? "custom" : config.label);
-
-  // Fingerprint gate: restoring onto a different run would silently
-  // produce garbage, so every field must match.
-  if (ckpt.run_index != run_index || ckpt.base_seed != options.base_seed ||
-      ckpt.n_initial != options.n_initial ||
-      ckpt.max_slots != config.max_slots ||
-      ckpt.service_name != service_name) {
-    return "checkpoint: fingerprint mismatch (wrong run for this checkpoint)";
-  }
-  if (!protocol->SupportsCheckpoint()) {
-    return "checkpoint: protocol does not support checkpointing";
-  }
-  if (!protocol->RestoreState(ckpt.protocol_blob)) {
-    return "checkpoint: protocol state rejected";
-  }
-
-  std::unique_ptr<store::StoreFileSink> sink;
-  if (!trace_path.empty()) {
-    if (ckpt.writer_blob.empty()) {
-      return "checkpoint: no writer snapshot (run was untraced)";
-    }
-    sink = std::make_unique<store::StoreFileSink>(trace_path, ckpt.writer_blob,
-                                                  store_options);
-    if (!sink->error().empty()) return sink->error();
-    // Mid-run: the RunHeader is already in the file — no BeginRun here.
-    protocol->AttachTrace(trace::TraceContext{sink.get(), 0});
-  }
-
-  InventoryService service(config, *protocol, universe, options.n_initial,
-                           schedule, trace::TraceContext{sink.get(), 0},
-                           options.snapshot_log);
-  ser::Reader r{ckpt.service_blob};
-  std::uint64_t slot = 0;
-  if (!service.RestoreState(r, &slot) || !r.AtEnd()) {
-    return "checkpoint: service state rejected";
-  }
-
-  const Fingerprint fp{run_index, options.base_seed, options.n_initial,
-                       config.max_slots, service_name};
-  ServiceCheckpoint cut;  // reused by every cut of this run
-  InventoryService::RunHooks hooks;
-  hooks.abort_before_slot = resumable.abort_before_slot;
-  hooks.aborted = aborted;
-  hooks.on_epoch = resumable.on_epoch;
-  if (resumable.checkpoint_every_epochs > 0 &&
-      !resumable.checkpoint_path.empty()) {
-    hooks.checkpoint_every_epochs = resumable.checkpoint_every_epochs;
-    hooks.on_checkpoint = [&](std::uint64_t at_slot) {
-      const std::string err =
-          CutCheckpoint(resumable.checkpoint_path, fp, at_slot, service,
-                        *protocol, sink.get(), &cut);
-      if (!err.empty()) {
-        std::fprintf(stderr, "anc: checkpoint skipped: %s\n", err.c_str());
-      }
-    };
-  }
-
-  bool was_aborted = false;
-  if (hooks.aborted == nullptr) hooks.aborted = &was_aborted;
-  SloReport out = service.Run(hooks);
-  if (!*hooks.aborted && sink != nullptr) {
-    const sim::RunMetrics& m = out.metrics;
-    sink->OnEvent(trace::RunEndEvent(m.tags_read, m.TotalSlots(),
-                                     m.unresolved_records, m.elapsed_seconds,
-                                     /*capped=*/false));
-    sink->EndRun();
-    if (!sink->error().empty()) return sink->error();
-  }
-  if (report != nullptr) *report = std::move(out);
-  if (sink_out != nullptr) *sink_out = std::move(sink);
   return "";
 }
 

@@ -78,9 +78,10 @@ struct ResumableOptions {
   std::function<void(std::uint64_t slot)> on_epoch;
 };
 
-// RunSoakSingle with periodic checkpoints: identical seed derivation and
-// trace framing, so an un-killed RunSoakResumable run is byte-identical
-// to RunSoakSingle over the same (factory, config, options, run_index).
+// RunSoakSingle with periodic checkpoints: the same run derivation and
+// driver loop (service/soak.cpp), with cuts, so an un-killed
+// RunSoakResumable run is byte-identical to RunSoakSingle over the same
+// (factory, config, options, run_index).
 // `sink` may be null (untraced run — the checkpoint then carries no
 // writer blob). `aborted` (optional) reports whether the kill hook
 // fired; when it did, the returned report is the partial pre-kill state

@@ -1,10 +1,7 @@
 #include "service/service.h"
 
-#include <atomic>
-#include <thread>
 #include <utility>
 
-#include "sim/population.h"
 #include "trace/event.h"
 
 namespace anc::service {
@@ -351,49 +348,6 @@ bool InventoryService::RestoreState(ser::Reader& r, std::uint64_t* slot) {
   return true;
 }
 
-SloReport RunSoakSingle(const sim::ProtocolFactory& factory,
-                        const ServiceConfig& config,
-                        const SoakOptions& options, std::size_t run_index,
-                        trace::TraceSink* sink) {
-  anc::Pcg32 master(options.base_seed + run_index,
-                    0x9E3779B97F4A7C15ULL + run_index);
-  anc::Pcg32 pop_rng = master.Split();
-  anc::Pcg32 proto_rng = master.Split();
-  anc::Pcg32 churn_rng = master.Split();
-
-  const std::size_t universe_size =
-      UniverseSizeFor(config.churn, options.n_initial, config.churn_stop_slot);
-  const auto universe = sim::MakePopulation(universe_size, pop_rng);
-  const ChurnSchedule schedule =
-      BuildChurnSchedule(config.churn, universe_size, options.n_initial,
-                         config.churn_stop_slot, churn_rng);
-
-  auto protocol = factory(universe, proto_rng);
-  const std::string service_name =
-      std::string(protocol->name()) + "~" +
-      (config.label.empty() ? "custom" : config.label);
-  if (sink != nullptr) {
-    sink->BeginRun(trace::RunHeader{run_index, options.base_seed,
-                                    options.n_initial, config.max_slots,
-                                    service_name});
-    protocol->AttachTrace(trace::TraceContext{sink, 0});
-  }
-
-  InventoryService service(config, *protocol, universe, options.n_initial,
-                           schedule, trace::TraceContext{sink, 0},
-                           options.snapshot_log);
-  SloReport report = service.Run();
-
-  if (sink != nullptr) {
-    const sim::RunMetrics& m = report.metrics;
-    sink->OnEvent(trace::RunEndEvent(m.tags_read, m.TotalSlots(),
-                                     m.unresolved_records, m.elapsed_seconds,
-                                     /*capped=*/false));
-    sink->EndRun();
-  }
-  return report;
-}
-
 void SoakAggregate::Merge(const SoakAggregate& other) {
   detect_p50.Merge(other.detect_p50);
   detect_p99.Merge(other.detect_p99);
@@ -434,50 +388,6 @@ void AccumulateSoak(SoakAggregate& agg, const SloReport& r) {
   if (!r.ConservationOk()) ++agg.conservation_failures;
   agg.open_records_after_shutdown += r.open_phy_records_end;
   if (!r.churn_supported) ++agg.churn_unsupported_runs;
-}
-
-SoakAggregate RunSoakExperiment(const sim::ProtocolFactory& factory,
-                                const ServiceConfig& config,
-                                const SoakOptions& options) {
-  SoakAggregate agg;
-  // The snapshot log is single-writer: with more than one run it would
-  // see interleaved epochs from concurrent services, so only a lone run
-  // keeps the live feed (RunSoakSingle callers wire it directly).
-  SoakOptions per_run = options;
-  if (options.runs > 1) per_run.snapshot_log = nullptr;
-  const auto execute = [&](std::size_t run) {
-    std::unique_ptr<trace::TraceSink> sink;
-    if (options.trace_factory) sink = options.trace_factory(run);
-    return RunSoakSingle(factory, config, per_run, run, sink.get());
-  };
-
-  const std::size_t n_threads =
-      std::min(sim::EffectiveThreadCount(options.n_threads), options.runs);
-  if (n_threads <= 1) {
-    for (std::size_t run = 0; run < options.runs; ++run) {
-      AccumulateSoak(agg, execute(run));
-    }
-    return agg;
-  }
-
-  // Same discipline as sim::RunExperiment: dynamic queue over run
-  // indices, per-run result slots, fold in run-index order so the
-  // aggregate is bit-identical at any thread count.
-  std::vector<SloReport> results(options.runs);
-  std::atomic<std::size_t> next_run{0};
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t run = next_run.fetch_add(1, std::memory_order_relaxed);
-      if (run >= options.runs) return;
-      results[run] = execute(run);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  for (const SloReport& r : results) AccumulateSoak(agg, r);
-  return agg;
 }
 
 }  // namespace anc::service

@@ -14,11 +14,12 @@
 // latency samples.
 //
 // Determinism contract (same as the runner's): run i of a soak derives
-// every stream from Pcg32(base_seed + i, GOLDEN_GAMMA + i) — population,
-// protocol and churn schedule each get their own Split() in that order —
-// so a soak run replays event-for-event from its trace header alone. The
-// service profile label rides the protocol name ("FCAT-2~soak"); see
-// service/replay.h.
+// every stream from the runner's seed rule sim::RunRng(base_seed, i) —
+// population, protocol and churn schedule each get their own Split() in
+// that order — so a soak run replays event-for-event from its trace
+// header alone. The service profile label rides the protocol name
+// ("FCAT-2~soak"); see service/replay.h. One driver (service/soak.cpp)
+// derives and drives every soak run, resumable or not.
 #pragma once
 
 #include <cstdint>
@@ -242,7 +243,8 @@ class InventoryService {
   SloReport report_;
 };
 
-// Multi-run soak driver, mirroring sim::ExperimentOptions/RunExperiment.
+// Multi-run soak driver: the soak counterpart of sim::ExperimentOptions
+// and RunExperiment, on the same ordered run pool.
 struct SoakOptions {
   std::size_t n_initial = 50;
   std::size_t runs = 4;
@@ -284,8 +286,8 @@ struct SoakAggregate {
 
   // Folds `other` in (RunningStats::Merge per metric, totals summed).
   // The supervisor merges shard aggregates with this; merge order does
-  // not affect the totals, and the RunningStats merge is the same
-  // pairwise fold RunSoakExperiment's thread pool uses.
+  // not affect the totals. (RunSoakExperiment does not merge: it folds
+  // per-run reports with AccumulateSoak in run-index order.)
   void Merge(const SoakAggregate& other);
 };
 

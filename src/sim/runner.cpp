@@ -19,16 +19,6 @@ bool Drive(Protocol& protocol, std::uint64_t max_slots) {
   return true;
 }
 
-// Executes run `run` with its trace sink (if the options request one).
-// The RNG streams depend only on base_seed + run, never on which thread
-// ran it.
-SingleRunResult ExecuteRun(const ProtocolFactory& factory,
-                           const ExperimentOptions& options, std::size_t run) {
-  std::unique_ptr<trace::TraceSink> sink;
-  if (options.trace_factory) sink = options.trace_factory(run);
-  return RunSingle(factory, options, run, sink.get());
-}
-
 // Folds one run into the aggregate. Called in run-index order regardless
 // of thread count, so the Add() sequence — and hence every mean / stddev
 // bit — matches the sequential path exactly.
@@ -62,8 +52,7 @@ void Accumulate(AggregateResult& agg, const SingleRunResult& r) {
 SingleRunResult RunSingle(const ProtocolFactory& factory,
                           const ExperimentOptions& options,
                           std::size_t run_index, trace::TraceSink* sink) {
-  anc::Pcg32 master(options.base_seed + run_index,
-                    0x9E3779B97F4A7C15ULL + run_index);
+  anc::Pcg32 master = RunRng(options.base_seed, run_index);
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 proto_rng = master.Split();
   const auto population = MakePopulation(options.n_tags, pop_rng);
@@ -80,14 +69,19 @@ SingleRunResult RunSingle(const ProtocolFactory& factory,
   SingleRunResult result;
   result.capped = !Drive(*protocol, cap);
   result.metrics = protocol->metrics();
-  if (sink) {
-    const RunMetrics& m = result.metrics;
-    sink->OnEvent(trace::RunEndEvent(m.tags_read, m.TotalSlots(),
-                                     m.unresolved_records, m.elapsed_seconds,
-                                     result.capped));
-    sink->EndRun();
-  }
+  if (sink) EndTracedRun(*sink, result.metrics, result.capped);
   return result;
+}
+
+anc::Pcg32 RunRng(std::uint64_t base_seed, std::uint64_t run_index) {
+  return anc::Pcg32(base_seed + run_index, 0x9E3779B97F4A7C15ULL + run_index);
+}
+
+void EndTracedRun(trace::TraceSink& sink, const RunMetrics& m, bool capped) {
+  sink.OnEvent(trace::RunEndEvent(m.tags_read, m.TotalSlots(),
+                                  m.unresolved_records, m.elapsed_seconds,
+                                  capped));
+  sink.EndRun();
 }
 
 void AggregateResult::Merge(const AggregateResult& other) {
@@ -117,46 +111,49 @@ std::size_t EffectiveThreadCount(std::size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-AggregateResult RunExperiment(const ProtocolFactory& factory,
-                              const ExperimentOptions& options) {
-  AggregateResult agg;
-  const std::size_t n_threads =
-      std::min(EffectiveThreadCount(options.n_threads), options.runs);
-  if (n_threads <= 1) {
-    for (std::size_t run = 0; run < options.runs; ++run) {
-      Accumulate(agg, ExecuteRun(factory, options, run));
-    }
-    return agg;
+void ForEachRun(std::size_t runs, std::size_t n_threads,
+                const std::function<void(std::size_t run)>& execute) {
+  const std::size_t workers = std::min(EffectiveThreadCount(n_threads), runs);
+  if (workers <= 1) {
+    for (std::size_t run = 0; run < runs; ++run) execute(run);
+    return;
   }
-
   // Dynamic work queue over run indices: runs vary in length (protocol
   // terminations differ across seeds), so static striping would leave
-  // workers idle. Each worker writes only results[i] for the indices it
-  // claimed; the buffer is pre-sized, so no locking is needed.
-  std::vector<SingleRunResult> results(options.runs);
+  // workers idle.
   std::atomic<std::size_t> next_run{0};
   auto worker = [&]() {
     for (;;) {
       const std::size_t run =
           next_run.fetch_add(1, std::memory_order_relaxed);
-      if (run >= options.runs) return;
-      results[run] = ExecuteRun(factory, options, run);
+      if (run >= runs) return;
+      execute(run);
     }
   };
   std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
+  pool.reserve(workers);
+  for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
+}
 
+AggregateResult RunExperiment(const ProtocolFactory& factory,
+                              const ExperimentOptions& options) {
+  std::vector<SingleRunResult> results(options.runs);
+  ForEachRun(options.runs, options.n_threads, [&](std::size_t run) {
+    std::unique_ptr<trace::TraceSink> sink;
+    if (options.trace_factory) sink = options.trace_factory(run);
+    results[run] = RunSingle(factory, options, run, sink.get());
+  });
+  AggregateResult agg;
   for (const SingleRunResult& r : results) Accumulate(agg, r);
   return agg;
 }
 
 RunMetrics RunOnce(const ProtocolFactory& factory, std::size_t n_tags,
                    std::uint64_t seed, std::uint64_t max_slots_per_tag) {
-  // RunOnce at seed s is run index s of a base_seed-0 experiment (both
-  // derive Pcg32(s, GOLDEN_GAMMA + s)) — the identity that lets a trace
-  // header's (base_seed, run_index) pair cover both entry points.
+  // RunOnce at seed s is run index s of a base_seed-0 experiment
+  // (RunRng(0, s)): a trace header's (base_seed, run_index) pair covers
+  // both entry points.
   ExperimentOptions options;
   options.n_tags = n_tags;
   options.base_seed = 0;

@@ -3,11 +3,13 @@
 // tables need. The paper averages 100 runs; the bench binaries default
 // lower and expose --runs / --full.
 //
-// Runs are independent by construction (run i's seed is derived only from
-// base_seed + i), so `RunExperiment` executes them on a fixed-size worker
-// pool and folds the per-run metrics back into the aggregate in run-index
-// order. The aggregate is therefore bit-identical for any thread count,
-// including the sequential n_threads = 1 path.
+// Runs are independent by construction (run i's streams all derive from
+// RunRng(base_seed, i)), so `RunExperiment` executes them on the ordered
+// run pool (ForEachRun) and folds the per-run metrics back into the
+// aggregate in run-index order. The aggregate is therefore bit-identical
+// for any thread count, including the sequential n_threads = 1 path. The
+// soak driver (service/service.h) shares the seed rule, the pool and the
+// run-end framing.
 #pragma once
 
 #include <functional>
@@ -104,6 +106,28 @@ SingleRunResult RunSingle(const ProtocolFactory& factory,
 // Resolves a requested thread count: 0 -> hardware_concurrency (at least
 // 1). Exposed so harnesses can report the count actually used.
 std::size_t EffectiveThreadCount(std::size_t requested);
+
+// The seed rule: the master stream of run `run_index` of a `base_seed`
+// experiment, Pcg32(base_seed + i, GOLDEN_GAMMA + i). Every run driver
+// (RunSingle, RunOnce as run `seed` of base seed 0, the soak drivers and
+// deploy::RunDeployment) starts from it, so a trace header's
+// (base_seed, run_index) pair names the run whatever drove it.
+anc::Pcg32 RunRng(std::uint64_t base_seed, std::uint64_t run_index);
+
+// Closes a traced run: the terminal RunEnd event from the run's final
+// metrics, then EndRun.
+void EndTracedRun(trace::TraceSink& sink, const RunMetrics& metrics,
+                  bool capped);
+
+// The ordered run pool: calls execute(run) for every run in [0, runs) on
+// up to n_threads workers (EffectiveThreadCount; one runs them inline, in
+// order), each index once. `execute` must be safe to call concurrently for
+// distinct runs; it stores run i's result in slot i of a buffer sized
+// `runs`, which the caller folds in run-index order once the pool
+// returns, so the fold — and every aggregate bit — is the same at any
+// thread count.
+void ForEachRun(std::size_t runs, std::size_t n_threads,
+                const std::function<void(std::size_t run)>& execute);
 
 // Single run, returning the raw metrics (used by examples and tests).
 RunMetrics RunOnce(const ProtocolFactory& factory, std::size_t n_tags,

@@ -1,5 +1,6 @@
 #include "store/container.h"
 
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -8,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <span>
 #include <type_traits>
 
@@ -800,16 +802,29 @@ std::string StoreReader::Open(const std::string& path) {
   }
   if (got == sizeof magic &&
       std::string_view(magic, 8) == trace::kTraceMagic) {
-    // Legacy v1 uncompressed trace: slurp and index in one pass. Any
-    // damage (including truncation) is unrecoverable here — the row
-    // format is not self-delimiting.
-    std::fclose(f);
-    std::string bytes;
-    if (std::string err = ReadWholeFile(path, &bytes); !err.empty()) {
-      open_failure_ = OpenFailure::kIo;
-      return err;
+    // Legacy v1 uncompressed trace: map and index it in one pass, then
+    // unmap it; only the index stays, and its pseudo-blocks are read back
+    // through file_ like store blocks. A mapping, not a heap copy: a
+    // freed multi-MiB copy raises glibc's mmap threshold, and streaming
+    // replay of a 2 MB v1 file then peaked 7 MiB above its ANCSTORE
+    // copy. Any damage (including truncation) is unrecoverable here —
+    // the row format is not self-delimiting.
+    file_ = f;
+    struct stat st {};
+    void* map = MAP_FAILED;
+    if (fstat(fileno(f), &st) == 0) {
+      map = mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
+                 MAP_PRIVATE, fileno(f), 0);
     }
-    const std::string err = OpenLegacy(std::move(bytes), path);
+    if (map == MAP_FAILED) {
+      open_failure_ = OpenFailure::kIo;
+      return "cannot map " + path;
+    }
+    const std::string_view bytes(static_cast<const char*>(map),
+                                 static_cast<std::size_t>(st.st_size));
+    const auto unmap = [bytes](void* p) { munmap(p, bytes.size()); };
+    const std::unique_ptr<void, decltype(unmap)> mapping(map, unmap);
+    const std::string err = OpenLegacy(bytes, path);
     if (!err.empty()) open_failure_ = OpenFailure::kCorrupt;
     return err;
   }
@@ -825,12 +840,10 @@ std::string StoreReader::Open(const std::string& path) {
   return err;
 }
 
-std::string StoreReader::OpenLegacy(std::string bytes,
+std::string StoreReader::OpenLegacy(std::string_view view,
                                     const std::string& path) {
   legacy_ = true;
-  legacy_bytes_ = std::move(bytes);
-  file_bytes_ = legacy_bytes_.size();
-  const std::string_view view = legacy_bytes_;
+  file_bytes_ = view.size();
   ser::Reader r{view, trace::kTraceMagic.size()};
   const std::uint64_t version = r.Varint();
   if (!r.ok) return path + ": truncated header";
@@ -1059,28 +1072,20 @@ std::string StoreReader::ReadBlockColumns(std::size_t index,
   const auto tag = [&](const std::string& what) {
     return "block " + std::to_string(index) + ": " + what;
   };
-  std::string_view payload;
-  if (legacy_) {
-    payload = std::string_view(legacy_bytes_)
-                  .substr(static_cast<std::size_t>(meta.offset),
-                          static_cast<std::size_t>(meta.comp_len));
-  } else {
-    payload_.resize(static_cast<std::size_t>(meta.comp_len));
-    if (std::string err = ReadAt(file_, meta.offset, payload_.data(),
-                                 payload_.size());
-        !err.empty()) {
-      return tag(err);
-    }
-    payload = payload_;
+  payload_.resize(static_cast<std::size_t>(meta.comp_len));
+  if (std::string err =
+          ReadAt(file_, meta.offset, payload_.data(), payload_.size());
+      !err.empty()) {
+    return tag(err);
   }
-  if (Crc32(payload) != meta.crc32) {
+  if (Crc32(payload_) != meta.crc32) {
     return tag("payload CRC mismatch (corrupt data)");
   }
-  std::string_view raw = payload;
+  std::string_view raw = payload_;
   if (legacy_) {
     // Pseudo-block over v1 row-format bytes: decode its events, then
     // take them through the columnar codec like any other block.
-    ser::Reader r{payload};
+    ser::Reader r{payload_};
     std::vector<trace::TraceEvent> events;
     events.reserve(static_cast<std::size_t>(meta.n_events));
     for (std::uint64_t i = 0; i < meta.n_events; ++i) {
@@ -1096,7 +1101,7 @@ std::string StoreReader::ReadBlockColumns(std::size_t index,
     raw = raw_;
   } else if (meta.comp_len != meta.raw_len) {
     const std::string err =
-        LzDecompress(payload, static_cast<std::size_t>(meta.raw_len), &raw_);
+        LzDecompress(payload_, static_cast<std::size_t>(meta.raw_len), &raw_);
     if (!err.empty()) return tag(err);
     raw = raw_;
   }

@@ -283,8 +283,9 @@ class BlockColumns {
 
 // Indexed reader over a store file — or, backward-compatibly, over a v1
 // uncompressed "ANCTRACE" file, which Open() indexes in one streaming
-// pass into the same pseudo-block shape (events are decoded on demand,
-// never retained). Blocks decode independently; a Reader instance is
+// pass into the same pseudo-block shape and then reads back from the
+// file like store blocks (events are decoded on demand, never retained;
+// neither are the file's bytes). Blocks decode independently; a Reader instance is
 // single-threaded (open one per concurrent reader).
 class StoreReader {
  public:
@@ -330,11 +331,10 @@ class StoreReader {
   std::string ReadAll(trace::TraceFile* out);
 
  private:
-  std::string OpenLegacy(std::string bytes, const std::string& path);
+  std::string OpenLegacy(std::string_view bytes, const std::string& path);
   std::string OpenStore(const std::string& path);
 
-  std::FILE* file_ = nullptr;   // store mode
-  std::string legacy_bytes_;    // legacy mode: raw v1 file bytes
+  std::FILE* file_ = nullptr;
   // ReadBlockColumns' stored and decompressed bytes and decoded columns,
   // reused across blocks.
   std::string payload_, raw_;

@@ -156,9 +156,10 @@ struct TraceEvent {
 };
 
 // Identifies one traced run. base_seed/run_index reproduce the exact RNG
-// streams (run i derives Pcg32(base_seed + i, GOLDEN_GAMMA + i); RunOnce's
-// seed s is the (0, s) pair), n_tags/max_slots_per_tag the population and
-// driver cap — together with the factory, everything replay needs.
+// streams (run i starts from the seed rule sim::RunRng(base_seed, i);
+// RunOnce's seed s is the (0, s) pair), n_tags/max_slots_per_tag the
+// population and driver cap — together with the factory, everything
+// replay needs. A soak run's header is also its checkpoint fingerprint.
 struct RunHeader {
   std::uint64_t run_index = 0;
   std::uint64_t base_seed = 0;

@@ -338,6 +338,82 @@ TEST(ResumableSoak, KilledAndResumedRunIsByteIdentical) {
   }
 }
 
+// The contract the soak drivers share: cutting a checkpoint every epoch
+// leaves the run itself untouched, so RunSoakResumable without a kill
+// writes RunSoakSingle's store bytes and returns its report.
+TEST(ResumableSoak, CheckpointingLeavesTheRunUnchanged) {
+  ServiceConfig config;
+  ASSERT_TRUE(LookupServiceProfile("smoke", &config));
+  store::StoreWriterOptions sopts;
+  sopts.block_events = 256;
+  sopts.sync = store::SyncPolicy::kFlush;
+  SoakOptions options;
+  options.n_initial = 20;
+  options.runs = 1;
+  options.base_seed = 13;
+
+  for (const ResumeCase& c : CheckpointableFactories()) {
+    SCOPED_TRACE(c.label);
+    const std::string single_path = TempPath("single.ancs");
+    const std::string cut_path = TempPath("cut_every_epoch.ancs");
+    const std::string ckpt_path = TempPath("cut_every_epoch.ckpt");
+
+    auto single_sink =
+        std::make_unique<store::StoreFileSink>(single_path, sopts);
+    const SloReport single =
+        RunSoakSingle(c.factory, config, options, 0, single_sink.get());
+    ASSERT_EQ(single_sink->Finish(), "");
+
+    auto cut_sink = std::make_unique<store::StoreFileSink>(cut_path, sopts);
+    ResumableOptions cut_opts;
+    cut_opts.checkpoint_every_epochs = 1;
+    cut_opts.checkpoint_path = ckpt_path;
+    bool aborted = false;
+    const SloReport cut = RunSoakResumable(c.factory, config, options, 0,
+                                           cut_sink.get(), cut_opts, &aborted);
+    ASSERT_EQ(cut_sink->Finish(), "");
+    EXPECT_FALSE(aborted);
+
+    // A cut really happened: the last checkpoint is of this run.
+    ServiceCheckpoint last;
+    ASSERT_EQ(ReadCheckpointFile(ckpt_path, &last), "");
+    EXPECT_GT(last.slot, 0u);
+    EXPECT_FALSE(last.writer_blob.empty());
+
+    EXPECT_TRUE(Slurp(cut_path) == Slurp(single_path)) << "store bytes differ";
+    EXPECT_EQ(ReportBlob(cut), ReportBlob(single));
+    std::remove(single_path.c_str());
+    std::remove(cut_path.c_str());
+    std::remove(ckpt_path.c_str());
+  }
+}
+
+// `aborted` reports this run's kill hook, whatever the caller left in
+// it: a stale true must not read as a kill or drop the run-end framing.
+TEST(ResumableSoak, AbortedFlagReportsThisRun) {
+  ServiceConfig config;
+  ASSERT_TRUE(LookupServiceProfile("smoke", &config));
+  SoakOptions options;
+  options.n_initial = 16;
+  const sim::ProtocolFactory factory = core::MakeFcatFactory({});
+  const std::string single_path = TempPath("aborted_single.ancs");
+  const std::string resumable_path = TempPath("aborted_resumable.ancs");
+
+  store::StoreFileSink single(single_path);
+  (void)RunSoakSingle(factory, config, options, 0, &single);
+  ASSERT_EQ(single.Finish(), "");
+  store::StoreFileSink resumable(resumable_path);
+  bool aborted = true;  // left over from an earlier, killed run
+  (void)RunSoakResumable(factory, config, options, 0, &resumable, {},
+                         &aborted);
+  ASSERT_EQ(resumable.Finish(), "");
+  EXPECT_FALSE(aborted);
+  EXPECT_TRUE(Slurp(resumable_path) == Slurp(single_path))
+      << "store bytes differ";
+  std::remove(single_path.c_str());
+  std::remove(resumable_path.c_str());
+}
+
 TEST(ResumableSoak, RejectsFingerprintMismatch) {
   ServiceConfig config;
   ASSERT_TRUE(LookupServiceProfile("smoke", &config));
@@ -362,20 +438,40 @@ TEST(ResumableSoak, RejectsFingerprintMismatch) {
 
   SloReport report;
   ResumableOptions resume_opts;  // no abort: resumes run to completion
-  // Wrong seed, wrong run index, wrong population: each must be refused.
+  const std::string mismatch =
+      "checkpoint: fingerprint mismatch (wrong run for this checkpoint)";
+  // Each of the five fingerprint fields must be refused on its own: wrong
+  // seed, run index, population, budget and service name.
   SoakOptions wrong = options;
   wrong.base_seed = 22;
-  EXPECT_NE(ResumeSoak(factory, config, wrong, 0, ckpt_path, "", {},
+  EXPECT_EQ(ResumeSoak(factory, config, wrong, 0, ckpt_path, "", {},
                        resume_opts, &report),
-            "");
-  EXPECT_NE(ResumeSoak(factory, config, options, 1, ckpt_path, "", {},
+            mismatch);
+  EXPECT_EQ(ResumeSoak(factory, config, options, 1, ckpt_path, "", {},
                        resume_opts, &report),
-            "");
+            mismatch);
   wrong = options;
   wrong.n_initial = 17;
-  EXPECT_NE(ResumeSoak(factory, config, wrong, 0, ckpt_path, "", {},
+  EXPECT_EQ(ResumeSoak(factory, config, wrong, 0, ckpt_path, "", {},
                        resume_opts, &report),
-            "");
+            mismatch);
+  ServiceConfig budget = config;
+  budget.max_slots = config.max_slots + 1000;
+  EXPECT_EQ(ResumeSoak(factory, budget, options, 0, ckpt_path, "", {},
+                       resume_opts, &report),
+            mismatch);
+  // The service name is "<protocol>~<profile>": another profile label on
+  // the same parameters, and another protocol under the same profile.
+  ServiceConfig relabeled = config;
+  relabeled.label = "soak";
+  EXPECT_EQ(ResumeSoak(factory, relabeled, options, 0, ckpt_path, "", {},
+                       resume_opts, &report),
+            mismatch);
+  core::FcatOptions fcat3;
+  fcat3.lambda = 3;
+  EXPECT_EQ(ResumeSoak(core::MakeFcatFactory(fcat3), config, options, 0,
+                       ckpt_path, "", {}, resume_opts, &report),
+            mismatch);
   // And the matching run resumes fine (untraced).
   EXPECT_EQ(ResumeSoak(factory, config, options, 0, ckpt_path, "", {},
                        resume_opts, &report),

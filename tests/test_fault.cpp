@@ -30,7 +30,7 @@ struct DrivenFcat {
 
   DrivenFcat(std::size_t n_tags, std::uint64_t seed,
              const core::FcatOptions& options) {
-    anc::Pcg32 master(seed, 0x9E3779B97F4A7C15ULL + seed);
+    anc::Pcg32 master = sim::RunRng(0, seed);
     anc::Pcg32 pop_rng = master.Split();
     anc::Pcg32 proto_rng = master.Split();
     population = sim::MakePopulation(n_tags, pop_rng);
@@ -367,7 +367,7 @@ TEST(FaultDeployment, DeadReaderIsRescheduledAroundAndReleasesRecords) {
   config.reader_death.reader = 0;
   config.reader_death.at_global_slot = 40;
 
-  anc::Pcg32 master(31, 0x9E3779B97F4A7C15ULL + 31);
+  anc::Pcg32 master = sim::RunRng(0, 31);
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 deploy_rng = master.Split();
   const auto tags = sim::MakePopulation(300, pop_rng);

@@ -17,6 +17,7 @@
 #include "core/factories.h"
 #include "fault/fault_config.h"
 #include "sim/population.h"
+#include "sim/runner.h"
 
 namespace anc {
 namespace {
@@ -37,7 +38,7 @@ PropertyRun RunAdversarial(fault::EvictionPolicy policy, std::uint64_t seed) {
   o.fault.store.max_resolve_failures = 8;
   o.fault.store.max_open_frames = 128;
 
-  anc::Pcg32 master(seed, 0x9E3779B97F4A7C15ULL + seed);
+  anc::Pcg32 master = sim::RunRng(0, seed);
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 proto_rng = master.Split();
   const std::vector<TagId> population = sim::MakePopulation(2000, pop_rng);

@@ -144,7 +144,7 @@ TEST(Fcat, TerminationReleasesEveryStoredSignal) {
   // The unresolved records above are reported, then released: after the
   // protocol finishes, the phy's record store must be empty (the seed
   // leaked these signals until the reader object died).
-  anc::Pcg32 master(8, 0x9E3779B97F4A7C15ULL + 8);
+  anc::Pcg32 master = sim::RunRng(0, 8);
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 proto_rng = master.Split();
   const auto population = sim::MakePopulation(3000, pop_rng);

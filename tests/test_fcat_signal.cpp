@@ -134,7 +134,7 @@ TEST(FcatSignal, CaptureTradesResolutionForDirectReads) {
 TEST(FcatSignal, TerminationReleasesEveryStoredWaveform) {
   // Signal-phy records hold sampled waveforms, so a leak here is real
   // memory, not just bookkeeping: the store must be empty at the end.
-  anc::Pcg32 master(5, 0x9E3779B97F4A7C15ULL + 5);
+  anc::Pcg32 master = sim::RunRng(0, 5);
   anc::Pcg32 pop_rng = master.Split();
   anc::Pcg32 proto_rng = master.Split();
   const auto population = sim::MakePopulation(100, pop_rng);

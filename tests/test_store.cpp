@@ -237,6 +237,30 @@ TEST(StoreContainer, LegacyV1ReadsByteIdentically) {
   std::remove(path.c_str());
 }
 
+// A v1 file is indexed at open and then read block by block from the
+// file, as a store is: a byte that changes under an open reader fails
+// that pseudo-block's CRC instead of being decoded.
+TEST(StoreContainer, LegacyV1ChangedAfterOpenFailsCrc) {
+  const trace::TraceFile file = RecordSoak(1);
+  const std::string path = TempPath("anc_store_legacy_changed.trace");
+  ASSERT_EQ(trace::WriteTraceFile(path, file), "");
+  StoreReader reader;
+  ASSERT_EQ(reader.Open(path), "");
+  ASSERT_TRUE(reader.legacy());
+  ASSERT_FALSE(reader.blocks().empty());
+  std::vector<trace::TraceEvent> events;
+  ASSERT_EQ(reader.ReadBlock(0, &events), "");
+
+  const BlockMeta& b = reader.blocks()[0];
+  std::string bytes = Slurp(path);
+  bytes[b.offset + b.comp_len / 2] ^= 0x01;
+  Spit(path, bytes);
+  const std::string err = reader.ReadBlock(0, &events);
+  EXPECT_NE(err.find("CRC"), std::string::npos) << err;
+  EXPECT_TRUE(events.empty());
+  std::remove(path.c_str());
+}
+
 TEST(StoreContainer, SeekFindsEveryFrame) {
   const trace::TraceFile file = RecordSoak(1);
   const std::string path = TempPath("anc_store_seek.ancstore");
