@@ -23,7 +23,7 @@
 #include "phy/timing.h"
 #include "sim/runner.h"
 #include "trace/jsonl.h"
-#include "trace/recorder.h"
+#include "trace/binary.h"
 
 namespace anc::bench {
 
@@ -56,13 +56,8 @@ inline JsonState& Json() {
   return state;
 }
 
-inline std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-inline std::string JsonStr(const std::string& s) { return trace::JsonStr(s); }
+using trace::JsonNum;
+using trace::JsonStr;
 
 inline std::string JsonStats(const RunningStats& s) {
   return "{\"count\":" + std::to_string(s.count()) +
@@ -228,18 +223,16 @@ inline sim::AggregateResult Run(const sim::ProtocolFactory& factory,
   // --trace: record every run's slot-level event stream and append the
   // run blocks (in run-index order, independent of --threads) to the
   // file. One bench invocation appends one block per (point, run).
-  std::unique_ptr<trace::MultiRunRecorder> recorder;
-  if (!opts.trace_path.empty()) {
-    recorder = std::make_unique<trace::MultiRunRecorder>(opts.runs);
-    eo.trace_factory = recorder->Factory();
-  }
+  trace::MemorySink recorded;
+  if (!opts.trace_path.empty()) eo.trace = &recorded;
   const auto start = std::chrono::steady_clock::now();
   auto result = sim::RunExperiment(factory, eo);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  if (recorder) {
-    const std::string err = recorder->AppendToFile(opts.trace_path);
+  if (eo.trace != nullptr) {
+    const std::string err =
+        trace::AppendRunsToFile(opts.trace_path, recorded.runs());
     if (!err.empty()) {
       std::fprintf(stderr, "warning: --trace: %s\n", err.c_str());
     }

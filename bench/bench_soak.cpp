@@ -20,10 +20,9 @@
 //   --n=N         initial population per run (default 50)
 //   --faults=F    off | chaos | sweep (default sweep; chaos is FCAT-only
 //                 — the coded-ALOHA readers take no fault config)
-//   --store=S     container for --trace recordings: compressed (default)
-//                 writes one indexed ANCSTORE file covering every cell;
-//                 raw appends v1 ANCTRACE run blocks (byte-identical to
-//                 the pre-store recording path, for golden-trace jobs)
+//   --trace=PATH  record every cell's runs into one indexed ANCSTORE
+//                 file (cells in table order; `trace_inspect decompress`
+//                 turns it into a v1 trace)
 //   --kill-at=K   crash-recovery cell (src/service checkpoints): run the
 //                 FCAT-2 cell's run 0 once uninterrupted and once killed
 //                 dead at slot K then resumed from its last checkpoint,
@@ -54,46 +53,19 @@ service::SoakAggregate RunCell(const sim::ProtocolFactory& factory,
                                const bench::HarnessOptions& opts,
                                std::size_t n_initial,
                                const std::string& label,
-                               store::StoreWriter* store_writer) {
+                               trace::TraceSink* trace) {
   service::SoakOptions so;
   so.n_initial = n_initial;
   so.runs = opts.runs;
   so.base_seed = opts.seed;
   so.n_threads = opts.threads;
-  // Record per-run (disjoint slots, thread-safe) and serialize after the
-  // experiment: the store writer is single-writer, the recorder is not.
-  std::unique_ptr<trace::MultiRunRecorder> recorder;
-  if (!opts.trace_path.empty()) {
-    recorder = std::make_unique<trace::MultiRunRecorder>(opts.runs);
-    so.trace_factory = recorder->Factory();
-  }
+  so.trace = trace;
   const auto start = std::chrono::steady_clock::now();
   const service::SoakAggregate agg =
       service::RunSoakExperiment(factory, config, so);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-
-  if (recorder) {
-    if (store_writer != nullptr) {
-      for (const trace::RunTrace& run : recorder->runs()) {
-        store_writer->BeginRun(run.header);
-        for (const trace::TraceEvent& e : run.events) store_writer->Add(e);
-        const std::string err = store_writer->EndRun();
-        if (!err.empty()) {
-          std::fprintf(stderr, "warning: store write failed for %s: %s\n",
-                       label.c_str(), err.c_str());
-          break;
-        }
-      }
-    } else {
-      const std::string err = recorder->AppendToFile(opts.trace_path);
-      if (!err.empty()) {
-        std::fprintf(stderr, "warning: cannot append trace to %s: %s\n",
-                     opts.trace_path.c_str(), err.c_str());
-      }
-    }
-  }
 
   // Service-mode JSON point: SLO quantiles + the ledger totals the CI
   // schema gate checks (staleness_p99 / missed_rate present and finite).
@@ -246,7 +218,6 @@ int main(int argc, char** argv) {
       {{"profile", "service profile: smoke | soak | batch | flow"},
        {"n", "initial population per run (default 50)"},
        {"faults", "off | chaos | sweep (chaos is FCAT-only)"},
-       {"store", "--trace container: compressed (default) | raw"},
        {"kill-at", "crash-recovery cell: kill run 0 at this slot, resume "
                    "from checkpoint, verify byte-identity"}});
   const auto opts = bench::ParseHarness(args, 3);
@@ -267,22 +238,14 @@ int main(int argc, char** argv) {
                  faults.c_str());
     return 2;
   }
-  const std::string store_mode = args.GetString("store", "compressed");
-  if (store_mode != "compressed" && store_mode != "raw") {
-    std::fprintf(stderr, "unknown --store=%s (compressed | raw)\n",
-                 store_mode.c_str());
-    return 2;
-  }
-  // Compressed recording: one ANCSTORE container spanning every cell's
-  // runs (cells append in table order). Raw keeps the pre-store v1
-  // append path so golden-trace jobs stay byte-identical.
-  store::StoreWriter store_writer;
-  const bool use_store = !opts.trace_path.empty() && store_mode == "compressed";
-  if (use_store) {
-    const std::string err = store_writer.Open(opts.trace_path);
-    if (!err.empty()) {
+  // One ANCSTORE container spanning every cell's runs (cells append in
+  // table order); runs stream into it as they finish.
+  std::unique_ptr<store::StoreFileSink> store;
+  if (!opts.trace_path.empty()) {
+    store = std::make_unique<store::StoreFileSink>(opts.trace_path);
+    if (!store->error().empty()) {
       std::fprintf(stderr, "cannot open --trace store %s: %s\n",
-                   opts.trace_path.c_str(), err.c_str());
+                   opts.trace_path.c_str(), store->error().c_str());
       return 2;
     }
   }
@@ -306,8 +269,7 @@ int main(int argc, char** argv) {
   std::uint64_t unsupported = 0;
   for (const auto& [label, factory] : cells) {
     const service::SoakAggregate agg =
-        RunCell(factory, config, opts, n_initial, label,
-                use_store ? &store_writer : nullptr);
+        RunCell(factory, config, opts, n_initial, label, store.get());
     table.AddRow({label, TextTable::Num(agg.detect_p50.mean(), 1),
                   TextTable::Num(agg.detect_p99.mean(), 1),
                   TextTable::Num(agg.staleness_p99.mean(), 1),
@@ -321,13 +283,13 @@ int main(int argc, char** argv) {
     unsupported += agg.churn_unsupported_runs;
   }
 
-  if (use_store) {
-    const std::string err = store_writer.Finish();
+  if (store != nullptr) {
+    const std::string err = store->Finish();
     if (err.empty()) {
+      const store::StoreWriter& w = store->writer();
       std::printf("trace store: %zu runs, %zu blocks, %llu bytes -> %s\n",
-                  store_writer.runs().size(), store_writer.blocks().size(),
-                  static_cast<unsigned long long>(
-                      store_writer.bytes_written()),
+                  w.runs().size(), w.blocks().size(),
+                  static_cast<unsigned long long>(w.bytes_written()),
                   opts.trace_path.c_str());
     } else {
       std::fprintf(stderr, "warning: trace store finish failed: %s\n",

@@ -238,11 +238,11 @@ int main(int argc, char** argv) {
   so.runs = opts.runs;
   so.base_seed = opts.seed;
   so.n_threads = opts.threads;
-  trace::MultiRunRecorder recorder(so.runs);
-  so.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  so.trace = &recorded;
   (void)service::RunSoakExperiment(
       core::MakeFcatFactory(bench::FcatFor(2)), config, so);
-  const trace::TraceFile file = recorder.File();
+  const trace::TraceFile file = recorded.TakeFile();
   const std::string raw = trace::EncodeTrace(file);
   std::uint64_t n_events = 0;
   for (const auto& run : file.runs) n_events += run.events.size();

@@ -250,7 +250,9 @@ struct SoakOptions {
   std::size_t runs = 4;
   std::uint64_t base_seed = 1;
   std::size_t n_threads = 1;  // bit-identical aggregate at any value
-  trace::TraceSinkFactory trace_factory;
+  // Trace sink; null = off. Whole runs in run-index order, from the
+  // calling thread (sim::ForEachRun).
+  trace::TraceSink* trace = nullptr;
   // Live epoch feed (single-writer seqlock): set only for single-run
   // soaks or direct RunSoakSingle calls — concurrent runs would all
   // write the one log. Null = no live feed.

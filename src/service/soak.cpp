@@ -227,11 +227,11 @@ SoakAggregate RunSoakExperiment(const sim::ProtocolFactory& factory,
   SoakOptions per_run = options;
   if (options.runs > 1) per_run.snapshot_log = nullptr;
   std::vector<SloReport> reports(options.runs);
-  sim::ForEachRun(options.runs, options.n_threads, [&](std::size_t run) {
-    std::unique_ptr<trace::TraceSink> sink;
-    if (options.trace_factory) sink = options.trace_factory(run);
-    reports[run] = RunSoakSingle(factory, config, per_run, run, sink.get());
-  });
+  sim::ForEachRun(options.runs, options.n_threads, options.trace,
+                  [&](std::size_t run, trace::TraceSink* sink) {
+                    reports[run] =
+                        RunSoakSingle(factory, config, per_run, run, sink);
+                  });
   SoakAggregate agg;
   for (const SloReport& r : reports) AccumulateSoak(agg, r);
   return agg;

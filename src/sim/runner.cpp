@@ -111,13 +111,16 @@ std::size_t EffectiveThreadCount(std::size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-void ForEachRun(std::size_t runs, std::size_t n_threads,
-                const std::function<void(std::size_t run)>& execute) {
+void ForEachRun(
+    std::size_t runs, std::size_t n_threads, trace::TraceSink* sink,
+    const std::function<void(std::size_t run, trace::TraceSink* run_sink)>&
+        execute) {
   const std::size_t workers = std::min(EffectiveThreadCount(n_threads), runs);
   if (workers <= 1) {
-    for (std::size_t run = 0; run < runs; ++run) execute(run);
+    for (std::size_t run = 0; run < runs; ++run) execute(run, sink);
     return;
   }
+  std::vector<trace::MemorySink> buffers(sink != nullptr ? runs : 0);
   // Dynamic work queue over run indices: runs vary in length (protocol
   // terminations differ across seeds), so static striping would leave
   // workers idle.
@@ -127,23 +130,27 @@ void ForEachRun(std::size_t runs, std::size_t n_threads,
       const std::size_t run =
           next_run.fetch_add(1, std::memory_order_relaxed);
       if (run >= runs) return;
-      execute(run);
+      execute(run, sink != nullptr ? &buffers[run] : nullptr);
     }
   };
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
+  // Each buffer is freed as soon as its run is pushed.
+  for (trace::MemorySink& buffer : buffers) {
+    const trace::TraceFile file = buffer.TakeFile();
+    for (const trace::RunTrace& run : file.runs) trace::PushRun(run, *sink);
+  }
 }
 
 AggregateResult RunExperiment(const ProtocolFactory& factory,
                               const ExperimentOptions& options) {
   std::vector<SingleRunResult> results(options.runs);
-  ForEachRun(options.runs, options.n_threads, [&](std::size_t run) {
-    std::unique_ptr<trace::TraceSink> sink;
-    if (options.trace_factory) sink = options.trace_factory(run);
-    results[run] = RunSingle(factory, options, run, sink.get());
-  });
+  ForEachRun(options.runs, options.n_threads, options.trace,
+             [&](std::size_t run, trace::TraceSink* sink) {
+               results[run] = RunSingle(factory, options, run, sink);
+             });
   AggregateResult agg;
   for (const SingleRunResult& r : results) Accumulate(agg, r);
   return agg;

@@ -6,10 +6,11 @@
 // Runs are independent by construction (run i's streams all derive from
 // RunRng(base_seed, i)), so `RunExperiment` executes them on the ordered
 // run pool (ForEachRun) and folds the per-run metrics back into the
-// aggregate in run-index order. The aggregate is therefore bit-identical
-// for any thread count, including the sequential n_threads = 1 path. The
-// soak driver (service/service.h) shares the seed rule, the pool and the
-// run-end framing.
+// aggregate in run-index order. The pool hands the trace sink whole runs
+// in the same order. The aggregate and the trace are therefore
+// bit-identical for any thread count, including the sequential
+// n_threads = 1 path. The soak driver (service/service.h) shares the seed
+// rule, the pool and the run-end framing.
 #pragma once
 
 #include <functional>
@@ -77,12 +78,9 @@ struct ExperimentOptions {
   // Worker threads for the run loop. 0 = one per hardware core. Any value
   // yields the same aggregate bit-for-bit (see file comment).
   std::size_t n_threads = 1;
-  // Per-run trace sink factory (src/trace); null = tracing off. Called
-  // once per run — concurrently from worker threads when n_threads > 1 —
-  // so it must be thread-safe across distinct run indices (the stock
-  // trace::MultiRunRecorder is: each run writes a pre-sized private slot,
-  // and its serialized output is byte-identical at any thread count).
-  trace::TraceSinkFactory trace_factory;
+  // Trace sink (src/trace); null = tracing off. It receives every run,
+  // whole and in run-index order, from the calling thread (ForEachRun).
+  trace::TraceSink* trace = nullptr;
 };
 
 AggregateResult RunExperiment(const ProtocolFactory& factory,
@@ -119,15 +117,23 @@ anc::Pcg32 RunRng(std::uint64_t base_seed, std::uint64_t run_index);
 void EndTracedRun(trace::TraceSink& sink, const RunMetrics& metrics,
                   bool capped);
 
-// The ordered run pool: calls execute(run) for every run in [0, runs) on
-// up to n_threads workers (EffectiveThreadCount; one runs them inline, in
-// order), each index once. `execute` must be safe to call concurrently for
-// distinct runs; it stores run i's result in slot i of a buffer sized
-// `runs`, which the caller folds in run-index order once the pool
-// returns, so the fold — and every aggregate bit — is the same at any
-// thread count.
-void ForEachRun(std::size_t runs, std::size_t n_threads,
-                const std::function<void(std::size_t run)>& execute);
+// The ordered run pool: calls execute(run, run_sink) for every run in
+// [0, runs) on up to n_threads workers (EffectiveThreadCount), each index
+// once. `execute` must be safe to call concurrently for distinct runs; it
+// stores run i's result in slot i of a buffer sized `runs`, which the
+// caller folds in run-index order once the pool returns, so the fold —
+// and every aggregate bit — is the same at any thread count.
+//
+// Traces take the same route. Run inline (one worker, or one run), each
+// run gets `sink` itself and streams straight into it, in order. On
+// workers each run gets a private trace::MemorySink, and once the pool
+// joins the buffered runs are pushed into `sink` in run-index order. So
+// `sink` sees whole runs, in order, from the calling thread alone. A null
+// `sink` hands every run a null run_sink.
+void ForEachRun(
+    std::size_t runs, std::size_t n_threads, trace::TraceSink* sink,
+    const std::function<void(std::size_t run, trace::TraceSink* run_sink)>&
+        execute);
 
 // Single run, returning the raw metrics (used by examples and tests).
 RunMetrics RunOnce(const ProtocolFactory& factory, std::size_t n_tags,

@@ -617,9 +617,6 @@ std::string StoreWriter::FlushBlock() {
 
 std::string StoreWriter::ApplySyncPolicy() {
   if (options_.sync == SyncPolicy::kNone) return "";
-  const std::size_t every = std::max<std::size_t>(options_.flush_every_blocks, 1);
-  if (++blocks_since_sync_ < every) return "";
-  blocks_since_sync_ = 0;
   if (std::fflush(file_) != 0) return "flush failed (disk full?)";
   if (options_.sync == SyncPolicy::kFsync && fsync(fileno(file_)) != 0) {
     return "fsync failed";
@@ -632,7 +629,6 @@ std::string StoreWriter::SyncNow() {
   if (file_ == nullptr) return "writer not open";
   if (std::fflush(file_) != 0) return error_ = "flush failed (disk full?)";
   if (fsync(fileno(file_)) != 0) return error_ = "fsync failed";
-  blocks_since_sync_ = 0;
   return "";
 }
 
@@ -775,7 +771,6 @@ std::string StoreWriter::RestoreOpen(const std::string& path,
   blocks_ = std::move(blocks);
   buffer_ = std::move(buffered);
   finished_ = false;
-  blocks_since_sync_ = 0;
   error_.clear();
   return "";
 }

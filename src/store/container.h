@@ -68,9 +68,9 @@ inline constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
 
 // Durability policy for completed blocks (crash-safety knob). kNone
 // leaves stdio buffering alone — fastest, loses up to one stdio buffer
-// on SIGKILL. kFlush fflushes every `flush_every_blocks` blocks so
-// completed blocks reach the kernel (survive process death). kFsync
-// additionally fsyncs the fd (survive power loss).
+// on SIGKILL. kFlush fflushes after every completed block so it reaches
+// the kernel (survives process death). kFsync additionally fsyncs the fd
+// (survives power loss).
 enum class SyncPolicy : std::uint8_t { kNone, kFlush, kFsync };
 
 struct StoreWriterOptions {
@@ -82,7 +82,6 @@ struct StoreWriterOptions {
   bool compress = true;
   // Crash durability of completed blocks; see SyncPolicy.
   SyncPolicy sync = SyncPolicy::kNone;
-  std::size_t flush_every_blocks = 1;
 };
 
 // Footer index entry for one block.
@@ -165,16 +164,15 @@ class StoreWriter {
   bool finished_ = false;
   std::uint64_t offset_ = 0;
   std::uint64_t events_in_run_ = 0;
-  std::size_t blocks_since_sync_ = 0;
   // Cumulative per-run counters (see BlockMeta).
   std::uint64_t acks_cum_ = 0, arrives_cum_ = 0, departs_cum_ = 0,
                 detects_cum_ = 0, population_ = 0;
   std::string error_;
 };
 
-// TraceSink adapter: lets a soak recording stream straight into a store
-// (bench_soak --trace with --store=compressed). Call Finish() when the
-// experiment is done; errors latch into error().
+// TraceSink adapter: lets a recording stream straight into a store
+// (bench_soak --trace). Call Finish() when the experiment is done; errors
+// latch into error().
 class StoreFileSink final : public trace::TraceSink {
  public:
   StoreFileSink(const std::string& path,

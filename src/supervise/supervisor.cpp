@@ -123,7 +123,7 @@ void SoakSupervisor::ChildMain(int heartbeat_fd, std::size_t run,
   store::EpochSnapshotLog log(sup_.snapshot_ring);
   service::SoakOptions opts = options_;
   opts.snapshot_log = &log;
-  opts.trace_factory = {};  // traces are the supervisor's per-run files
+  opts.trace = nullptr;  // traces are the supervisor's per-run files
 
   const bool selected =
       std::find(sup_.chaos_runs.begin(), sup_.chaos_runs.end(), run) !=

@@ -88,9 +88,7 @@ void DiffSink::EndRun() {
 TraceDiff DiffRuns(const RunTrace& a, const RunTrace& b,
                    std::size_t run_index) {
   DiffSink sink(a.header, EventsOf(a), run_index);
-  sink.BeginRun(b.header);
-  for (const TraceEvent& e : b.events) sink.OnEvent(e);
-  sink.EndRun();
+  PushRun(b, sink);
   return sink.diff();
 }
 

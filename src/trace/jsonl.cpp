@@ -30,6 +30,12 @@ std::string JsonStr(std::string_view s) {
   return out;
 }
 
+std::string JsonNum(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 namespace {
 
 std::string Num(std::uint64_t v) { return std::to_string(v); }
@@ -53,14 +59,12 @@ std::string EventToJson(const TraceEvent& e) {
       s += ",\"outcome\":" + JsonStr(OutcomeName(e.outcome)) +
            ",\"responders\":" + Num(e.responders);
       break;
-    case EventKind::kFrame: {
-      char estimate[32];
-      std::snprintf(estimate, sizeof estimate, "%.17g",
-                    static_cast<double>(e.estimate_q8) / kEstimateScale);
+    case EventKind::kFrame:
       s += ",\"n_c\":" + Num(e.n_c) + ",\"open_records\":" + Num(e.record) +
-           ",\"estimate\":" + estimate + ",\"elapsed_us\":" + Num(e.elapsed_us);
+           ",\"estimate\":" +
+           JsonNum(static_cast<double>(e.estimate_q8) / kEstimateScale) +
+           ",\"elapsed_us\":" + Num(e.elapsed_us);
       break;
-    }
     case EventKind::kRecordOpen:
       s += ",\"record\":" + Num(e.record);
       break;
@@ -98,16 +102,12 @@ std::string EventToJson(const TraceEvent& e) {
            ",\"latency_slots\":" + Num(e.n_c) +
            ",\"ghost\":" + (e.cascade ? "true" : "false");
       break;
-    case EventKind::kEpoch: {
-      char staleness[32];
-      std::snprintf(staleness, sizeof staleness, "%.17g",
-                    static_cast<double>(e.estimate_q8) / kEstimateScale);
+    case EventKind::kEpoch:
       s += ",\"population\":" + Num(e.n_c) + ",\"detected\":" + Num(e.record) +
-           ",\"ghosts\":" + Num(e.responders) +
-           ",\"staleness_p99\":" + staleness +
+           ",\"ghosts\":" + Num(e.responders) + ",\"staleness_p99\":" +
+           JsonNum(static_cast<double>(e.estimate_q8) / kEstimateScale) +
            ",\"elapsed_us\":" + Num(e.elapsed_us);
       break;
-    }
   }
   s += "}";
   return s;

@@ -25,6 +25,10 @@ namespace anc::trace {
 // The bench harnesses' JSON lines quote their strings through it too.
 std::string JsonStr(std::string_view s);
 
+// `v` as a JSON number with every bit of the double kept (%.17g). The
+// bench harnesses' JSON lines format their numbers through it too.
+std::string JsonNum(double v);
+
 // The JSONL rendering of one event (shared with `trace_inspect filter
 // --format=jsonl`). No trailing newline.
 std::string EventToJson(const TraceEvent& event);

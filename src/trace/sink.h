@@ -3,16 +3,15 @@
 // written by store::StoreFileSink and the v1 writer (trace/binary.h).
 //
 // Header-only on purpose: sim::Protocol carries a TraceContext and the
-// experiment runner drives sinks through this interface without linking
-// anc_trace. Everything that needs a .cpp — the binary codec, JSONL
-// rendering, the multi-run recorder, diff, time series — lives in the
-// anc_trace library proper; the replay verifier, which re-drives
-// protocols, lives in the service layer (service/replay.h).
+// run pool (sim::ForEachRun) drives sinks through this interface without
+// linking anc_trace. Everything that needs a .cpp — the binary codec,
+// JSONL rendering, diff, time series — lives in the anc_trace library
+// proper; the replay verifier, which re-drives protocols, lives in the
+// service layer (service/replay.h).
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "trace/event.h"
@@ -24,18 +23,13 @@ class TraceSink {
   virtual ~TraceSink() = default;
 
   // A run's stream is bracketed by BeginRun/EndRun; every OnEvent between
-  // the two belongs to that run. Sinks are driven by exactly one thread
-  // per run (the worker executing that run).
+  // the two belongs to that run. A sink handed to a multi-run experiment
+  // sees whole runs in run-index order, all from the calling thread (see
+  // sim::ForEachRun), so it needs no locking.
   virtual void BeginRun(const RunHeader& header) = 0;
   virtual void OnEvent(const TraceEvent& event) = 0;
   virtual void EndRun() = 0;
 };
-
-// Creates the sink for one run of a multi-run experiment. Invoked
-// concurrently from worker threads when the runner is parallel, so
-// implementations must be thread-safe across distinct run indices.
-using TraceSinkFactory =
-    std::function<std::unique_ptr<TraceSink>(std::size_t run_index)>;
 
 // Attachment point a protocol holds: a borrowed sink plus the reader id
 // this protocol's events carry (deployments re-attach each per-reader
@@ -75,15 +69,22 @@ struct RunTrace {
 };
 
 // A whole trace: runs in run-index order (the order the binary file and
-// the multi-run recorder maintain regardless of --threads).
+// the run pool maintain regardless of --threads).
 struct TraceFile {
   std::vector<RunTrace> runs;
 
   friend bool operator==(const TraceFile&, const TraceFile&) = default;
 };
 
+// Pushes one whole run into `sink`: BeginRun, the events, EndRun.
+inline void PushRun(const RunTrace& run, TraceSink& sink) {
+  sink.BeginRun(run.header);
+  for (const TraceEvent& e : run.events) sink.OnEvent(e);
+  sink.EndRun();
+}
+
 // Unbounded in-memory sink: collects complete RunTraces. Used by the
-// benchmark corpora and tests.
+// benchmark corpora, tests and the run pool's per-run buffers.
 class MemorySink final : public TraceSink {
  public:
   void BeginRun(const RunHeader& header) override {

@@ -96,9 +96,7 @@ void FrameSeriesSink::OnEvent(const TraceEvent& e) {
 std::vector<FramePoint> ExtractFrameSeries(const RunTrace& run,
                                            std::uint32_t reader) {
   FrameSeriesSink sink(reader);
-  sink.BeginRun(run.header);
-  for (const TraceEvent& e : run.events) sink.OnEvent(e);
-  sink.EndRun();
+  PushRun(run, sink);
   return sink.series();
 }
 

@@ -17,7 +17,6 @@
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
-#include "trace/recorder.h"
 
 namespace anc {
 namespace {
@@ -326,10 +325,10 @@ TEST(FaultTrace, ChaoticRunTracesIdenticallyAtAnyThreadCount) {
     eo.runs = 4;
     eo.base_seed = 1;
     eo.n_threads = threads;
-    trace::MultiRunRecorder recorder(eo.runs);
-    eo.trace_factory = recorder.Factory();
+    trace::MemorySink recorded;
+    eo.trace = &recorded;
     sim::RunExperiment(factory, eo);
-    return trace::EncodeTrace(recorder.File());
+    return trace::EncodeTrace(recorded.TakeFile());
   };
   const auto one = record(1);
   EXPECT_EQ(one, record(4));
@@ -344,10 +343,10 @@ TEST(FaultTrace, FaultedRunEmitsFaultEventsAndReplays) {
   eo.n_tags = 300;
   eo.runs = 2;
   eo.base_seed = 1;
-  trace::MultiRunRecorder recorder(eo.runs);
-  eo.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  eo.trace = &recorded;
   sim::RunExperiment(factory, eo);
-  const trace::TraceFile file = recorder.File();
+  const trace::TraceFile file = recorded.TakeFile();
   ASSERT_EQ(file.runs.size(), 2u);
   EXPECT_EQ(file.runs[0].header.protocol, "FCAT-2@chaos");
   std::size_t fault_events = 0;

@@ -15,7 +15,6 @@
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
-#include "trace/recorder.h"
 
 namespace anc::protocols {
 namespace {
@@ -29,10 +28,10 @@ trace::TraceFile RecordTrace(const sim::ProtocolFactory& factory,
   eo.runs = runs;
   eo.base_seed = base_seed;
   eo.n_threads = n_threads;
-  trace::MultiRunRecorder recorder(runs);
-  eo.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  eo.trace = &recorded;
   sim::RunExperiment(factory, eo);
-  return recorder.File();
+  return recorded.TakeFile();
 }
 
 TEST(Irsa, ReadsEveryTag) {

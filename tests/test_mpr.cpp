@@ -10,7 +10,6 @@
 #include "sim/runner.h"
 #include "store/crc32.h"
 #include "trace/binary.h"
-#include "trace/recorder.h"
 
 namespace anc::protocols {
 namespace {
@@ -75,11 +74,11 @@ TEST(Mpr, ReplayRoundTrips) {
   sim::ExperimentOptions eo;
   eo.n_tags = 150;
   eo.runs = 2;
-  trace::MultiRunRecorder recorder(eo.runs);
-  eo.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  eo.trace = &recorded;
   sim::RunExperiment(factory, eo);
   const service::ReplayReport report =
-      service::VerifyReplay(recorder.File(), factory);
+      service::VerifyReplay(recorded.TakeFile(), factory);
   EXPECT_TRUE(report.ok) << report.message;
 }
 
@@ -103,11 +102,11 @@ TEST(Mpr, PinnedRunsAreByteIdentical) {
       eo.n_tags = 500;
       eo.runs = 1;
       eo.base_seed = seed;
-      trace::MultiRunRecorder recorder(eo.runs);
-      eo.trace_factory = recorder.Factory();
+      trace::MemorySink recorded;
+      eo.trace = &recorded;
       sim::RunExperiment(factory, eo);
       trace_crc =
-          store::Crc32(trace::EncodeTrace(recorder.File()), trace_crc);
+          store::Crc32(trace::EncodeTrace(recorded.TakeFile()), trace_crc);
     }
   }
   EXPECT_EQ(metrics_crc, 0x36088c69u);

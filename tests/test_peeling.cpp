@@ -18,7 +18,6 @@
 #include "protocols/degree_dist.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
-#include "trace/recorder.h"
 
 namespace anc::protocols {
 namespace {
@@ -272,10 +271,10 @@ std::string RecordGolden(const sim::ProtocolFactory& factory,
   eo.n_tags = n_tags;
   eo.runs = 2;
   eo.base_seed = 1;
-  trace::MultiRunRecorder recorder(eo.runs);
-  eo.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  eo.trace = &recorded;
   sim::RunExperiment(factory, eo);
-  return trace::EncodeTrace(recorder.File());
+  return trace::EncodeTrace(recorded.TakeFile());
 }
 
 TEST(CodedGolden, IrsaSmokeReRecordsByteIdentical) {

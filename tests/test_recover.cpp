@@ -16,7 +16,6 @@
 #include "service/checkpoint.h"
 #include "service/service.h"
 #include "trace/binary.h"
-#include "trace/recorder.h"
 
 namespace anc::store {
 namespace {
@@ -31,10 +30,10 @@ trace::TraceFile RecordSoak(std::size_t runs, std::uint64_t base_seed = 1,
   so.n_initial = n_initial;
   so.runs = runs;
   so.base_seed = base_seed;
-  trace::MultiRunRecorder recorder(runs);
-  so.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  so.trace = &recorded;
   service::RunSoakExperiment(core::MakeFcatFactory(options), config, so);
-  return recorder.File();
+  return recorded.TakeFile();
 }
 
 std::string TempPath(const char* name) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "core/factories.h"
+#include "service/service.h"
 #include "sim/population.h"
 
 namespace anc::sim {
@@ -166,6 +169,94 @@ TEST(Runner, RunOnceDeterministicInSeed) {
   EXPECT_EQ(a.TotalSlots(), b.TotalSlots());
   EXPECT_EQ(a.elapsed_seconds, b.elapsed_seconds);
   EXPECT_NE(a.TotalSlots(), c.TotalSlots());
+}
+
+// Checks the contract ForEachRun gives a trace sink: whole runs, run
+// indices 0..n-1 in order, every call from the thread that built the sink.
+class CheckingSink final : public trace::TraceSink {
+ public:
+  void BeginRun(const trace::RunHeader& header) override {
+    CountForeignCall();
+    EXPECT_FALSE(in_run_) << "BeginRun inside run " << delivered_;
+    EXPECT_EQ(header.run_index, delivered_);
+    in_run_ = true;
+    events_ = 0;
+  }
+  void OnEvent(const trace::TraceEvent&) override {
+    CountForeignCall();
+    EXPECT_TRUE(in_run_) << "event outside a run";
+    ++events_;
+  }
+  void EndRun() override {
+    CountForeignCall();
+    EXPECT_TRUE(in_run_) << "EndRun outside a run";
+    EXPECT_GT(events_, 0u) << "run " << delivered_ << " has no events";
+    in_run_ = false;
+    ++delivered_;
+  }
+
+  std::size_t delivered() const { return delivered_; }  // runs closed
+
+  void ExpectDone(std::size_t runs) const {
+    EXPECT_EQ(delivered_, runs);
+    EXPECT_FALSE(in_run_);
+    EXPECT_EQ(foreign_calls_, 0u) << "calls from another thread";
+  }
+
+ private:
+  void CountForeignCall() {
+    if (std::this_thread::get_id() != owner_) ++foreign_calls_;
+  }
+
+  std::thread::id owner_ = std::this_thread::get_id();
+  std::size_t delivered_ = 0;
+  std::size_t events_ = 0;
+  std::size_t foreign_calls_ = 0;
+  bool in_run_ = false;
+};
+
+TEST(Runner, TraceSinkSeesWholeRunsInOrderFromTheCallingThread) {
+  constexpr std::size_t kRuns = 4;
+  service::ServiceConfig config;
+  ASSERT_TRUE(service::LookupServiceProfile("smoke", &config));
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    // At one thread, building run r's protocol finds runs 0..r-1 already
+    // in the sink: they stream, they are not buffered.
+    CheckingSink* sink = nullptr;
+    std::atomic<std::size_t> built{0};
+    const ProtocolFactory fcat = core::MakeFcatFactory({});
+    const ProtocolFactory factory = [&](std::span<const TagId> population,
+                                        anc::Pcg32 rng) {
+      const std::size_t run = built++;
+      if (threads == 1) {
+        EXPECT_EQ(sink->delivered(), run);
+      }
+      return fcat(population, rng);
+    };
+
+    CheckingSink experiment_sink;
+    sink = &experiment_sink;
+    built = 0;
+    ExperimentOptions eo;
+    eo.n_tags = 60;
+    eo.runs = kRuns;
+    eo.n_threads = threads;
+    eo.trace = sink;
+    RunExperiment(factory, eo);
+    experiment_sink.ExpectDone(kRuns);
+
+    CheckingSink soak_sink;
+    sink = &soak_sink;
+    built = 0;
+    service::SoakOptions so;
+    so.n_initial = 20;
+    so.runs = kRuns;
+    so.n_threads = threads;
+    so.trace = sink;
+    service::RunSoakExperiment(factory, config, so);
+    soak_sink.ExpectDone(kRuns);
+  }
 }
 
 TEST(Runner, DistinctSeedsAcrossRuns) {

@@ -13,7 +13,6 @@
 #include "service/replay.h"
 #include "sim/population.h"
 #include "trace/binary.h"
-#include "trace/recorder.h"
 #include "trace/timeseries.h"
 
 namespace anc::service {
@@ -236,12 +235,12 @@ TEST(InventoryService, TraceIsByteIdenticalAcrossThreadCounts) {
     options.runs = 4;
     options.base_seed = 3;
     options.n_threads = thread_counts[i];
-    trace::MultiRunRecorder recorder(options.runs);
-    options.trace_factory = recorder.Factory();
+    trace::MemorySink recorded;
+    options.trace = &recorded;
     const SoakAggregate agg = RunSoakExperiment(factory, config, options);
     EXPECT_EQ(agg.conservation_failures, 0u);
     EXPECT_EQ(agg.open_records_after_shutdown, 0u);
-    encoded[i] = trace::EncodeTrace(recorder.File());
+    encoded[i] = trace::EncodeTrace(recorded.TakeFile());
   }
   EXPECT_FALSE(encoded[0].empty());
   EXPECT_EQ(encoded[0], encoded[1]);

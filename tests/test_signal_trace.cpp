@@ -15,7 +15,6 @@
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
-#include "trace/recorder.h"
 
 namespace anc {
 namespace {
@@ -33,11 +32,11 @@ std::string TraceBytes(std::size_t threads, unsigned demod_pool) {
   eo.runs = 3;
   eo.n_threads = threads;
   eo.max_slots_per_tag = 600;
-  trace::MultiRunRecorder recorder(eo.runs);
-  eo.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  eo.trace = &recorded;
   sim::RunExperiment(core::MakeFcatSignalFactory(SignalOptions(demod_pool)),
                      eo);
-  return trace::EncodeTrace(recorder.File());
+  return trace::EncodeTrace(recorded.TakeFile());
 }
 
 TEST(SignalTrace, ByteIdenticalAcrossThreadsAndDemodPool) {
@@ -99,10 +98,10 @@ std::string RecordSignalGolden(unsigned demod_pool) {
   eo.n_tags = 40;
   eo.runs = 2;
   eo.base_seed = 1;
-  trace::MultiRunRecorder recorder(eo.runs);
-  eo.trace_factory = recorder.Factory();
+  trace::MemorySink recorded;
+  eo.trace = &recorded;
   sim::RunExperiment(core::MakeFcatSignalFactory(o), eo);
-  return trace::EncodeTrace(recorder.File());
+  return trace::EncodeTrace(recorded.TakeFile());
 }
 
 TEST(SignalGolden, FcatSignalSmokeReRecordsByteIdentical) {

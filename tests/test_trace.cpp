@@ -15,7 +15,6 @@
 #include "trace/binary.h"
 #include "trace/diff.h"
 #include "trace/jsonl.h"
-#include "trace/recorder.h"
 #include "trace/timeseries.h"
 
 namespace anc::trace {
@@ -35,10 +34,10 @@ TraceFile RecordTrace(const sim::ProtocolFactory& factory, std::size_t n_tags,
   eo.n_tags = n_tags;
   eo.runs = runs;
   eo.base_seed = base_seed;
-  MultiRunRecorder recorder(runs);
-  eo.trace_factory = recorder.Factory();
+  MemorySink recorded;
+  eo.trace = &recorded;
   sim::RunExperiment(factory, eo);
-  return recorder.File();
+  return recorded.TakeFile();
 }
 
 TEST(TraceSink, NullContextIsOff) {
@@ -84,8 +83,8 @@ TEST(TraceRecorder, TracingDoesNotChangeMetrics) {
   eo.n_tags = 200;
   eo.runs = 3;
   const auto plain = sim::RunExperiment(Fcat2(), eo);
-  MultiRunRecorder recorder(eo.runs);
-  eo.trace_factory = recorder.Factory();
+  MemorySink recorded;
+  eo.trace = &recorded;
   const auto traced = sim::RunExperiment(Fcat2(), eo);
   EXPECT_EQ(plain.throughput.mean(), traced.throughput.mean());
   EXPECT_EQ(plain.total_slots.mean(), traced.total_slots.mean());
@@ -101,15 +100,15 @@ TEST(TraceRecorder, SerializedTraceByteIdenticalAcrossThreadCounts) {
     eo.n_tags = 120;
     eo.runs = 6;
     eo.n_threads = threads;
-    MultiRunRecorder recorder(eo.runs);
-    eo.trace_factory = recorder.Factory();
+    MemorySink recorded;
+    eo.trace = &recorded;
     sim::RunExperiment(factory, eo);
-    const std::string bytes = EncodeTrace(recorder.File());
+    const std::string bytes = EncodeTrace(recorded.TakeFile());
     if (reference.empty()) {
       reference = bytes;
       ASSERT_GT(reference.size(), 16u);
     } else {
-      // Byte-for-byte: the recorder serializes runs in run-index order
+      // Byte-for-byte: the run pool hands the sink runs in run-index order
       // regardless of which worker finished first.
       EXPECT_EQ(bytes, reference) << "threads=" << threads;
     }

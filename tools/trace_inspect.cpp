@@ -49,7 +49,6 @@
 #include "trace/binary.h"
 #include "trace/jsonl.h"
 #include "trace/diff.h"
-#include "trace/recorder.h"
 #include "trace/timeseries.h"
 
 namespace {
@@ -682,7 +681,7 @@ int Record(const CliArgs& args) {
   const std::string service = args.GetString("service", "");
   const auto runs = static_cast<std::size_t>(args.GetInt("runs", 1));
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  trace::MultiRunRecorder recorder(runs);
+  trace::MemorySink recorded;
   if (!service.empty()) {
     service::ServiceConfig config;
     if (!service::LookupServiceProfile(service, &config)) {
@@ -693,21 +692,22 @@ int Record(const CliArgs& args) {
     so.n_initial = static_cast<std::size_t>(args.GetInt("n", 60));
     so.runs = runs;
     so.base_seed = seed;
-    so.trace_factory = recorder.Factory();
+    so.trace = &recorded;
     service::RunSoakExperiment(factory, config, so);
   } else {
     sim::ExperimentOptions eo;
     eo.n_tags = static_cast<std::size_t>(args.GetInt("n", 200));
     eo.runs = runs;
     eo.base_seed = seed;
-    eo.trace_factory = recorder.Factory();
+    eo.trace = &recorded;
     sim::RunExperiment(factory, eo);
   }
 
-  err = trace::WriteTraceFile(out, recorder.File());
+  const trace::TraceFile file = recorded.TakeFile();
+  err = trace::WriteTraceFile(out, file);
   if (!err.empty()) return Fail(err);
   std::size_t events = 0;
-  for (const auto& run : recorder.runs()) events += run.events.size();
+  for (const auto& run : file.runs) events += run.events.size();
   std::printf("recorded %zu %srun%s (%zu events) to %s\n", runs,
               service.empty() ? "" : "service ", runs == 1 ? "" : "s",
               events, out.c_str());
