@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   bench::RequireKnownFlags(args, argv[0], bench::SignalFlagSpecs());
   const auto opts = bench::ParseHarness(args, 4);
-  const bench::SignalBenchSetup base = bench::SignalSetupFromFlags(args, opts);
+  bench::SignalBenchSetup base = bench::SignalSetupFromFlags(args, opts);
+  base.experiment.trace = bench::TraceStore(opts);
   const std::size_t n = base.n_tags;
   bench::PrintHeader("Ablation: capture effect on the waveform phy",
                      "beyond ICDCS'10 (power-diverse channels)", opts);

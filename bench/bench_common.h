@@ -7,14 +7,18 @@
 // the aggregate is bit-identical at every thread count. --json=<path>
 // appends one machine-readable JSON line per invocation (every data
 // point's mean/stddev/min/max plus runs, seed, threads and wall time) so
-// repeated bench runs accumulate a trajectory file.
+// repeated bench runs accumulate a trajectory file. --trace=<path> writes
+// every traced run of the invocation into one ANCSTORE container
+// (truncating), streamed in run-index order and byte-identical at every
+// thread count; inspect it with trace_inspect.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>  // mkdtemp
+#include <cstdlib>  // atexit, exit, mkdtemp
 #include <filesystem>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,8 +26,8 @@
 #include "core/factories.h"
 #include "phy/timing.h"
 #include "sim/runner.h"
+#include "store/container.h"
 #include "trace/jsonl.h"
-#include "trace/binary.h"
 
 namespace anc::bench {
 
@@ -33,7 +37,7 @@ struct HarnessOptions {
   bool full = false;       // paper-scale sweep
   std::size_t threads = 0;  // workers for the run loop; 0 = all cores
   std::string json_path;   // append per-invocation JSON here ("" = off)
-  std::string trace_path;  // append binary slot-level traces ("" = off)
+  std::string trace_path;  // ANCSTORE file for slot-level traces ("" = off)
 };
 
 namespace detail {
@@ -203,11 +207,36 @@ inline void RequireKnownFlags(const CliArgs& args, const std::string& program,
       {"seed", "base RNG seed (default 1); run i uses seed+i"},
       {"threads", "worker threads for the run loop; 0 = all cores"},
       {"json", "append machine-readable results to this JSONL file"},
-      {"trace", "append binary slot-level traces to this file "
+      {"trace", "write slot-level traces to this ANCSTORE file "
                 "(inspect with trace_inspect)"},
   };
   known.insert(known.end(), extra.begin(), extra.end());
   DieOnUnknownFlags(args, program, known);
+}
+
+// The one store every traced run of the invocation streams into: nullptr
+// when --trace is off. The first call opens opts.trace_path (truncating;
+// exit 2 when it cannot), and the store is finished at exit the way
+// FlushJson writes the JSON line. Finish() is idempotent, so a harness
+// may finish it earlier to report on it.
+inline store::StoreFileSink* TraceStore(const HarnessOptions& opts) {
+  static std::unique_ptr<store::StoreFileSink> sink;
+  if (opts.trace_path.empty()) return nullptr;
+  if (sink == nullptr) {
+    sink = std::make_unique<store::StoreFileSink>(opts.trace_path);
+    if (!sink->error().empty()) {
+      std::fprintf(stderr, "cannot open --trace store: %s\n",
+                   sink->error().c_str());
+      std::exit(2);
+    }
+    std::atexit([] {
+      const std::string err = sink->Finish();
+      if (!err.empty()) {
+        std::fprintf(stderr, "warning: --trace store: %s\n", err.c_str());
+      }
+    });
+  }
+  return sink.get();
 }
 
 inline sim::AggregateResult Run(const sim::ProtocolFactory& factory,
@@ -220,23 +249,14 @@ inline sim::AggregateResult Run(const sim::ProtocolFactory& factory,
   eo.runs = opts.runs;
   eo.base_seed = opts.seed;
   eo.n_threads = opts.threads;
-  // --trace: record every run's slot-level event stream and append the
-  // run blocks (in run-index order, independent of --threads) to the
-  // file. One bench invocation appends one block per (point, run).
-  trace::MemorySink recorded;
-  if (!opts.trace_path.empty()) eo.trace = &recorded;
+  // --trace: every run's slot-level events, in run-index order at any
+  // --threads, one run per (point, run) of the invocation.
+  eo.trace = TraceStore(opts);
   const auto start = std::chrono::steady_clock::now();
   auto result = sim::RunExperiment(factory, eo);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  if (eo.trace != nullptr) {
-    const std::string err =
-        trace::AppendRunsToFile(opts.trace_path, recorded.runs());
-    if (!err.empty()) {
-      std::fprintf(stderr, "warning: --trace: %s\n", err.c_str());
-    }
-  }
   detail::RecordJsonPoint(json_label, n_tags, eo, result, wall,
                           fault_metrics);
   return result;

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
       eo.n_tags = n;
       eo.runs = opts.runs;
       eo.base_seed = opts.seed;
+      eo.trace = bench::TraceStore(opts);
       // Re-run to also get transmissions (aggregate lacks that column).
       double tx_total = 0.0;
       for (std::size_t r = 0; r < std::min<std::size_t>(opts.runs, 3); ++r) {

@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   bench::RequireKnownFlags(args, argv[0], bench::SignalFlagSpecs());
   const auto opts = bench::ParseHarness(args, 4);
-  const bench::SignalBenchSetup base = bench::SignalSetupFromFlags(args, opts);
+  bench::SignalBenchSetup base = bench::SignalSetupFromFlags(args, opts);
+  base.experiment.trace = bench::TraceStore(opts);
   bench::PrintHeader("Signal-chain microbenchmarks",
                      "per-slot kernel costs, ICDCS'10 Section II-B", opts);
 

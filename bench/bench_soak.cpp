@@ -52,14 +52,13 @@ service::SoakAggregate RunCell(const sim::ProtocolFactory& factory,
                                const service::ServiceConfig& config,
                                const bench::HarnessOptions& opts,
                                std::size_t n_initial,
-                               const std::string& label,
-                               trace::TraceSink* trace) {
+                               const std::string& label) {
   service::SoakOptions so;
   so.n_initial = n_initial;
   so.runs = opts.runs;
   so.base_seed = opts.seed;
   so.n_threads = opts.threads;
-  so.trace = trace;
+  so.trace = bench::TraceStore(opts);
   const auto start = std::chrono::steady_clock::now();
   const service::SoakAggregate agg =
       service::RunSoakExperiment(factory, config, so);
@@ -238,18 +237,6 @@ int main(int argc, char** argv) {
                  faults.c_str());
     return 2;
   }
-  // One ANCSTORE container spanning every cell's runs (cells append in
-  // table order); runs stream into it as they finish.
-  std::unique_ptr<store::StoreFileSink> store;
-  if (!opts.trace_path.empty()) {
-    store = std::make_unique<store::StoreFileSink>(opts.trace_path);
-    if (!store->error().empty()) {
-      std::fprintf(stderr, "cannot open --trace store %s: %s\n",
-                   opts.trace_path.c_str(), store->error().c_str());
-      return 2;
-    }
-  }
-
   std::vector<std::pair<std::string, sim::ProtocolFactory>> cells;
   if (faults != "chaos") {
     cells.emplace_back("FCAT-2", core::MakeFcatFactory(bench::FcatFor(2)));
@@ -269,7 +256,7 @@ int main(int argc, char** argv) {
   std::uint64_t unsupported = 0;
   for (const auto& [label, factory] : cells) {
     const service::SoakAggregate agg =
-        RunCell(factory, config, opts, n_initial, label, store.get());
+        RunCell(factory, config, opts, n_initial, label);
     table.AddRow({label, TextTable::Num(agg.detect_p50.mean(), 1),
                   TextTable::Num(agg.detect_p99.mean(), 1),
                   TextTable::Num(agg.staleness_p99.mean(), 1),
@@ -283,18 +270,15 @@ int main(int argc, char** argv) {
     unsupported += agg.churn_unsupported_runs;
   }
 
-  if (store != nullptr) {
-    const std::string err = store->Finish();
-    if (err.empty()) {
-      const store::StoreWriter& w = store->writer();
-      std::printf("trace store: %zu runs, %zu blocks, %llu bytes -> %s\n",
-                  w.runs().size(), w.blocks().size(),
-                  static_cast<unsigned long long>(w.bytes_written()),
-                  opts.trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "warning: trace store finish failed: %s\n",
-                   err.c_str());
-    }
+  // The --trace store holds every cell's runs, in table order; a store
+  // error is reported at exit.
+  store::StoreFileSink* store = bench::TraceStore(opts);
+  if (store != nullptr && store->Finish().empty()) {
+    const store::StoreWriter& w = store->writer();
+    std::printf("trace store: %zu runs, %zu blocks, %llu bytes -> %s\n",
+                w.runs().size(), w.blocks().size(),
+                static_cast<unsigned long long>(w.bytes_written()),
+                opts.trace_path.c_str());
   }
 
   bool kill_cell_ok = true;

@@ -20,4 +20,13 @@ std::string ReadWholeFile(const std::string& path, std::string* out) {
   return "";
 }
 
+std::string WriteWholeFile(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return "cannot open " + path + " for write";
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  const bool closed = std::fclose(f) == 0;
+  return wrote && closed ? "" : "short write to " + path;
+}
+
 }  // namespace anc

@@ -9,7 +9,7 @@
 // approximation path feeds the engine's transmitter selection, and
 // changing its draw sequence would invalidate the committed golden
 // traces. Only the signal layer uses this sampler; its draws are pinned
-// byte-wise by tests/golden/fcat_signal_smoke.trace, so the table and
+// byte-wise by tests/golden/fcat_signal_smoke.ancs, so the table and
 // the draw order below must not change.
 //
 // Determinism: table construction and the sampler use only exp/log/sqrt

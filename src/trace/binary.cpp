@@ -1,7 +1,6 @@
 #include "trace/binary.h"
 
 #include <cstddef>
-#include <cstdio>
 #include <limits>
 
 namespace anc::trace {
@@ -83,12 +82,6 @@ constexpr FieldSpec kEpochFields[] = {
 };
 
 #undef AT
-
-std::string FileHeaderBytes() {
-  std::string out(kTraceMagic);
-  ser::PutVarint(out, kTraceVersion);
-  return out;
-}
 
 }  // namespace
 
@@ -175,31 +168,10 @@ std::string EncodeRun(const RunTrace& run) {
 }
 
 std::string EncodeTrace(const TraceFile& file) {
-  std::string out = FileHeaderBytes();
+  std::string out(kTraceMagic);
+  ser::PutVarint(out, kTraceVersion);
   for (const RunTrace& run : file.runs) out += EncodeRun(run);
   return out;
-}
-
-std::string WriteTraceFile(const std::string& path, const TraceFile& file) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return "cannot open " + path + " for write";
-  const std::string bytes = EncodeTrace(file);
-  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  std::fclose(f);
-  return ok ? "" : "short write to " + path;
-}
-
-std::string AppendRunsToFile(const std::string& path,
-                             std::span<const RunTrace> runs) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (!f) return "cannot open " + path + " for append";
-  // A fresh (or truncated-empty) file needs the versioned header first.
-  std::string bytes;
-  if (std::ftell(f) == 0) bytes = FileHeaderBytes();
-  for (const RunTrace& run : runs) bytes += EncodeRun(run);
-  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  std::fclose(f);
-  return ok ? "" : "short write to " + path;
 }
 
 }  // namespace anc::trace

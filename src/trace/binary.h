@@ -10,8 +10,9 @@
 // All integers are unsigned LEB128 varints; the two time-like payloads are
 // already integers (Q8 estimator, microseconds — see trace/event.h), so
 // the format is byte-for-byte deterministic across thread counts, runs and
-// compilers. Run blocks are self-delimiting, which is what lets a bench
-// invocation append one block per run to a growing --trace file.
+// compilers. Every trace file is written as an ANCSTORE container
+// (store/container.h); v1 survives as the reference encoding below, which
+// `trace_inspect decompress` writes and store::StoreReader still opens.
 #pragma once
 
 #include <cstring>
@@ -119,17 +120,9 @@ bool DecodeEvent(ser::Reader& r, std::uint8_t kind_byte, TraceEvent* e);
 void PutRunHeader(std::string& out, const RunHeader& h);
 bool GetRunHeader(ser::Reader& r, RunHeader* h);
 
-// The v1 writer. Files are read back through store::StoreReader, which
-// opens v1 traces as well as ANCSTORE files.
+// The v1 reference encoder: the bytes a v1 file holds, read back through
+// store::StoreReader, which opens v1 traces as well as ANCSTORE files.
 std::string EncodeRun(const RunTrace& run);
 std::string EncodeTrace(const TraceFile& file);  // header + all run blocks
-
-// Write/Append return "" on success, else an error.
-std::string WriteTraceFile(const std::string& path, const TraceFile& file);
-// Appends run blocks to `path`, writing the versioned header first when
-// the file is new or empty (how the shared bench --trace flag accumulates
-// one block per run across data points).
-std::string AppendRunsToFile(const std::string& path,
-                             std::span<const RunTrace> runs);
 
 }  // namespace anc::trace

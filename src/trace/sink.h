@@ -1,6 +1,7 @@
 // The pluggable sink interface the traced protocols emit into, plus the
 // in-memory sink implementations (null and unbounded memory). Files are
-// written by store::StoreFileSink and the v1 writer (trace/binary.h).
+// written by store::StoreFileSink, which streams runs into an ANCSTORE
+// container.
 //
 // Header-only on purpose: sim::Protocol carries a TraceContext and the
 // run pool (sim::ForEachRun) drives sinks through this interface without

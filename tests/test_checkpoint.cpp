@@ -10,7 +10,6 @@
 #include <fstream>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
+#include "file_bytes.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
 #include "sim/population.h"
@@ -32,24 +32,13 @@
 namespace anc::service {
 namespace {
 
+using testing_files::Slurp;
+using testing_files::Spit;
+
 std::string TempPath(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
-}
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void Spit(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
 }
 
 ServiceCheckpoint SampleCheckpoint() {

@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +14,7 @@
 #include "common/rng.h"
 #include "core/factories.h"
 #include "protocols/degree_dist.h"
+#include "read_back.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
 
@@ -255,16 +254,10 @@ TEST(PeelingDecoder, CascadeThroughAStoredChain) {
 
 // ---- coded-ALOHA goldens, re-recorded in-process ---------------------------
 
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using testing_trace::GoldenV1;
 
-// The bytes `trace_inspect record --protocol=<p> --n=<n> --runs=2
-// --seed=1` writes.
+// The v1 encoding of what `trace_inspect record --protocol=<p> --n=<n>
+// --runs=2 --seed=1` records.
 std::string RecordGolden(const sim::ProtocolFactory& factory,
                          std::size_t n_tags) {
   sim::ExperimentOptions eo;
@@ -278,24 +271,24 @@ std::string RecordGolden(const sim::ProtocolFactory& factory,
 }
 
 TEST(CodedGolden, IrsaSmokeReRecordsByteIdentical) {
-  const std::string golden = Slurp(ANC_GOLDEN_DIR "/irsa_smoke.trace");
+  const std::string golden = GoldenV1("irsa_smoke");
   ASSERT_FALSE(golden.empty());
   EXPECT_TRUE(RecordGolden(core::MakeIrsaFactory(), 200) == golden)
-      << "irsa_smoke.trace drifted";
+      << "irsa_smoke.ancs drifted";
 }
 
 TEST(CodedGolden, SeededSmokeReRecordsByteIdentical) {
-  const std::string golden = Slurp(ANC_GOLDEN_DIR "/seeded_smoke.trace");
+  const std::string golden = GoldenV1("seeded_smoke");
   ASSERT_FALSE(golden.empty());
   EXPECT_TRUE(RecordGolden(core::MakeSeededFactory(), 150) == golden)
-      << "seeded_smoke.trace drifted";
+      << "seeded_smoke.ancs drifted";
 }
 
 TEST(CodedGolden, CrdsaSmokeReRecordsByteIdentical) {
-  const std::string golden = Slurp(ANC_GOLDEN_DIR "/crdsa_smoke.trace");
+  const std::string golden = GoldenV1("crdsa_smoke");
   ASSERT_FALSE(golden.empty());
   EXPECT_TRUE(RecordGolden(core::MakeCrdsaFactory(), 150) == golden)
-      << "crdsa_smoke.trace drifted";
+      << "crdsa_smoke.ancs drifted";
 }
 
 }  // namespace

@@ -11,14 +11,17 @@
 #include <string>
 #include <vector>
 
-#include "common/file_io.h"
 #include "core/factories.h"
+#include "file_bytes.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
 #include "trace/binary.h"
 
 namespace anc::store {
 namespace {
+
+using testing_files::Slurp;
+using testing_files::Spit;
 
 trace::TraceFile RecordSoak(std::size_t runs, std::uint64_t base_seed = 1,
                             std::size_t n_initial = 30) {
@@ -40,19 +43,6 @@ std::string TempPath(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
-}
-
-std::string Slurp(const std::string& path) {
-  std::string bytes;
-  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
-  return bytes;
-}
-
-void Spit(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
 }
 
 std::string Enc(const trace::TraceEvent& e) {

@@ -7,11 +7,10 @@
 // a completed run must leave no collision record open in the phy arena.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/factories.h"
+#include "read_back.h"
 #include "sim/population.h"
 #include "sim/runner.h"
 #include "trace/binary.h"
@@ -89,8 +88,8 @@ TEST(SignalTrace, NoOpenRecordsAfterCompletedRun) {
 
 // ---- the waveform golden, re-recorded in-process ---------------------------
 
-// The bytes `trace_inspect record --protocol=fcat-signal --n=40 --runs=2
-// --seed=1 --demod-pool=<pool>` writes.
+// The v1 encoding of what `trace_inspect record --protocol=fcat-signal
+// --n=40 --runs=2 --seed=1 --demod-pool=<pool>` records.
 std::string RecordSignalGolden(unsigned demod_pool) {
   core::FcatSignalOptions o;
   o.signal.demod_pool_threads = demod_pool;
@@ -107,15 +106,11 @@ std::string RecordSignalGolden(unsigned demod_pool) {
 TEST(SignalGolden, FcatSignalSmokeReRecordsByteIdentical) {
   // The trace pins every stored float of the waveform path: synthesis,
   // channel, noise, mixing, subtraction and demodulation all feed it.
-  std::ifstream in(ANC_GOLDEN_DIR "/fcat_signal_smoke.trace",
-                   std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  ASSERT_FALSE(golden.str().empty());
+  const std::string golden = testing_trace::GoldenV1("fcat_signal_smoke");
+  ASSERT_FALSE(golden.empty());
   for (unsigned demod_pool : {0u, 2u}) {
-    EXPECT_TRUE(RecordSignalGolden(demod_pool) == golden.str())
-        << "fcat_signal_smoke.trace drifted at demod_pool=" << demod_pool;
+    EXPECT_TRUE(RecordSignalGolden(demod_pool) == golden)
+        << "fcat_signal_smoke.ancs drifted at demod_pool=" << demod_pool;
   }
 }
 

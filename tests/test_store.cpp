@@ -16,10 +16,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/file_io.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/factories.h"
+#include "file_bytes.h"
 #include "service/replay.h"
 #include "service/service.h"
 #include "store/crc32.h"
@@ -31,6 +31,9 @@
 
 namespace anc::store {
 namespace {
+
+using testing_files::Slurp;
+using testing_files::Spit;
 
 // Records a deterministic FCAT-2 soak (service smoke profile) — churny
 // enough to exercise every event kind the store indexes (arrive/depart/
@@ -55,19 +58,6 @@ std::string TempPath(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
-}
-
-std::string Slurp(const std::string& path) {
-  std::string bytes;
-  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
-  return bytes;
-}
-
-void Spit(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
 }
 
 // ------------------------------------------------------------ CRC-32 --
@@ -224,7 +214,7 @@ TEST(StoreContainer, UncompressedOptionRoundTrips) {
 TEST(StoreContainer, LegacyV1ReadsByteIdentically) {
   const trace::TraceFile file = RecordSoak(2);
   const std::string path = TempPath("anc_store_legacy.trace");
-  ASSERT_EQ(trace::WriteTraceFile(path, file), "");
+  Spit(path, trace::EncodeTrace(file));
 
   StoreReader reader;
   ASSERT_EQ(reader.Open(path), "");
@@ -242,7 +232,7 @@ TEST(StoreContainer, LegacyV1ReadsByteIdentically) {
 TEST(StoreContainer, LegacyV1ChangedAfterOpenFailsCrc) {
   const trace::TraceFile file = RecordSoak(1);
   const std::string path = TempPath("anc_store_legacy_changed.trace");
-  ASSERT_EQ(trace::WriteTraceFile(path, file), "");
+  Spit(path, trace::EncodeTrace(file));
   StoreReader reader;
   ASSERT_EQ(reader.Open(path), "");
   ASSERT_TRUE(reader.legacy());
@@ -413,7 +403,7 @@ TEST(StoreContainer, BadMagicIsRejected) {
 TEST(StoreContainer, TruncatedLegacyV1IsRejected) {
   const trace::TraceFile file = RecordSoak(1);
   const std::string path = TempPath("anc_store_legacy_trunc.trace");
-  ASSERT_EQ(trace::WriteTraceFile(path, file), "");
+  Spit(path, trace::EncodeTrace(file));
   const std::string bytes = Slurp(path);
   Spit(path, bytes.substr(0, bytes.size() / 2));
   StoreReader reader;
@@ -656,7 +646,7 @@ TEST(RunCursor, EventsEqualReadAllOnV1AndEveryBlockSize) {
   const trace::TraceFile file = RecordSoak(2);
   const std::string v1 = TempPath("anc_cursor_v1.trace");
   const std::string store = TempPath("anc_cursor_blocks.ancstore");
-  ASSERT_EQ(trace::WriteTraceFile(v1, file), "");
+  Spit(v1, trace::EncodeTrace(file));
   for (const std::size_t block_events : {0u, 1u, 7u, 4096u}) {
     SCOPED_TRACE(block_events == 0 ? std::string("v1")
                                    : std::to_string(block_events));

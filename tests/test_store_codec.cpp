@@ -14,9 +14,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/file_io.h"
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "file_bytes.h"
 #include "store/container.h"
 #include "store/crc32.h"
 #include "store/lz.h"
@@ -26,23 +26,13 @@
 namespace anc::store {
 namespace {
 
+using testing_files::Slurp;
+using testing_files::Spit;
+
 std::string TempPath(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
-}
-
-std::string Slurp(const std::string& path) {
-  std::string bytes;
-  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
-  return bytes;
-}
-
-void Spit(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
 }
 
 // ------------------------------------------------------- LZ byte pins --

@@ -12,14 +12,16 @@
 
 #include <sys/stat.h>
 
-#include "common/file_io.h"
 #include "core/factories.h"
+#include "file_bytes.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
 #include "store/container.h"
 
 namespace anc::supervise {
 namespace {
+
+using testing_files::Slurp;
 
 std::string TempDirFor(const char* name) {
   const std::string dir = testing::TempDir() + "/" + name;
@@ -32,12 +34,6 @@ std::string TempDirFor(const char* name) {
     std::remove(SoakSupervisor::ReportPath(dir, i).c_str());
   }
   return dir;
-}
-
-std::string Slurp(const std::string& path) {
-  std::string bytes;
-  EXPECT_EQ(ReadWholeFile(path, &bytes), "");
-  return bytes;
 }
 
 sim::ProtocolFactory Fcat2() {

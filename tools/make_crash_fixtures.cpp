@@ -25,11 +25,12 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/cli.h"
+#include "common/file_io.h"
 #include "core/factories.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
@@ -39,27 +40,14 @@ namespace {
 
 using namespace anc;
 
-bool CopyFile(const std::string& from, const std::string& to) {
-  std::FILE* in = std::fopen(from.c_str(), "rb");
-  if (!in) return false;
-  std::FILE* out = std::fopen(to.c_str(), "wb");
-  if (!out) {
-    std::fclose(in);
-    return false;
-  }
-  char buf[1 << 16];
-  std::size_t n;
-  bool ok = true;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) {
-    if (std::fwrite(buf, 1, n, out) != n) {
-      ok = false;
-      break;
-    }
-  }
-  if (std::ferror(in)) ok = false;
-  std::fclose(in);
-  if (std::fclose(out) != 0) ok = false;
-  return ok;
+// Writes the first `keep` bytes of `from` to `to`; false on any failure.
+bool CopyPrefix(const std::string& from, const std::string& to,
+                long keep) {
+  std::string bytes;
+  return ReadWholeFile(from, &bytes).empty() &&
+         WriteWholeFile(to, std::string_view(bytes).substr(
+                                0, static_cast<std::size_t>(keep)))
+             .empty();
 }
 
 long FileSize(const std::string& path) {
@@ -123,8 +111,7 @@ int main(int argc, char** argv) {
                  boundary_size);
     return 1;
   }
-  if (!CopyFile(boundary, block) ||
-      ::truncate(block.c_str(), boundary_size - 37) != 0) {
+  if (!CopyPrefix(boundary, block, boundary_size - 37)) {
     std::fprintf(stderr, "failed to cut mid-block fixture\n");
     return 1;
   }
@@ -134,8 +121,7 @@ int main(int argc, char** argv) {
                  ckpt_size);
     return 1;
   }
-  if (!CopyFile(ckpt, torn_ckpt) ||
-      ::truncate(torn_ckpt.c_str(), ckpt_size / 2) != 0) {
+  if (!CopyPrefix(ckpt, torn_ckpt, ckpt_size / 2)) {
     std::fprintf(stderr, "failed to cut torn-checkpoint fixture\n");
     return 1;
   }

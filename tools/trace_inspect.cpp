@@ -25,11 +25,12 @@
 // answer summarize/blocks/frames/epochs requests from the footer index,
 // decoding only the blocks a window touches (an O(log n) frame seek).
 //
-// `record` produces the small golden traces CI diffs against; `replay`
-// re-drives each run from its recorded header straight into a comparison
-// with the recorded events (service/replay.h). Both build their factory
-// from the protocol name (FactoryFor); traces of other protocols
-// summarize and diff fine but cannot be replayed here.
+// `record` streams the small golden stores CI compares against into an
+// ANCSTORE file; only `decompress` writes v1. `replay` re-drives each run
+// from its recorded header straight into a comparison with the recorded
+// events (service/replay.h). Both build their factory from the protocol
+// name (FactoryFor); traces of other protocols summarize and diff fine
+// but cannot be replayed here.
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "common/cli.h"
+#include "common/file_io.h"
 #include "core/factories.h"
 #include "fault/injector.h"
 #include "service/replay.h"
@@ -593,11 +595,13 @@ int Compress(const CliArgs& args) {
 int Decompress(const CliArgs& args) {
   DieOnUnknownFlags(args, "trace_inspect decompress", std::vector<FlagSpec>{});
   if (args.positional().size() != 3) return Usage();
-  // The v1 writer encodes whole runs, so this one command loads the file.
+  // The v1 encoder works on whole runs, so this command loads the file.
   trace::TraceFile file;
   std::string err = store::ReadStoreFile(args.positional()[1], &file);
   if (!err.empty()) err = args.positional()[1] + ": " + err;
-  if (err.empty()) err = trace::WriteTraceFile(args.positional()[2], file);
+  if (err.empty()) {
+    err = WriteWholeFile(args.positional()[2], trace::EncodeTrace(file));
+  }
   if (!err.empty()) return Fail(err);
   std::printf("wrote %zu run%s to %s\n", file.runs.size(),
               file.runs.size() == 1 ? "" : "s", args.positional()[2].c_str());
@@ -633,7 +637,7 @@ int Recover(const CliArgs& args) {
 int Record(const CliArgs& args) {
   DieOnUnknownFlags(args, "trace_inspect record",
                     std::vector<FlagSpec>{
-                        {"out", "output trace file (truncated)"},
+                        {"out", "output ANCSTORE file (truncated)"},
                         {"protocol",
                          "fcat (default), fcat-signal, scat, dfsa, crdsa "
                          "(CRDSA-2), irsa, seeded, mpr or perfect"},
@@ -681,36 +685,39 @@ int Record(const CliArgs& args) {
   const std::string service = args.GetString("service", "");
   const auto runs = static_cast<std::size_t>(args.GetInt("runs", 1));
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  trace::MemorySink recorded;
+  service::ServiceConfig config;
+  if (!service.empty() && !service::LookupServiceProfile(service, &config)) {
+    return Fail("unknown --service=" + service +
+                " (known: " + service::ServiceProfileList() + ")");
+  }
+  // Runs stream into the store as they finish.
+  store::StoreFileSink sink(out);
+  if (!sink.error().empty()) return Fail(sink.error());
   if (!service.empty()) {
-    service::ServiceConfig config;
-    if (!service::LookupServiceProfile(service, &config)) {
-      return Fail("unknown --service=" + service +
-                  " (known: " + service::ServiceProfileList() + ")");
-    }
     service::SoakOptions so;
     so.n_initial = static_cast<std::size_t>(args.GetInt("n", 60));
     so.runs = runs;
     so.base_seed = seed;
-    so.trace = &recorded;
+    so.trace = &sink;
     service::RunSoakExperiment(factory, config, so);
   } else {
     sim::ExperimentOptions eo;
     eo.n_tags = static_cast<std::size_t>(args.GetInt("n", 200));
     eo.runs = runs;
     eo.base_seed = seed;
-    eo.trace = &recorded;
+    eo.trace = &sink;
     sim::RunExperiment(factory, eo);
   }
 
-  const trace::TraceFile file = recorded.TakeFile();
-  err = trace::WriteTraceFile(out, file);
-  if (!err.empty()) return Fail(err);
-  std::size_t events = 0;
-  for (const auto& run : file.runs) events += run.events.size();
-  std::printf("recorded %zu %srun%s (%zu events) to %s\n", runs,
+  err = sink.Finish();
+  if (!err.empty()) return Fail(out + ": " + err);
+  std::uint64_t events = 0;
+  for (const store::StoredRun& run : sink.writer().runs()) {
+    events += run.n_events;
+  }
+  std::printf("recorded %zu %srun%s (%llu events) to %s\n", runs,
               service.empty() ? "" : "service ", runs == 1 ? "" : "s",
-              events, out.c_str());
+              static_cast<unsigned long long>(events), out.c_str());
   return 0;
 }
 
