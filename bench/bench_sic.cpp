@@ -39,29 +39,14 @@ int main(int argc, char** argv) {
         {"DFSA", core::MakeDfsaFactory(timing)},
     };
     for (const Row& row : rows) {
-      sim::ExperimentOptions eo;
-      eo.n_tags = n;
-      eo.runs = opts.runs;
-      eo.base_seed = opts.seed;
-      eo.trace = bench::TraceStore(opts);
-      // Re-run to also get transmissions (aggregate lacks that column).
-      double tx_total = 0.0;
-      for (std::size_t r = 0; r < std::min<std::size_t>(opts.runs, 3); ++r) {
-        tx_total += static_cast<double>(
-            sim::RunOnce(row.factory, n, opts.seed + 100 + r)
-                .tag_transmissions);
-      }
-      const auto agg = sim::RunExperiment(row.factory, eo);
+      const auto agg = bench::Run(row.factory, n, opts, row.name);
+      const auto per_tag = [n](double v) {
+        return TextTable::Num(v / static_cast<double>(n), 2);
+      };
       table.AddRow({TextTable::Int(static_cast<long long>(n)), row.name,
                     bench::ThroughputCell(agg),
-                    TextTable::Num(agg.total_slots.mean() /
-                                       static_cast<double>(n),
-                                   2),
-                    TextTable::Num(tx_total /
-                                       (std::min<double>(
-                                            static_cast<double>(opts.runs), 3.0) *
-                                        static_cast<double>(n)),
-                                   2),
+                    per_tag(agg.total_slots.mean()),
+                    per_tag(agg.tag_transmissions.mean()),
                     TextTable::Num(agg.ids_from_collisions.mean(), 0)});
     }
   }

@@ -45,14 +45,14 @@ int main(int argc, char** argv) {
     ++slot;
     if (slot >= next_report) {
       next_report = next_report < 960 ? next_report * 2 : next_report + 2000;
-      const double est = fcat->engine().EstimatedTotal();
+      const double est = fcat->EstimatedTotal();
       std::printf("%10llu %10llu %12.0f %11.1f%% %10zu\n",
                   static_cast<unsigned long long>(slot),
                   static_cast<unsigned long long>(fcat->metrics().tags_read),
                   est,
                   100.0 * (est - static_cast<double>(n_tags)) /
                       static_cast<double>(n_tags),
-                  fcat->engine().estimator().InformativeFrames());
+                  fcat->estimator().InformativeFrames());
     }
   }
 

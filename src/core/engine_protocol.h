@@ -1,10 +1,11 @@
 // EngineProtocol<Phy> — the one adapter between the collision-aware
-// engine and the experiment runner's sim::Protocol. It owns a phy and the
-// engine running over it, and forwards every Protocol hook to the engine.
-// FCAT and SCAT over IdealPhy (the paper's simulation model) and FCAT
-// over SignalPhy (full MSK waveform simulation) are all constructions of
-// this template; core/factories.h maps each protocol's options onto the
-// phy and engine configurations.
+// engine and the experiment runner's sim::Protocol. It is the engine
+// (every Protocol hook is the engine's own) running over a phy it owns,
+// plus the checkpoint hooks that save phy and engine together. FCAT and
+// SCAT over IdealPhy (the paper's simulation model) and FCAT over
+// SignalPhy (full MSK waveform simulation) are all constructions of this
+// template; core/factories.h maps each protocol's options onto the phy
+// and engine configurations.
 #pragma once
 
 #include <functional>
@@ -28,8 +29,32 @@ namespace anc::core {
 using PhyDecorator = std::function<std::unique_ptr<phy::PhyInterface>(
     phy::PhyInterface& inner)>;
 
+// The phy (and the decorating layer over it, if any) as a base class of
+// EngineProtocol listed before the engine: bases are built in order and
+// destroyed in reverse, so the phy exists before the engine that holds a
+// reference to it and outlives it.
 template <class Phy>
-class EngineProtocol : public sim::Protocol {
+class PhyHolder {
+ protected:
+  PhyHolder(std::span<const TagId> population,
+            const typename Phy::Config& config, anc::Pcg32 rng,
+            const PhyDecorator& decorate)
+      : held_phy_(population, config, rng),
+        decorated_(decorate ? decorate(held_phy_) : nullptr) {}
+
+  phy::PhyInterface& EnginePhy() {
+    return decorated_ ? *decorated_
+                      : static_cast<phy::PhyInterface&>(held_phy_);
+  }
+
+  Phy held_phy_;
+  std::unique_ptr<phy::PhyInterface> decorated_;  // over held_phy_, if any
+};
+
+template <class Phy>
+class EngineProtocol : private PhyHolder<Phy>, public CollisionAwareEngine {
+  using Holder = PhyHolder<Phy>;
+
  public:
   using PhyConfig = typename Phy::Config;
 
@@ -38,35 +63,9 @@ class EngineProtocol : public sim::Protocol {
                  anc::Pcg32 rng, const PhyConfig& phy_config,
                  const CollisionAwareConfig& config,
                  const PhyDecorator& decorate = {})
-      : phy_(population, phy_config, rng.Split()),
-        decorated_(decorate ? decorate(phy_) : nullptr),
-        engine_(std::move(name), population, EnginePhy(), config, rng) {}
-
-  void Step() override { engine_.Step(); }
-  bool Finished() const override { return engine_.Finished(); }
-  std::string_view name() const override { return engine_.name(); }
-  const sim::RunMetrics& metrics() const override {
-    return engine_.metrics();
-  }
-  std::span<const TagId> LearnedThisStep() const override {
-    return engine_.LearnedThisStep();
-  }
-  std::span<const TagId> InjectKnownId(const TagId& id) override {
-    return engine_.InjectKnownId(id);
-  }
-  void AttachTrace(const trace::TraceContext& context) override {
-    engine_.AttachTrace(context);
-  }
-  std::size_t OpenPhyRecords() const override {
-    return engine_.OpenPhyRecords();
-  }
-  void Shutdown() override { engine_.Shutdown(); }
-  bool SupportsChurn() const override { return true; }
-  bool ArriveTag(const TagId& id) override { return engine_.ArriveTag(id); }
-  bool DepartTag(const TagId& id) override { return engine_.DepartTag(id); }
-  bool BeginInventoryRound(bool refresh) override {
-    return engine_.BeginInventoryRound(refresh);
-  }
+      : Holder(population, phy_config, rng.Split(), decorate),
+        CollisionAwareEngine(std::move(name), population, Holder::EnginePhy(),
+                             config, rng) {}
 
   // Checkpoint hooks, for phys that can save their record store: the phy
   // state and the engine state as two length-prefixed blobs. The options
@@ -80,9 +79,9 @@ class EngineProtocol : public sim::Protocol {
   void SaveState(std::string* out) const override {
     if constexpr (kCheckpoints) {
       ser::Pieces phy;
-      phy_.SaveState(phy);
+      this->held_phy_.SaveState(phy);
       ser::Pieces engine;
-      engine_.SaveEngineState(engine);
+      SaveEngineState(engine);
       out->reserve(out->size() + phy.size() + engine.size() + 20);
       ser::PutVarint(*out, phy.size());
       phy.AppendTo(*out);
@@ -94,18 +93,17 @@ class EngineProtocol : public sim::Protocol {
     if constexpr (kCheckpoints) {
       ser::Reader r{bytes};
       ser::Reader phy_r{r.Bytes()};
-      if (!r.ok || !phy_.RestoreState(phy_r) || !phy_r.AtEnd()) return false;
-      ser::Reader eng_r{r.Bytes()};
-      if (!r.ok || !engine_.RestoreEngineState(eng_r) || !eng_r.AtEnd()) {
+      if (!r.ok || !this->held_phy_.RestoreState(phy_r) || !phy_r.AtEnd()) {
         return false;
       }
+      ser::Reader eng_r{r.Bytes()};
+      if (!r.ok || !RestoreEngineState(eng_r) || !eng_r.AtEnd()) return false;
       return r.AtEnd();
     }
     return false;
   }
 
-  const CollisionAwareEngine& engine() const { return engine_; }
-  const Phy& phy() const { return phy_; }
+  const Phy& phy() const { return this->held_phy_; }
 
  protected:
   // For assemblies that draw a stream of their own between the phy's and
@@ -116,19 +114,9 @@ class EngineProtocol : public sim::Protocol {
                  const PhyConfig& phy_config,
                  const CollisionAwareConfig& config,
                  const PhyDecorator& decorate)
-      : phy_(population, phy_config, phy_rng),
-        decorated_(decorate ? decorate(phy_) : nullptr),
-        engine_(std::move(name), population, EnginePhy(), config,
-                engine_rng) {}
-
- private:
-  phy::PhyInterface& EnginePhy() {
-    return decorated_ ? *decorated_ : static_cast<phy::PhyInterface&>(phy_);
-  }
-
-  Phy phy_;
-  std::unique_ptr<phy::PhyInterface> decorated_;  // over phy_, if any
-  CollisionAwareEngine engine_;
+      : Holder(population, phy_config, phy_rng, decorate),
+        CollisionAwareEngine(std::move(name), population, Holder::EnginePhy(),
+                             config, engine_rng) {}
 };
 
 }  // namespace anc::core

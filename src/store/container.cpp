@@ -48,41 +48,14 @@ inline std::uint64_t UnZigZag(std::uint64_t enc) {
   return (enc >> 1) ^ (0ull - (enc & 1));
 }
 
-// Per-run cumulative counters the footer carries for query seeding
-// (shared between the store writer and the legacy indexing pass).
-struct RunCounters {
-  std::uint64_t acks = 0, arrives = 0, departs = 0, detects = 0,
-                population = 0;
-
-  void Update(const TraceEvent& e) {
-    switch (e.kind) {
-      case EventKind::kAck:
-        // First-time reads only: re-acks and injection silencing do not
-        // advance inventory progress.
-        if (e.ack == trace::AckKind::kSingletonId ||
-            e.ack == trace::AckKind::kSlotIndex ||
-            e.ack == trace::AckKind::kFullId) {
-          ++acks;
-        }
-        break;
-      case EventKind::kArrive:
-        ++arrives;
-        population = e.n_c;
-        break;
-      case EventKind::kDepart:
-        ++departs;
-        population = e.n_c;
-        break;
-      case EventKind::kDetect:
-        ++detects;
-        break;
-      default:
-        break;
-    }
-  }
-};
-
-void FillBlockCoverage(const std::vector<TraceEvent>& events, BlockMeta* m) {
+// The block-meta step: the index fields a block's own events decide —
+// coverage, first_event (the run's events before the block) and the run's
+// counters after it. The writer, the legacy indexing pass and tail
+// recovery all index blocks through it.
+void StepBlockMeta(std::span<const TraceEvent> events,
+                   std::uint64_t first_event, const RunCounters& after,
+                   BlockMeta* m) {
+  m->first_event = first_event;
   m->n_events = events.size();
   m->first_slot = events.front().slot;
   m->last_slot = events.back().slot;
@@ -92,6 +65,23 @@ void FillBlockCoverage(const std::vector<TraceEvent>& events, BlockMeta* m) {
     m->min_frame = std::min(m->min_frame, e.frame);
     m->max_frame = std::max(m->max_frame, e.frame);
   }
+  m->cum = after;
+}
+
+void PutRunCounters(std::string& out, const RunCounters& c) {
+  ser::PutVarint(out, c.acks);
+  ser::PutVarint(out, c.arrives);
+  ser::PutVarint(out, c.departs);
+  ser::PutVarint(out, c.detects);
+  ser::PutVarint(out, c.population);
+}
+
+void GetRunCounters(ser::Reader& r, RunCounters* c) {
+  c->acks = r.Varint();
+  c->arrives = r.Varint();
+  c->departs = r.Varint();
+  c->detects = r.Varint();
+  c->population = r.Varint();
 }
 
 void PutBlockMeta(std::string& out, const BlockMeta& m) {
@@ -106,14 +96,26 @@ void PutBlockMeta(std::string& out, const BlockMeta& m) {
   ser::PutVarint(out, m.max_frame);
   ser::PutVarint(out, m.first_slot);
   ser::PutVarint(out, m.last_slot);
-  ser::PutVarint(out, m.acks_cum);
-  ser::PutVarint(out, m.arrives_cum);
-  ser::PutVarint(out, m.departs_cum);
-  ser::PutVarint(out, m.detects_cum);
-  ser::PutVarint(out, m.population_end);
+  PutRunCounters(out, m.cum);
 }
 
-// A run's footer entry: its header, then its event and block span.
+bool GetBlockMeta(ser::Reader& r, BlockMeta* m) {
+  m->run_ordinal = r.Varint();
+  m->offset = r.Varint();
+  m->raw_len = r.Varint();
+  m->comp_len = r.Varint();
+  m->crc32 = static_cast<std::uint32_t>(r.Varint());
+  m->first_event = r.Varint();
+  m->n_events = r.Varint();
+  m->min_frame = r.Varint();
+  m->max_frame = r.Varint();
+  m->first_slot = r.Varint();
+  m->last_slot = r.Varint();
+  GetRunCounters(r, &m->cum);
+  return r.ok;
+}
+
+// A run's index entry: its header, then its event and block span.
 void PutStoredRun(std::string& out, const StoredRun& run) {
   trace::PutRunHeader(out, run.header);
   ser::PutVarint(out, run.n_events);
@@ -129,17 +131,67 @@ bool GetStoredRun(ser::Reader& r, StoredRun* run) {
   return r.ok;
 }
 
+// The index codec: runs, then blocks, each count-prefixed. It is the
+// footer's body and the middle of a writer snapshot.
+void PutIndex(std::string& out, const std::vector<StoredRun>& runs,
+              const std::vector<BlockMeta>& blocks) {
+  ser::PutVarint(out, runs.size());
+  for (const StoredRun& run : runs) PutStoredRun(out, run);
+  ser::PutVarint(out, blocks.size());
+  for (const BlockMeta& meta : blocks) PutBlockMeta(out, meta);
+}
+
+// Parses what PutIndex wrote and checks it against the data region
+// [data_begin, data_end) it indexes: every block's payload lies inside
+// it with plausible sizes, every block names a listed run, and every
+// run's block range lies inside the index. Returns "" or what is wrong.
+std::string GetIndex(ser::Reader& r, std::uint64_t data_begin,
+                     std::uint64_t data_end, std::vector<StoredRun>* runs,
+                     std::vector<BlockMeta>* blocks) {
+  const std::uint64_t n_runs = r.Count();
+  if (!r.ok) return "unreadable run count";
+  runs->resize(static_cast<std::size_t>(n_runs));
+  for (std::size_t i = 0; i < runs->size(); ++i) {
+    if (!GetStoredRun(r, &(*runs)[i])) {
+      return "unreadable run " + std::to_string(i);
+    }
+  }
+  const std::uint64_t n_blocks = r.Count();
+  if (!r.ok) return "unreadable block count";
+  blocks->resize(static_cast<std::size_t>(n_blocks));
+  for (std::size_t i = 0; i < blocks->size(); ++i) {
+    BlockMeta& meta = (*blocks)[i];
+    const auto block = [i] { return "block " + std::to_string(i); };
+    if (!GetBlockMeta(r, &meta)) return "unreadable " + block();
+    if (meta.run_ordinal >= runs->size()) {
+      return block() + " references run " + std::to_string(meta.run_ordinal) +
+             " of " + std::to_string(runs->size());
+    }
+    if (meta.offset < data_begin || meta.comp_len > data_end ||
+        meta.offset > data_end - meta.comp_len) {
+      return block() + " points outside the data region";
+    }
+    if (meta.raw_len > kMaxBlockRawLen || meta.comp_len > meta.raw_len ||
+        meta.n_events == 0) {
+      return block() + " has implausible sizes";
+    }
+  }
+  for (const StoredRun& run : *runs) {
+    if (run.first_block > blocks->size() ||
+        run.n_blocks > blocks->size() - run.first_block) {
+      return "run block range outside index";
+    }
+  }
+  return "";
+}
+
 // Footer + trailer serialization, shared by StoreWriter::Finish and the
 // tail-recovery rebuild (so a recovered file is byte-identical to what
 // Finish would have written over the same salvaged prefix).
 std::string BuildFooterBytes(const std::vector<StoredRun>& runs,
                              const std::vector<BlockMeta>& blocks) {
-  std::string footer;
-  footer.push_back(kFooterMarker);
-  ser::PutVarint(footer, runs.size());
-  for (const StoredRun& run : runs) PutStoredRun(footer, run);
-  ser::PutVarint(footer, blocks.size());
-  for (const BlockMeta& meta : blocks) PutBlockMeta(footer, meta);
+  std::string footer(1, kFooterMarker);
+  PutIndex(footer, runs, blocks);
   return footer;
 }
 
@@ -152,24 +204,12 @@ std::string BuildTrailerBytes(std::uint64_t footer_offset,
   return tail;
 }
 
-bool GetBlockMeta(ser::Reader& r, BlockMeta* m) {
-  m->run_ordinal = r.Varint();
-  m->offset = r.Varint();
-  m->raw_len = r.Varint();
-  m->comp_len = r.Varint();
-  m->crc32 = static_cast<std::uint32_t>(r.Varint());
-  m->first_event = r.Varint();
-  m->n_events = r.Varint();
-  m->min_frame = r.Varint();
-  m->max_frame = r.Varint();
-  m->first_slot = r.Varint();
-  m->last_slot = r.Varint();
-  m->acks_cum = r.Varint();
-  m->arrives_cum = r.Varint();
-  m->departs_cum = r.Varint();
-  m->detects_cum = r.Varint();
-  m->population_end = r.Varint();
-  return r.ok;
+// The header StoreWriter::Open writes: magic, store and trace version.
+std::string StoreHeaderBytes() {
+  std::string header(kStoreMagic);
+  ser::PutVarint(header, kStoreVersion);
+  ser::PutVarint(header, trace::kTraceVersion);
+  return header;
 }
 
 // Per run: the running max frame over its blocks, FindBlockForFrame's
@@ -205,6 +245,33 @@ std::string ReadAt(std::FILE* f, std::uint64_t offset, char* buf,
 }
 
 }  // namespace
+
+void RunCounters::Update(const TraceEvent& e) {
+  switch (e.kind) {
+    case EventKind::kAck:
+      // First-time reads only: re-acks and injection silencing do not
+      // advance inventory progress.
+      if (e.ack == trace::AckKind::kSingletonId ||
+          e.ack == trace::AckKind::kSlotIndex ||
+          e.ack == trace::AckKind::kFullId) {
+        ++acks;
+      }
+      break;
+    case EventKind::kArrive:
+      ++arrives;
+      population = e.n_c;
+      break;
+    case EventKind::kDepart:
+      ++departs;
+      population = e.n_c;
+      break;
+    case EventKind::kDetect:
+      ++detects;
+      break;
+    default:
+      break;
+  }
+}
 
 // ---- Columnar block payload ------------------------------------------------
 
@@ -525,9 +592,7 @@ std::string StoreWriter::Open(const std::string& path,
   if (options_.block_events == 0) options_.block_events = 1;
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) return error_ = "cannot open " + path + " for write";
-  std::string header(kStoreMagic);
-  ser::PutVarint(header, kStoreVersion);
-  ser::PutVarint(header, trace::kTraceVersion);
+  const std::string header = StoreHeaderBytes();
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     return error_ = "short write to " + path;
   }
@@ -555,19 +620,12 @@ void StoreWriter::BeginRun(const trace::RunHeader& header) {
   runs_.push_back(std::move(run));
   run_open_ = true;
   events_in_run_ = 0;
-  acks_cum_ = arrives_cum_ = departs_cum_ = detects_cum_ = population_ = 0;
+  counters_ = RunCounters{};
 }
 
 void StoreWriter::Add(const trace::TraceEvent& event) {
   if (!error_.empty() || !run_open_) return;
-  RunCounters c{acks_cum_, arrives_cum_, departs_cum_, detects_cum_,
-                population_};
-  c.Update(event);
-  acks_cum_ = c.acks;
-  arrives_cum_ = c.arrives;
-  departs_cum_ = c.departs;
-  detects_cum_ = c.detects;
-  population_ = c.population;
+  counters_.Update(event);
   buffer_.push_back(event);
   ++events_in_run_;
   if (buffer_.size() >= options_.block_events) error_ = FlushBlock();
@@ -587,13 +645,7 @@ std::string StoreWriter::FlushBlock() {
   meta.raw_len = raw.size();
   meta.comp_len = payload.size();
   meta.crc32 = Crc32(payload);
-  meta.first_event = events_in_run_ - buffer_.size();
-  FillBlockCoverage(buffer_, &meta);
-  meta.acks_cum = acks_cum_;
-  meta.arrives_cum = arrives_cum_;
-  meta.departs_cum = departs_cum_;
-  meta.detects_cum = detects_cum_;
-  meta.population_end = population_;
+  StepBlockMeta(buffer_, events_in_run_ - buffer_.size(), counters_, &meta);
 
   std::string head;
   head.push_back(kBlockMarker);
@@ -668,15 +720,8 @@ void StoreWriter::SaveState(std::string* out) const {
   ser::PutVarint(*out, offset_);
   ser::PutVarint(*out, events_in_run_);
   ser::PutByte(*out, run_open_ ? 1 : 0);
-  ser::PutVarint(*out, acks_cum_);
-  ser::PutVarint(*out, arrives_cum_);
-  ser::PutVarint(*out, departs_cum_);
-  ser::PutVarint(*out, detects_cum_);
-  ser::PutVarint(*out, population_);
-  ser::PutVarint(*out, runs_.size());
-  for (const StoredRun& run : runs_) PutStoredRun(*out, run);
-  ser::PutVarint(*out, blocks_.size());
-  for (const BlockMeta& meta : blocks_) PutBlockMeta(*out, meta);
+  PutRunCounters(*out, counters_);
+  PutIndex(*out, runs_, blocks_);
   const std::string pending = EncodeBlockPayload(buffer_);
   ser::PutVarint(*out, buffer_.size());
   ser::PutVarint(*out, pending.size());
@@ -694,29 +739,18 @@ std::string StoreWriter::RestoreOpen(const std::string& path,
   const std::uint64_t offset = r.Varint();
   const std::uint64_t events_in_run = r.Varint();
   const bool run_open = r.Byte() != 0;
-  const std::uint64_t acks = r.Varint();
-  const std::uint64_t arrives = r.Varint();
-  const std::uint64_t departs = r.Varint();
-  const std::uint64_t detects = r.Varint();
-  const std::uint64_t population = r.Varint();
-  const std::uint64_t n_runs = r.Varint();
-  if (!r.ok || n_runs > state.size()) return "corrupt writer state (runs)";
+  RunCounters counters;
+  GetRunCounters(r, &counters);
   std::vector<StoredRun> runs;
-  runs.reserve(static_cast<std::size_t>(n_runs));
-  for (std::uint64_t i = 0; i < n_runs; ++i) {
-    StoredRun run;
-    if (!GetStoredRun(r, &run)) return "corrupt writer state (run header)";
-    runs.push_back(std::move(run));
-  }
-  const std::uint64_t n_blocks = r.Varint();
-  if (!r.ok || n_blocks > state.size()) return "corrupt writer state (blocks)";
   std::vector<BlockMeta> blocks;
-  blocks.reserve(static_cast<std::size_t>(n_blocks));
-  for (std::uint64_t i = 0; i < n_blocks; ++i) {
-    BlockMeta meta;
-    if (!GetBlockMeta(r, &meta)) return "corrupt writer state (block meta)";
-    blocks.push_back(meta);
+  // The index must lie inside what was durable at the cut: the data
+  // region from the header to the saved offset.
+  if (std::string err =
+          GetIndex(r, StoreHeaderBytes().size(), offset, &runs, &blocks);
+      !err.empty()) {
+    return "corrupt writer state: " + err;
   }
+  if (run_open && runs.empty()) return "corrupt writer state (open run)";
   const std::uint64_t n_buffered = r.Varint();
   const std::uint64_t pending_len = r.Varint();
   if (!r.ok || pending_len > state.size() - r.pos) {
@@ -762,11 +796,7 @@ std::string StoreWriter::RestoreOpen(const std::string& path,
   offset_ = offset;
   events_in_run_ = events_in_run;
   run_open_ = run_open;
-  acks_cum_ = acks;
-  arrives_cum_ = arrives;
-  departs_cum_ = departs;
-  detects_cum_ = detects;
-  population_ = population;
+  counters_ = counters;
   runs_ = std::move(runs);
   blocks_ = std::move(blocks);
   buffer_ = std::move(buffered);
@@ -869,13 +899,7 @@ std::string StoreReader::OpenLegacy(std::string_view view,
       meta.raw_len = r.pos - block_start;
       meta.comp_len = meta.raw_len;
       meta.crc32 = Crc32(view.substr(block_start, r.pos - block_start));
-      meta.first_event = run.n_events - pending.size();
-      FillBlockCoverage(pending, &meta);
-      meta.acks_cum = counters.acks;
-      meta.arrives_cum = counters.arrives;
-      meta.departs_cum = counters.departs;
-      meta.detects_cum = counters.detects;
-      meta.population_end = counters.population;
+      StepBlockMeta(pending, run.n_events - pending.size(), counters, &meta);
       blocks_.push_back(meta);
       pending.clear();
       block_start = r.pos;
@@ -999,47 +1023,12 @@ std::string StoreReader::OpenStore(const std::string& path) {
 
   ser::Reader r{footer};
   if (r.Byte() != kFooterMarker) return path + ": bad footer marker";
-  const std::uint64_t n_runs = r.Varint();
-  if (!r.ok || n_runs > footer.size()) return path + ": corrupt footer";
-  runs_.reserve(static_cast<std::size_t>(n_runs));
-  for (std::uint64_t i = 0; i < n_runs; ++i) {
-    StoredRun run;
-    if (!GetStoredRun(r, &run)) {
-      return path + ": corrupt footer (run " + std::to_string(i) + ")";
-    }
-    runs_.push_back(std::move(run));
-  }
-  const std::uint64_t n_blocks = r.Varint();
-  if (!r.ok || n_blocks > footer.size()) return path + ": corrupt footer";
-  blocks_.reserve(static_cast<std::size_t>(n_blocks));
-  for (std::uint64_t i = 0; i < n_blocks; ++i) {
-    BlockMeta meta;
-    if (!GetBlockMeta(r, &meta)) {
-      return path + ": corrupt footer (block " + std::to_string(i) + ")";
-    }
-    if (meta.run_ordinal >= runs_.size()) {
-      return path + ": block " + std::to_string(i) + " references run " +
-             std::to_string(meta.run_ordinal) + " of " +
-             std::to_string(runs_.size());
-    }
-    if (meta.offset < header_len || meta.comp_len > footer_offset ||
-        meta.offset > footer_offset - meta.comp_len) {
-      return path + ": block " + std::to_string(i) +
-             " points outside the data region";
-    }
-    if (meta.raw_len > kMaxBlockRawLen || meta.comp_len > meta.raw_len ||
-        meta.n_events == 0) {
-      return path + ": block " + std::to_string(i) + " has implausible sizes";
-    }
-    blocks_.push_back(meta);
+  if (std::string err =
+          GetIndex(r, header_len, footer_offset, &runs_, &blocks_);
+      !err.empty()) {
+    return path + ": corrupt footer: " + err;
   }
   if (!r.AtEnd()) return path + ": trailing bytes after footer";
-  for (const StoredRun& run : runs_) {
-    if (run.first_block > blocks_.size() ||
-        run.n_blocks > blocks_.size() - run.first_block) {
-      return path + ": run block range outside index";
-    }
-  }
   cummax_frame_ = RunningMaxFrames(runs_, blocks_);
   return "";
 }
@@ -1305,14 +1294,8 @@ std::string RecoverStoreFile(const std::string& in_path,
       return in_path + ": block" + at(segment_start) + ": " + derr;
     }
     meta.run_ordinal = runs.size() - 1;
-    meta.first_event = runs.back().n_events;
-    FillBlockCoverage(events, &meta);
     for (const TraceEvent& e : events) counters.Update(e);
-    meta.acks_cum = counters.acks;
-    meta.arrives_cum = counters.arrives;
-    meta.departs_cum = counters.departs;
-    meta.detects_cum = counters.detects;
-    meta.population_end = counters.population;
+    StepBlockMeta(events, runs.back().n_events, counters, &meta);
     runs.back().n_events += n_events;
     ri.salvaged_events += n_events;
     blocks.push_back(meta);

@@ -34,11 +34,11 @@
 // raw (comp_len == raw_len).
 //
 // The footer indexes every block with its (run, frame, slot) coverage
-// plus cumulative per-run counters (acks, arrivals, departures,
-// detections, live population), which is what lets the query layer
-// (store/query.h) answer summary/timeseries/epoch-window questions from
-// the index plus O(1) block decodes — seek-to-frame is a binary search
-// over the per-run running-max frame, O(log n_blocks).
+// plus the run's cumulative RunCounters (acks, arrivals, departures,
+// detections, live population) at its end: the query seed that lets the
+// query layer (store/query.h) answer summary/timeseries/epoch-window
+// questions from the index plus O(1) block decodes — seek-to-frame is a
+// binary search over the per-run running-max frame, O(log n_blocks).
 //
 // Integrity: the trailer carries a CRC over the footer and every block
 // carries a CRC over its stored payload. Truncation, bit flips and
@@ -84,6 +84,17 @@ struct StoreWriterOptions {
   SyncPolicy sync = SyncPolicy::kNone;
 };
 
+// Per-run cumulative counters: the footer carries them at the end of
+// every block, and the query layer seeds a window from the entry before
+// it (store/query.h WindowSeed). The writer keeps the running copy.
+struct RunCounters {
+  std::uint64_t acks = 0;  // first-time over-the-air reads
+  std::uint64_t arrives = 0, departs = 0, detects = 0;
+  std::uint64_t population = 0;  // live population after the last churn
+
+  void Update(const trace::TraceEvent& e);
+};
+
 // Footer index entry for one block.
 struct BlockMeta {
   std::uint64_t run_ordinal = 0;  // index into runs()
@@ -95,12 +106,7 @@ struct BlockMeta {
   std::uint64_t n_events = 0;
   std::uint64_t min_frame = 0, max_frame = 0;
   std::uint64_t first_slot = 0, last_slot = 0;
-  // Cumulative per-run counters at the END of this block (query seeds).
-  std::uint64_t acks_cum = 0;     // over-the-air reads so far
-  std::uint64_t arrives_cum = 0;
-  std::uint64_t departs_cum = 0;
-  std::uint64_t detects_cum = 0;
-  std::uint64_t population_end = 0;  // live population after last churn
+  RunCounters cum;  // the run's counters at the END of this block
 };
 
 struct StoredRun {
@@ -143,7 +149,10 @@ class StoreWriter {
   // Reopens `path` (a possibly-torn store file from a killed process)
   // and restores a SaveState() snapshot into this writer: the file is
   // truncated back to the saved offset and writing continues exactly
-  // where the checkpoint was cut. Returns "" on success.
+  // where the checkpoint was cut. Returns "" on success. A snapshot whose
+  // index fails the footer's checks (over the data region up to the saved
+  // offset), or that has a run open but lists none, is rejected before
+  // the file is touched.
   std::string RestoreOpen(const std::string& path, std::string_view state,
                           const StoreWriterOptions& options = {});
 
@@ -164,15 +173,13 @@ class StoreWriter {
   bool finished_ = false;
   std::uint64_t offset_ = 0;
   std::uint64_t events_in_run_ = 0;
-  // Cumulative per-run counters (see BlockMeta).
-  std::uint64_t acks_cum_ = 0, arrives_cum_ = 0, departs_cum_ = 0,
-                detects_cum_ = 0, population_ = 0;
+  RunCounters counters_;  // the open run's, buffered events included
   std::string error_;
 };
 
-// TraceSink adapter: lets a recording stream straight into a store
-// (bench_soak --trace). Call Finish() when the experiment is done; errors
-// latch into error().
+// TraceSink adapter: lets a recording stream straight into a store (every
+// harness --trace and `trace_inspect record`). Call Finish() when the
+// experiment is done; errors latch into error().
 class StoreFileSink final : public trace::TraceSink {
  public:
   StoreFileSink(const std::string& path,

@@ -29,11 +29,7 @@ StoreSummary Summarize(const StoreReader& reader) {
     if (rs.n_blocks > 0) {
       const BlockMeta& last = blocks[runs[ri].first_block + rs.n_blocks - 1];
       rs.last_slot = last.last_slot;
-      rs.acks = last.acks_cum;
-      rs.arrives = last.arrives_cum;
-      rs.departs = last.departs_cum;
-      rs.detects = last.detects_cum;
-      rs.final_population = last.population_end;
+      rs.counters = last.cum;
     }
     summary.n_events += rs.n_events;
     summary.stored_bytes += rs.stored_bytes;
@@ -50,40 +46,26 @@ std::string BlockTimeseriesCsv(const StoreReader& reader,
       "acks,arrives,departs,detects,population_end,raw_bytes,stored_bytes\n";
   if (run_ordinal >= reader.runs().size()) return csv;
   const StoredRun& run = reader.runs()[run_ordinal];
-  BlockMeta prev{};  // zero counters before the first block
+  RunCounters prev;  // zero before the first block
   for (std::size_t b = 0; b < run.n_blocks; ++b) {
     const BlockMeta& m = reader.blocks()[run.first_block + b];
     csv += std::to_string(b) + ',' + std::to_string(m.first_event) + ',' +
            std::to_string(m.n_events) + ',' + std::to_string(m.min_frame) +
            ',' + std::to_string(m.max_frame) + ',' +
            std::to_string(m.first_slot) + ',' + std::to_string(m.last_slot) +
-           ',' + std::to_string(m.acks_cum - prev.acks_cum) + ',' +
-           std::to_string(m.arrives_cum - prev.arrives_cum) + ',' +
-           std::to_string(m.departs_cum - prev.departs_cum) + ',' +
-           std::to_string(m.detects_cum - prev.detects_cum) + ',' +
-           std::to_string(m.population_end) + ',' +
+           ',' + std::to_string(m.cum.acks - prev.acks) + ',' +
+           std::to_string(m.cum.arrives - prev.arrives) + ',' +
+           std::to_string(m.cum.departs - prev.departs) + ',' +
+           std::to_string(m.cum.detects - prev.detects) + ',' +
+           std::to_string(m.cum.population) + ',' +
            std::to_string(m.raw_len) + ',' + std::to_string(m.comp_len) +
            '\n';
-    prev = m;
+    prev = m.cum;
   }
   return csv;
 }
 
 namespace {
-
-void SeedFromBlock(const StoreReader& reader, std::size_t run_ordinal,
-                   std::size_t first_block_in_run, WindowSeed* seed) {
-  *seed = WindowSeed{};
-  if (first_block_in_run == 0) return;
-  const StoredRun& run = reader.runs()[run_ordinal];
-  const BlockMeta& prev =
-      reader.blocks()[run.first_block + first_block_in_run - 1];
-  seed->acks = prev.acks_cum;
-  seed->arrives = prev.arrives_cum;
-  seed->departs = prev.departs_cum;
-  seed->detects = prev.detects_cum;
-  seed->population = prev.population_end;
-}
 
 bool FrameBearing(EventKind kind) {
   switch (kind) {
@@ -149,7 +131,8 @@ std::string QueryFrameWindow(StoreReader& reader, std::size_t run_ordinal,
   const StoredRun& run = reader.runs()[run_ordinal];
   const std::size_t start = reader.FindBlockForFrame(run_ordinal, frame_lo);
   if (start == kNoBlock) return "";  // window beyond the run's last frame
-  SeedFromBlock(reader, run_ordinal, start - run.first_block, seed);
+  // Seed from the preceding block of the run: zero at its first.
+  if (start > run.first_block) *seed = reader.blocks()[start - 1].cum;
   return AppendPicked(
       reader, start, run.first_block + run.n_blocks,
       [&](EventKind kind, std::uint64_t frame) {

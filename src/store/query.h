@@ -5,8 +5,9 @@
 // and build only the events they return (picked from the kind and frame
 // columns, see BlockColumns): a frame window starts at FindBlockForFrame
 // (O(log n) seek) and stops at the first frame past the window; an epoch
-// window stops at the first epoch past the window. Both seed their cumulative counters from the
-// preceding block's footer entry instead of replaying the run prefix.
+// window stops at the first epoch past the window. A frame window's
+// RunCounters, the footer's query seed, come from the preceding block's
+// footer entry instead of a replay of the run prefix.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +27,7 @@ struct RunSummary {
   std::uint64_t raw_bytes = 0;     // block payload bytes before compression
   std::uint64_t max_frame = 0;
   std::uint64_t last_slot = 0;
-  // Final cumulative counters (last block's footer entry).
-  std::uint64_t acks = 0, arrives = 0, departs = 0, detects = 0;
-  std::uint64_t final_population = 0;
+  RunCounters counters;  // final: the run's last footer entry
 };
 
 struct StoreSummary {
@@ -49,12 +48,10 @@ StoreSummary Summarize(const StoreReader& reader);
 std::string BlockTimeseriesCsv(const StoreReader& reader,
                                std::size_t run_ordinal);
 
-// Cumulative counters in force just before a window's first block — the
-// footer entry of the preceding block (all zero at the start of a run).
-struct WindowSeed {
-  std::uint64_t acks = 0, arrives = 0, departs = 0, detects = 0,
-                population = 0;
-};
+// The RunCounters in force just before a window's first block: the
+// footer's query seed, read from the preceding block's entry (all zero at
+// the start of a run).
+using WindowSeed = RunCounters;
 
 // Events of `run_ordinal` whose frame lies in [frame_lo, frame_hi]
 // (frame-bearing kinds only; kEpoch uses epoch numbering and kTdmaSlot/

@@ -9,8 +9,9 @@
 //    "open_records":7,"estimate":812.25,"elapsed_us":91545}
 //   ... (one shape per trace/event.h kind)
 //
-// This is the human/jq-friendly export; the compact replayable format is
-// trace/binary.h.
+// This is the human/jq-friendly export. Traces are written as ANCSTORE
+// (store/container.h); trace/binary.h's v1 rows are its reference
+// encoder.
 #pragma once
 
 #include <string>

@@ -205,7 +205,7 @@ TEST(FaultEngine, BoundedStoreCompletesAndReconciles) {
   EXPECT_EQ(m.tags_read, 800u);
   EXPECT_GT(m.records_evicted, 0u);
   EXPECT_EQ(run.protocol->OpenPhyRecords(), 0u);
-  const fault::FaultCounters* c = run.protocol->engine().fault_counters();
+  const fault::FaultCounters* c = run.protocol->fault_counters();
   ASSERT_NE(c, nullptr);
   EXPECT_TRUE(c->Reconciles());
   EXPECT_LE(c->max_open_records, 8u);
@@ -223,7 +223,7 @@ TEST(FaultEngine, RetryBudgetAbandonsUnresolvableRecords) {
   const sim::RunMetrics& m = run.protocol->metrics();
   EXPECT_EQ(m.tags_read, 400u);
   EXPECT_GT(m.records_abandoned, 0u);
-  const fault::FaultCounters* c = run.protocol->engine().fault_counters();
+  const fault::FaultCounters* c = run.protocol->fault_counters();
   ASSERT_NE(c, nullptr);
   EXPECT_GT(c->records_abandoned_retry, 0u);
   EXPECT_TRUE(c->Reconciles());
@@ -236,7 +236,7 @@ TEST(FaultEngine, TtlBudgetExpiresStaleRecords) {
   o.fault.store.max_open_frames = 3;
   DrivenFcat run(600, 13, o);
   ASSERT_TRUE(run.Drive());
-  const fault::FaultCounters* c = run.protocol->engine().fault_counters();
+  const fault::FaultCounters* c = run.protocol->fault_counters();
   ASSERT_NE(c, nullptr);
   EXPECT_GT(c->records_abandoned_ttl, 0u);
   EXPECT_TRUE(c->Reconciles());
@@ -254,7 +254,7 @@ TEST(FaultEngine, CrashRestartsAndStillReadsEveryTag) {
   EXPECT_EQ(m.reader_crashes, 1u);
   EXPECT_EQ(m.tags_read, 500u);
   EXPECT_EQ(faulted.protocol->OpenPhyRecords(), 0u);
-  const fault::FaultCounters* c = faulted.protocol->engine().fault_counters();
+  const fault::FaultCounters* c = faulted.protocol->fault_counters();
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->reader_crashes, 1u);
   EXPECT_TRUE(c->Reconciles());
@@ -273,7 +273,7 @@ TEST(FaultEngine, AdvertBurstChannelStillTerminates) {
   DrivenFcat run(500, 19, o);
   ASSERT_TRUE(run.Drive());
   EXPECT_EQ(run.protocol->metrics().tags_read, 500u);
-  const fault::FaultCounters* c = run.protocol->engine().fault_counters();
+  const fault::FaultCounters* c = run.protocol->fault_counters();
   ASSERT_NE(c, nullptr);
   EXPECT_GT(c->adverts_corrupted, 0u);
 }
@@ -286,7 +286,7 @@ TEST(FaultEngine, GeAckChannelSupersedesFlatLoss) {
   const sim::RunMetrics& m = run.protocol->metrics();
   EXPECT_EQ(m.tags_read, 600u);
   EXPECT_GT(m.duplicate_receptions, 0u);
-  const fault::FaultCounters* c = run.protocol->engine().fault_counters();
+  const fault::FaultCounters* c = run.protocol->fault_counters();
   ASSERT_NE(c, nullptr);
   EXPECT_GT(c->acks_lost, 0u);
 }

@@ -52,7 +52,7 @@ PropertyRun RunAdversarial(fault::EvictionPolicy policy, std::uint64_t seed) {
   result.finished = protocol->Finished();
   result.metrics = protocol->metrics();
   result.open_at_end = protocol->OpenPhyRecords();
-  const fault::FaultCounters* c = protocol->engine().fault_counters();
+  const fault::FaultCounters* c = protocol->fault_counters();
   if (c != nullptr) result.counters = *c;
   return result;
 }

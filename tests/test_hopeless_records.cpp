@@ -80,7 +80,7 @@ Outcome ClosedRuns(const sim::ProtocolFactory& factory, std::size_t n_tags) {
     if (const auto* engine =
             dynamic_cast<const core::EngineProtocol<phy::IdealPhy>*>(
                 protocol.get())) {
-      if (const fault::FaultCounters* c = engine->engine().fault_counters()) {
+      if (const fault::FaultCounters* c = engine->fault_counters()) {
         fault::PutFaultCounters(out.ledger, *c);
       }
     }

@@ -1,7 +1,8 @@
 // Torn-tail recovery (store::RecoverStoreFile) and OpenFailure
 // classification, including the committed kill-matrix fixtures under
 // tests/golden/ — the same files the CI crash-recovery job feeds
-// through `trace_inspect recover`.
+// through `trace_inspect recover` — and the writer-snapshot restore
+// (StoreWriter::RestoreOpen) against patched snapshots.
 #include "store/container.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "blob_patch.h"
 #include "core/factories.h"
 #include "file_bytes.h"
 #include "service/checkpoint.h"
@@ -20,6 +22,10 @@
 namespace anc::store {
 namespace {
 
+using testing_blob::Field;
+using testing_blob::NextVarint;
+using testing_blob::Patch;
+using testing_blob::ValueAt;
 using testing_files::Slurp;
 using testing_files::Spit;
 
@@ -293,6 +299,133 @@ TEST(Recover, ReadErrorIsNotAShortFile) {
   EXPECT_EQ(reader.Open(dir), "read error on " + dir);
   EXPECT_EQ(reader.open_failure(), OpenFailure::kIo);
   std::filesystem::remove(dir);
+}
+
+// The varints of a StoreWriter::SaveState snapshot that the restore
+// must check against each other, found by walking its layout: the saved
+// offset, the run count and each run's block range, the block count and
+// each block's run, offset and stored length.
+struct WriterSnapshot {
+  struct Run {
+    Field first_block, n_blocks;
+  };
+  struct Block {
+    Field run_ordinal, offset, comp_len;
+  };
+  Field offset, n_runs, n_blocks;
+  std::vector<Run> runs;
+  std::vector<Block> blocks;
+  std::size_t index_end = 0;  // where n_buffered starts
+};
+
+WriterSnapshot WalkSnapshot(std::string_view blob) {
+  WriterSnapshot w;
+  ser::Reader r{blob};
+  w.offset = NextVarint(r);
+  NextVarint(r);  // events_in_run
+  r.Byte();       // run_open
+  for (int c = 0; c < 5; ++c) NextVarint(r);  // the run counters
+  w.n_runs = NextVarint(r);
+  for (std::uint64_t i = 0; i < ValueAt(blob, w.n_runs); ++i) {
+    trace::RunHeader header;
+    EXPECT_TRUE(trace::GetRunHeader(r, &header));
+    NextVarint(r);  // n_events
+    const Field first_block = NextVarint(r);
+    w.runs.push_back({first_block, NextVarint(r)});
+  }
+  w.n_blocks = NextVarint(r);
+  for (std::uint64_t i = 0; i < ValueAt(blob, w.n_blocks); ++i) {
+    WriterSnapshot::Block b;
+    b.run_ordinal = NextVarint(r);
+    b.offset = NextVarint(r);
+    NextVarint(r);  // raw_len
+    b.comp_len = NextVarint(r);
+    for (int f = 0; f < 12; ++f) NextVarint(r);  // crc32 .. the counters
+    w.blocks.push_back(b);
+  }
+  w.index_end = r.pos;
+  EXPECT_TRUE(r.ok);
+  return w;
+}
+
+// A real mid-run snapshot (second run open, a partial block buffered)
+// restores and finishes byte-identically; each patch that makes its index
+// disagree with itself or with the saved offset is rejected before the
+// writer touches the file.
+TEST(StoreWriterRestore, RejectsPatchedSnapshots) {
+  const trace::TraceFile file = RecordSoak(2);
+  ASSERT_EQ(file.runs.size(), 2u);
+  const std::vector<trace::TraceEvent>& second = file.runs[1].events;
+  const std::size_t cut = second.size() / 2 + 7;
+  StoreWriterOptions options;
+  options.block_events = 128;
+  const auto add_rest = [&](StoreWriter& writer) {
+    for (std::size_t i = cut; i < second.size(); ++i) writer.Add(second[i]);
+  };
+
+  const std::string path = TempPath("writer_restore.ancs");
+  std::string blob;
+  {
+    StoreWriter writer;
+    ASSERT_EQ(writer.Open(path, options), "");
+    for (const trace::RunTrace& run : file.runs) {
+      writer.BeginRun(run.header);
+      const std::size_t n = &run == &file.runs[1] ? cut : run.events.size();
+      for (std::size_t i = 0; i < n; ++i) writer.Add(run.events[i]);
+    }
+    ASSERT_GT(writer.blocks().size(), 2u);
+    writer.SaveState(&blob);
+    add_rest(writer);
+    ASSERT_EQ(writer.Finish(), "");
+  }
+  const std::string finished = Slurp(path);
+
+  // The unpatched snapshot resumes over the finished file (truncated back
+  // to the saved offset) and rewrites it exactly.
+  const std::string resumed = TempPath("writer_restore_resumed.ancs");
+  Spit(resumed, finished);
+  {
+    StoreWriter writer;
+    ASSERT_EQ(writer.RestoreOpen(resumed, blob, options), "");
+    add_rest(writer);
+    ASSERT_EQ(writer.Finish(), "");
+  }
+  EXPECT_TRUE(Slurp(resumed) == finished);
+
+  const WriterSnapshot w = WalkSnapshot(blob);
+  ASSERT_EQ(w.runs.size(), 2u);
+  const std::uint64_t saved = ValueAt(blob, w.offset);
+  const std::uint64_t n_blocks = w.blocks.size();
+  std::string no_runs = blob.substr(0, w.n_runs.pos);
+  ser::PutVarint(no_runs, 0);  // runs
+  ser::PutVarint(no_runs, 0);  // blocks
+  no_runs += blob.substr(w.index_end);
+  const struct {
+    const char* what;
+    std::string blob;
+  } patched[] = {
+      {"run open with no runs", no_runs},
+      {"block offset past the saved offset",
+       Patch(blob, w.blocks.back().offset, saved)},
+      {"block length past the saved offset",
+       Patch(blob, w.blocks.back().comp_len, saved)},
+      {"run_ordinal past the runs",
+       Patch(blob, w.blocks.front().run_ordinal, w.runs.size())},
+      {"open run's block range past the blocks",
+       Patch(blob, w.runs.back().first_block, n_blocks + 1)},
+      {"closed run's block range past the blocks",
+       Patch(blob, w.runs.front().n_blocks, n_blocks + 1)},
+  };
+  for (const auto& p : patched) {
+    SCOPED_TRACE(p.what);
+    Spit(resumed, finished);
+    StoreWriter writer;
+    EXPECT_NE(writer.RestoreOpen(resumed, p.blob, options), "");
+    // A rejected snapshot leaves the file as it was.
+    EXPECT_TRUE(Slurp(resumed) == finished);
+  }
+  std::remove(path.c_str());
+  std::remove(resumed.c_str());
 }
 
 }  // namespace

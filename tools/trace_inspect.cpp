@@ -450,11 +450,11 @@ void PrintSummary(const store::StoreReader& reader, const std::string& path) {
         static_cast<unsigned long long>(r.n_blocks),
         static_cast<unsigned long long>(r.max_frame),
         static_cast<unsigned long long>(r.last_slot),
-        static_cast<unsigned long long>(r.acks),
-        static_cast<unsigned long long>(r.arrives),
-        static_cast<unsigned long long>(r.departs),
-        static_cast<unsigned long long>(r.detects),
-        static_cast<unsigned long long>(r.final_population));
+        static_cast<unsigned long long>(r.counters.acks),
+        static_cast<unsigned long long>(r.counters.arrives),
+        static_cast<unsigned long long>(r.counters.departs),
+        static_cast<unsigned long long>(r.counters.detects),
+        static_cast<unsigned long long>(r.counters.population));
   }
 }
 
