@@ -24,7 +24,8 @@
 // one row of varints. The record stores' arenas are cached in that
 // encoding (common/chunk_cache.h) and handed out through Pieces, which
 // holds views of cached bytes next to freshly written ones, so a
-// length-prefixed blob is sized before its bytes are copied, once.
+// length-prefixed blob is sized before its bytes are copied, and a
+// checkpoint file is written from the views without copying them.
 // Reader::Count bounds an item count by the bytes left before anything
 // is sized from it.
 #pragma once
@@ -137,8 +138,9 @@ inline void PutBytes(std::string& out, std::string_view s) {
 
 // A byte string held as a list of pieces: runs of bytes written through
 // bytes(), and views of bytes kept elsewhere (a cache) that must stay
-// unchanged until the pieces are copied out. A writer can size a
-// length-prefixed blob before copying it, so cached bytes are copied once.
+// unchanged until the pieces are copied or written out. A writer can
+// size a length-prefixed blob before copying it, and a file writer can
+// hand the pieces to writev, so cached bytes are copied at most once.
 class Pieces {
  public:
   // Bytes appended here follow every piece added so far.
@@ -170,6 +172,28 @@ class Pieces {
   void AppendTo(std::string& out) const {
     out.reserve(out.size() + size());
     ForEach([&out](std::string_view piece) { out.append(piece); });
+  }
+
+  // Appends every piece of `other` after these: its views stay views of
+  // the same bytes, its written bytes are copied into bytes().
+  void Append(const Pieces& other) {
+    for (const Part& part : other.parts_) {
+      if (part.view != nullptr) {
+        AddView({part.view, part.size});
+      } else {
+        owned_.append(other.owned_, part.offset, part.size);
+      }
+    }
+    owned_.append(other.owned_, other.run_start_);
+  }
+
+  // Drops every piece. The buffers keep their capacity, so pieces that
+  // are cleared and refilled (a run's checkpoint cuts) stop allocating.
+  void clear() {
+    owned_.clear();
+    run_start_ = 0;
+    size_ = 0;
+    parts_.clear();
   }
 
  private:

@@ -72,21 +72,27 @@ class EngineProtocol : private PhyHolder<Phy>, public CollisionAwareEngine {
   // (and the whole construction path) are rederived by the factory before
   // restore. Over any other phy these stay the unsupported defaults. Both
   // blobs are gathered as pieces first, so their lengths are known before
-  // their bytes are copied into `out`, once.
+  // any byte is copied; SavePieces keeps the record stores' cached chunks
+  // as views (a checkpoint cut writes them from the caches), and
+  // SaveState copies everything into `out` once.
   static constexpr bool kCheckpoints =
       requires(const Phy& p, ser::Pieces& out) { p.SaveState(out); };
   bool SupportsCheckpoint() const override { return kCheckpoints; }
   void SaveState(std::string* out) const override {
+    ser::Pieces pieces;
+    SavePieces(pieces);
+    pieces.AppendTo(*out);
+  }
+  void SavePieces(ser::Pieces& out) const override {
     if constexpr (kCheckpoints) {
       ser::Pieces phy;
       this->held_phy_.SaveState(phy);
       ser::Pieces engine;
       SaveEngineState(engine);
-      out->reserve(out->size() + phy.size() + engine.size() + 20);
-      ser::PutVarint(*out, phy.size());
-      phy.AppendTo(*out);
-      ser::PutVarint(*out, engine.size());
-      engine.AppendTo(*out);
+      ser::PutVarint(out.bytes(), phy.size());
+      out.Append(phy);
+      ser::PutVarint(out.bytes(), engine.size());
+      out.Append(engine);
     }
   }
   bool RestoreState(std::string_view bytes) override {

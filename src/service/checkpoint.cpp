@@ -1,9 +1,14 @@
 #include "service/checkpoint.h"
 
+#include <array>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <optional>
 #include <utility>
 
+#include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "common/file_io.h"
@@ -13,26 +18,72 @@
 namespace anc::service {
 namespace {
 
+// Writes iov[0, n) in full, resuming after a short write; false on error.
+bool WriteVectors(int fd, iovec* iov, int n) {
+  while (n > 0) {
+    const ssize_t wrote = ::writev(fd, iov, n);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) return false;
+    auto left = static_cast<std::size_t>(wrote);
+    for (; n > 0 && left >= iov->iov_len; ++iov, --n) left -= iov->iov_len;
+    if (n > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+  return true;
+}
+
+// Writes every non-empty piece to `fd` in order, up to IOV_MAX of them
+// per writev call.
+bool WritePieces(int fd, const ser::Pieces& pieces) {
+  std::array<iovec, IOV_MAX> batch;
+  int n = 0;
+  bool ok = true;
+  pieces.ForEach([&](std::string_view piece) {
+    if (!ok || piece.empty()) return;
+    batch[n++] = {const_cast<char*>(piece.data()), piece.size()};
+    if (n == IOV_MAX) {
+      ok = WriteVectors(fd, batch.data(), n);
+      n = 0;
+    }
+  });
+  return ok && WriteVectors(fd, batch.data(), n);
+}
+
+// Fsyncs the directory that holds `path`, making a rename into it
+// durable.
+bool SyncDirectoryOf(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
+}
+
 // Atomic durable write shared by checkpoint and .slo result files: the
-// pieces land in "<path>.tmp" in order, are fsynced, then renamed.
+// pieces land in "<path>.tmp" in order, are fsynced and renamed, and the
+// directory is fsynced so that the rename survives a power loss too.
 std::string AtomicWriteFile(const std::string& path,
                             const ser::Pieces& pieces) {
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return "cannot open " + tmp;
-  bool wrote = true;
-  pieces.ForEach([&](std::string_view piece) {
-    wrote = wrote &&
-            std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
-  });
-  const bool flushed = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  if (std::fclose(f) != 0 || !wrote || !flushed) {
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return "cannot open " + tmp;
+  const bool wrote = WritePieces(fd, pieces) && ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !wrote) {
     std::remove(tmp.c_str());
     return "short write to " + tmp;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return "rename to " + path + " failed";
+  }
+  if (!SyncDirectoryOf(path)) {
+    return "directory sync after rename to " + path + " failed";
   }
   return "";
 }
@@ -113,16 +164,27 @@ std::string DecodeCheckpoint(std::string_view bytes, ServiceCheckpoint* out) {
 
 std::string WriteCheckpointFile(const std::string& path,
                                 const ServiceCheckpoint& ckpt) {
-  // EncodeCheckpoint's bytes, written from the blobs in place.
-  ser::Pieces pieces;
-  PutCheckpointHead(pieces.bytes(), ckpt);
-  for (const std::string* blob :
-       {&ckpt.service_blob, &ckpt.protocol_blob, &ckpt.writer_blob}) {
-    ser::PutVarint(pieces.bytes(), blob->size());
-    pieces.AddView(*blob);
-  }
-  PutCrcTrailer(pieces);
-  const std::string err = AtomicWriteFile(path, pieces);
+  ser::Pieces protocol;
+  protocol.AddView(ckpt.protocol_blob);
+  ser::Pieces file;
+  return WriteCheckpointFile(path, ckpt, protocol, &file);
+}
+
+std::string WriteCheckpointFile(const std::string& path,
+                                const ServiceCheckpoint& ckpt,
+                                const ser::Pieces& protocol,
+                                ser::Pieces* file) {
+  // EncodeCheckpoint's bytes, with every blob and protocol piece a view.
+  file->clear();
+  PutCheckpointHead(file->bytes(), ckpt);
+  ser::PutVarint(file->bytes(), ckpt.service_blob.size());
+  file->AddView(ckpt.service_blob);
+  ser::PutVarint(file->bytes(), protocol.size());
+  protocol.ForEach([file](std::string_view piece) { file->AddView(piece); });
+  ser::PutVarint(file->bytes(), ckpt.writer_blob.size());
+  file->AddView(ckpt.writer_blob);
+  PutCrcTrailer(*file);
+  const std::string err = AtomicWriteFile(path, *file);
   return err.empty() ? "" : "checkpoint: " + err;
 }
 

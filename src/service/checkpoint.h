@@ -12,10 +12,10 @@
 // and because the store writer snapshot truncates the torn file back to
 // the last durable offset before continuing.
 //
-// Checkpoint writes are atomic (tmp file + fsync + rename) and taken
-// only after StoreWriter::SyncNow(), so a kill at any instant leaves
-// either the previous checkpoint or the new one — both consistent with
-// bytes already on disk.
+// Checkpoint writes are atomic (tmp file + fsync + rename + directory
+// fsync) and taken only after StoreWriter::SyncNow(), so a kill at any
+// instant leaves either the previous checkpoint or the new one — both
+// consistent with bytes already on disk.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/serialize.h"
 #include "service/service.h"
 #include "sim/runner.h"
 #include "store/container.h"
@@ -57,10 +58,21 @@ std::string EncodeCheckpoint(const ServiceCheckpoint& ckpt);
 std::string DecodeCheckpoint(std::string_view bytes, ServiceCheckpoint* out);
 
 // File IO. WriteCheckpointFile writes EncodeCheckpoint's bytes straight
-// from the blobs (no whole-file copy), atomically: they land in
-// "<path>.tmp", are fsynced, then renamed over `path`.
+// from the blobs with writev (no whole-file copy), atomically: they land
+// in "<path>.tmp", are fsynced, renamed over `path`, and the directory is
+// fsynced so that the rename is durable too.
 std::string WriteCheckpointFile(const std::string& path,
                                 const ServiceCheckpoint& ckpt);
+// The same file with the protocol blob given as pieces
+// (sim::Protocol::SavePieces); `ckpt.protocol_blob` is not read. The
+// file's pieces are gathered in `*file`, cleared first: a caller that
+// cuts repeatedly passes the same one, so its buffers keep their
+// capacity. No protocol byte is copied: `*file` holds views of every
+// protocol piece, written bytes and views alike.
+std::string WriteCheckpointFile(const std::string& path,
+                                const ServiceCheckpoint& ckpt,
+                                const ser::Pieces& protocol,
+                                ser::Pieces* file);
 std::string ReadCheckpointFile(const std::string& path,
                                ServiceCheckpoint* out);
 
@@ -114,9 +126,10 @@ std::string ResumeSoak(const sim::ProtocolFactory& factory,
 
 // Per-run SloReport result files ("ANCSLO01" magic + Crc32 trailer):
 // how supervisor workers hand their finished run's report back across
-// the process boundary. Write is atomic (tmp + rename) so a kill
-// between "run finished" and "result durable" never leaves a torn
-// half-report — the supervisor just reruns from the last checkpoint.
+// the process boundary. Write is atomic (tmp + fsync + rename +
+// directory fsync, as for checkpoints) so a kill between "run finished"
+// and "result durable" never leaves a torn half-report — the supervisor
+// just reruns from the last checkpoint.
 std::string WriteSloReportFile(const std::string& path, const SloReport& report);
 std::string ReadSloReportFile(const std::string& path, SloReport* out);
 

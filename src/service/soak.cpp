@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/serialize.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
 #include "sim/population.h"
@@ -53,34 +54,42 @@ SoakRun DeriveSoakRun(const sim::ProtocolFactory& factory,
   return run;
 }
 
-// Fills `ckpt` (reused across cuts, so its blobs keep their capacity)
-// and writes it. Durability order: the store is synced before the writer
-// snapshot is taken, and the snapshot before the file is renamed in.
+// A run's cut buffers, reused by every cut so they keep their capacity.
+struct CutBuffers {
+  ServiceCheckpoint ckpt;  // head, service and writer blobs
+  ser::Pieces protocol;    // sim::Protocol::SavePieces
+  ser::Pieces file;        // the whole file, as written
+};
+
+// Fills `cut` and writes the checkpoint file. Durability order: the
+// store is synced before the writer snapshot is taken, the snapshot
+// before the file is renamed in, and the rename before the directory is
+// synced.
 std::string CutCheckpoint(const std::string& path,
                           const trace::RunHeader& fingerprint,
                           std::uint64_t slot, const InventoryService& service,
                           const sim::Protocol& protocol,
-                          store::StoreFileSink* store,
-                          ServiceCheckpoint* ckpt) {
-  ckpt->run_index = fingerprint.run_index;
-  ckpt->base_seed = fingerprint.base_seed;
-  ckpt->n_initial = fingerprint.n_tags;
-  ckpt->max_slots = fingerprint.max_slots_per_tag;
-  ckpt->service_name = fingerprint.protocol;
-  ckpt->slot = slot;
-  ckpt->service_blob.clear();
-  ckpt->protocol_blob.clear();
-  ckpt->writer_blob.clear();
-  service.SaveState(&ckpt->service_blob, slot);
-  protocol.SaveState(&ckpt->protocol_blob);
+                          store::StoreFileSink* store, CutBuffers* cut) {
+  ServiceCheckpoint& ckpt = cut->ckpt;
+  ckpt.run_index = fingerprint.run_index;
+  ckpt.base_seed = fingerprint.base_seed;
+  ckpt.n_initial = fingerprint.n_tags;
+  ckpt.max_slots = fingerprint.max_slots_per_tag;
+  ckpt.service_name = fingerprint.protocol;
+  ckpt.slot = slot;
+  ckpt.service_blob.clear();
+  ckpt.writer_blob.clear();
+  cut->protocol.clear();
+  service.SaveState(&ckpt.service_blob, slot);
+  protocol.SavePieces(cut->protocol);
   if (store != nullptr) {
     // Durability first: the writer snapshot's saved offset must be
     // backed by bytes that survive a kill the instant after rename.
     const std::string sync_err = store->writer().SyncNow();
     if (!sync_err.empty()) return sync_err;
-    store->writer().SaveState(&ckpt->writer_blob);
+    store->writer().SaveState(&ckpt.writer_blob);
   }
-  return WriteCheckpointFile(path, *ckpt);
+  return WriteCheckpointFile(path, ckpt, cut->protocol, &cut->file);
 }
 
 // The one soak driver loop. Builds the service over `run` — restoring
@@ -110,7 +119,7 @@ std::string DriveSoak(SoakRun& run, const ServiceConfig& config,
     }
   }
 
-  ServiceCheckpoint cut;  // reused by every cut of this run
+  CutBuffers cut;
   InventoryService::RunHooks hooks;
   hooks.abort_before_slot = resumable.abort_before_slot;
   hooks.on_epoch = resumable.on_epoch;

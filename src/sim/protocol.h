@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "common/tag_id.h"
 #include "sim/metrics.h"
 #include "trace/sink.h"
@@ -112,6 +113,13 @@ class Protocol {
   virtual bool SupportsCheckpoint() const { return false; }
   virtual void SaveState(std::string* /*out*/) const {}
   virtual bool RestoreState(std::string_view /*bytes*/) { return false; }
+
+  // SaveState's bytes, appended to `out` as pieces: what a checkpoint cut
+  // writes, so a protocol whose state keeps cached encodings can hand
+  // them out as views instead of copying them into one string. The views
+  // stay valid until the protocol's next save or Step(). The default
+  // appends SaveState's output to out.bytes().
+  virtual void SavePieces(ser::Pieces& out) const { SaveState(&out.bytes()); }
 };
 
 }  // namespace anc::sim

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -201,7 +202,96 @@ TEST(CheckpointCodec, FileBytesAreEncodeCheckpoint) {
     ASSERT_EQ(WriteCheckpointFile(path, ckpt), "");
     EXPECT_TRUE(Slurp(path) == EncodeCheckpoint(ckpt)) << n;
   }
+
+  // A protocol blob given as more pieces than one writev call takes
+  // (IOV_MAX is 1024 on Linux), empty views and written runs among them,
+  // through one file buffer reused across the writes.
+  ser::Pieces file;
+  Pcg32 rng(21);
+  std::vector<std::string> chunks(3000);
+  for (std::string& chunk : chunks) {
+    chunk.resize(rng() % 4 == 0 ? 0 : rng() % 700);
+    for (char& ch : chunk) ch = static_cast<char>(rng());
+  }
+  for (const std::size_t n_views : {std::size_t{0}, std::size_t{1023},
+                                    std::size_t{1024}, std::size_t{1025},
+                                    std::size_t{3000}}) {
+    ser::Pieces protocol;
+    for (std::size_t i = 0; i < n_views; ++i) {
+      protocol.AddView(chunks[i]);
+      if (i % 7 == 0) ser::PutVarint(protocol.bytes(), i);
+    }
+    ServiceCheckpoint ckpt = SampleCheckpoint();
+    ckpt.protocol_blob = "not read";
+    ASSERT_EQ(WriteCheckpointFile(path, ckpt, protocol, &file), "");
+    ckpt.protocol_blob.clear();
+    protocol.AppendTo(ckpt.protocol_blob);
+    EXPECT_TRUE(Slurp(path) == EncodeCheckpoint(ckpt)) << n_views;
+  }
   std::remove(path.c_str());
+}
+
+// Pieces::Append keeps the appended views as views of the same bytes and
+// copies the written bytes; the result reads as the concatenation.
+TEST(CheckpointCodec, PiecesAppendKeepsViewsAsViews) {
+  const std::string cached_a = "cached-a";
+  const std::string cached_b(5000, 'b');
+  ser::Pieces inner;
+  inner.bytes() = "head";
+  inner.AddView(cached_a);
+  inner.AddView("");
+  inner.bytes() += "mid";
+  inner.AddView(cached_b);
+  inner.bytes() += "tail";
+
+  ser::Pieces outer;
+  outer.bytes() = "outer";
+  outer.Append(inner);
+  outer.bytes() += "end";
+  std::string flat;
+  outer.AppendTo(flat);
+  EXPECT_EQ(flat, "outerhead" + cached_a + "mid" + cached_b + "tailend");
+  EXPECT_EQ(outer.size(), flat.size());
+
+  std::vector<std::string_view> got;
+  outer.ForEach([&](std::string_view piece) { got.push_back(piece); });
+  ASSERT_EQ(got.size(), 6u);
+  EXPECT_EQ(got[0], "outerhead");
+  EXPECT_EQ(got[1].data(), cached_a.data());
+  EXPECT_EQ(got[2].size(), 0u);
+  EXPECT_EQ(got[3], "mid");
+  EXPECT_EQ(got[4].data(), cached_b.data());
+  EXPECT_EQ(got[5], "tailend");
+  // The written runs are outer's own bytes, not views of inner's.
+  const std::string_view own = outer.bytes();
+  for (const std::size_t i : {0u, 3u, 5u}) {
+    EXPECT_GE(got[i].data(), own.data());
+    EXPECT_LE(got[i].data() + got[i].size(), own.data() + own.size());
+  }
+}
+
+// clear() drops every piece and keeps the written bytes' capacity, so a
+// run's cuts refill the same buffers.
+TEST(CheckpointCodec, PiecesClearKeepsCapacity) {
+  const std::string cached(300, 'c');
+  ser::Pieces pieces;
+  pieces.bytes().assign(100000, 'x');
+  pieces.AddView(cached);
+  pieces.bytes() += "after";
+  const std::size_t capacity = pieces.bytes().capacity();
+  pieces.clear();
+  EXPECT_EQ(pieces.size(), 0u);
+  EXPECT_EQ(pieces.bytes().capacity(), capacity);
+  std::size_t n = 0;
+  pieces.ForEach([&](std::string_view) { ++n; });
+  EXPECT_EQ(n, 0u);
+
+  pieces.bytes() = "new";
+  pieces.AddView(cached);
+  std::string flat;
+  pieces.AppendTo(flat);
+  EXPECT_EQ(flat, "new" + cached);
+  EXPECT_EQ(pieces.size(), flat.size());
 }
 
 TEST(SloReportFile, RoundTripAndRejectsCorruption) {
@@ -325,6 +415,94 @@ TEST(ResumableSoak, KilledAndResumedRunIsByteIdentical) {
       std::remove(ref_ckpt_path.c_str());
     }
   }
+}
+
+// A cut writes the protocol state as SavePieces hands it out: views of
+// FCAT's cached chunks (EngineProtocol), or SaveState's bytes on the
+// default hook (SEEDED, and a deployment of FCAT readers). Every file a
+// traced mid-run soak cuts must be EncodeCheckpoint of its head, service
+// and writer blobs with the protocol state flattened through
+// SaveState(std::string*) at the cut.
+TEST(ResumableSoak, CutFilesAreEncodeCheckpointOfTheFlattenedState) {
+  ServiceConfig config;
+  ASSERT_TRUE(LookupServiceProfile("smoke", &config));
+  config.epoch_slots = 200;
+  store::StoreWriterOptions sopts;
+  sopts.block_events = 256;
+  sopts.sync = store::SyncPolicy::kFlush;
+  SoakOptions options;
+  options.n_initial = 20;
+  options.runs = 1;
+  options.base_seed = 11;
+  std::size_t cases = 0;
+  for (const ResumeCase& c : CheckpointableFactories()) {
+    const std::string_view label = c.label;
+    if (label != "fcat2" && label != "seeded" &&
+        label != "deploy_sequential_fcat2") {
+      continue;
+    }
+    SCOPED_TRACE(c.label);
+    ++cases;
+    const sim::Protocol* live = nullptr;
+    const sim::ProtocolFactory capture =
+        [&](std::span<const TagId> population, Pcg32 rng) {
+          std::unique_ptr<sim::Protocol> protocol = c.factory(population, rng);
+          live = protocol.get();
+          return protocol;
+        };
+    const std::string store_path = TempPath("cut_files.ancs");
+    const std::string ckpt_path = TempPath("cut_files.ckpt");
+    std::string flat;  // the protocol state at the last cut, flattened
+    std::uint64_t flat_slot = 0;
+    std::size_t checked = 0;
+    std::size_t views = 0;  // pieces that are not SavePieces' own bytes
+    const auto check_last_cut = [&] {
+      if (flat_slot == 0) return;
+      ServiceCheckpoint got;
+      ASSERT_EQ(ReadCheckpointFile(ckpt_path, &got), "");
+      ASSERT_EQ(got.slot, flat_slot);
+      EXPECT_FALSE(got.writer_blob.empty());
+      ServiceCheckpoint flattened = got;
+      flattened.protocol_blob = flat;
+      EXPECT_TRUE(Slurp(ckpt_path) == EncodeCheckpoint(flattened))
+          << "cut at slot " << flat_slot;
+      ++checked;
+    };
+    store::StoreFileSink sink(store_path, sopts);
+    ResumableOptions opts;
+    opts.checkpoint_every_epochs = 1;
+    opts.checkpoint_path = ckpt_path;
+    // Fires before the cut at the same slot, between the same Step()s.
+    opts.on_epoch = [&](std::uint64_t slot) {
+      check_last_cut();
+      flat.clear();
+      live->SaveState(&flat);
+      flat_slot = slot;
+      ser::Pieces pieces;
+      live->SavePieces(pieces);
+      const std::string_view own = pieces.bytes();
+      const std::less<const char*> before;
+      pieces.ForEach([&](std::string_view piece) {
+        views += before(piece.data(), own.data()) ||
+                 !before(piece.data(), own.data() + own.size());
+      });
+    };
+    const SloReport report =
+        RunSoakResumable(capture, config, options, 0, &sink, opts);
+    ASSERT_EQ(sink.Finish(), "");
+    EXPECT_TRUE(report.churn_supported);
+    check_last_cut();
+    EXPECT_GE(checked, 12u);
+    if (label == "fcat2") {
+      EXPECT_GT(flat.size(), 100'000u);
+      EXPECT_GT(views, 0u) << "cached chunks were copied";
+    } else {
+      EXPECT_EQ(views, 0u);
+    }
+    std::remove(store_path.c_str());
+    std::remove(ckpt_path.c_str());
+  }
+  EXPECT_EQ(cases, 3u);
 }
 
 // The contract the soak drivers share: cutting a checkpoint every epoch

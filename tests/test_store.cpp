@@ -62,8 +62,9 @@ std::string TempPath(const char* name) {
 
 // ------------------------------------------------------------ CRC-32 --
 
-// The textbook bytewise loop, kept here as the reference the slice-by-8
-// implementation must match value for value.
+// The textbook bytewise loop, kept here as the reference both Crc32 paths
+// (the folding kernel where the CPU has it, and slice-by-16) must match
+// value for value.
 std::uint32_t BytewiseCrc32(std::string_view bytes, std::uint32_t seed = 0) {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (const char ch : bytes) {
@@ -78,31 +79,78 @@ std::uint32_t BytewiseCrc32(std::string_view bytes, std::uint32_t seed = 0) {
 TEST(Crc32, CheckValue) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(detail::Crc32Portable("123456789"), 0xCBF43926u);
+  EXPECT_EQ(detail::Crc32Portable(""), 0u);
 }
 
+// Every length up to 1 KiB, then both sides of each power of two up to
+// 64 KiB + 1, at every offset within 16 bytes: across the folding
+// kernel's 64-byte start, its 64-byte and 16-byte loop ends and the
+// 0-15 byte tail left to the table loop.
 TEST(Crc32, MatchesBytewiseAtEveryLengthAndOffset) {
   Pcg32 rng(11);
-  std::string buf(1024 + 8, '\0');
+  constexpr std::size_t kMax = 64 * 1024 + 1;
+  std::string buf(kMax + 16, '\0');
   for (char& ch : buf) ch = static_cast<char>(rng());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 1024; ++len) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 1024; ++len) lengths.push_back(len);
+  for (std::size_t pow = 2048; pow <= 64 * 1024; pow *= 2) {
+    for (const std::size_t len : {pow - 1, pow, pow + 1}) {
+      lengths.push_back(len);
+    }
+  }
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (const std::size_t len : lengths) {
       const std::string_view view(buf.data() + offset, len);
-      ASSERT_EQ(Crc32(view), BytewiseCrc32(view))
+      const std::uint32_t want = BytewiseCrc32(view);
+      ASSERT_EQ(Crc32(view), want) << "offset " << offset << " length " << len;
+      ASSERT_EQ(detail::Crc32Portable(view), want)
           << "offset " << offset << " length " << len;
     }
   }
 }
 
+// Pieces of 64 bytes and more (so each piece takes the folding kernel)
+// split at offsets that are not multiples of 16, from an unaligned start.
 TEST(Crc32, SeedChains) {
   Pcg32 rng(12);
-  std::string bytes(300, '\0');
+  std::string bytes(1003, '\0');
   for (char& ch : bytes) ch = static_cast<char>(rng());
-  const std::string_view all(bytes);
-  for (std::size_t cut : {0u, 1u, 7u, 8u, 9u, 150u, 299u, 300u}) {
+  const std::string_view all = std::string_view(bytes).substr(3);
+  for (const std::size_t cut :
+       {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 77u, 150u, 299u, 300u, 515u, 931u,
+        936u, 999u, 1000u}) {
     const std::string_view a = all.substr(0, cut);
     const std::string_view b = all.substr(cut);
     EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(all)) << "cut " << cut;
     EXPECT_EQ(Crc32(b, Crc32(a)), BytewiseCrc32(b, BytewiseCrc32(a)));
+  }
+  // Three pieces, every one at least 64 bytes.
+  for (const std::size_t first : {64u, 67u, 101u, 250u}) {
+    for (const std::size_t second : {64u, 90u, 333u}) {
+      const std::string_view a = all.substr(0, first);
+      const std::string_view b = all.substr(first, second);
+      const std::string_view c = all.substr(first + second);
+      ASSERT_GE(c.size(), 64u);
+      EXPECT_EQ(Crc32(c, Crc32(b, Crc32(a))), Crc32(all))
+          << "cuts " << first << ", " << first + second;
+    }
+  }
+}
+
+// The dispatching Crc32 (the folding kernel on a CPU that has it) and the
+// portable slice-by-16 loop agree on random inputs, offsets and seeds.
+TEST(Crc32, DispatchMatchesPortable) {
+  Pcg32 rng(13);
+  std::string buf(1 << 16, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng());
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t offset = rng() % 64;
+    const std::size_t len = rng() % (i % 10 == 0 ? buf.size() - 64 : 600);
+    const std::uint32_t seed = rng();
+    const std::string_view view(buf.data() + offset, len);
+    ASSERT_EQ(Crc32(view, seed), detail::Crc32Portable(view, seed))
+        << "offset " << offset << " length " << len << " seed " << seed;
   }
 }
 
